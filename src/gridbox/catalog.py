@@ -299,8 +299,20 @@ class SiteCatalog:
             return None
         return versions.get(version) if version is not None else versions[max(versions)]
 
-    def algorithm_versions(self, name: str) -> list[AlgorithmRecord]:
-        return [v for _, v in sorted(self._algorithms.get(name, {}).items())]
+    def algorithm_versions(self) -> dict[str, list[int]]:
+        """Registered versions of every algorithm, by name."""
+        with self._lock:
+            return {name: sorted(versions)
+                    for name, versions in sorted(self._algorithms.items())}
+
+    def add_algorithm_version(self, name: str, make) -> AlgorithmRecord:
+        """Store ``make(version)`` as the next version of ``name`` and return it;
+        the version is allocated and stored under one lock."""
+        with self._lock:
+            latest = self.algorithm(name)
+            record = make(1 if latest is None else latest.version + 1)
+            self.upsert(record)
+            return record
 
     def patients(self) -> list[PatientRecord]:
         return sorted(self._records["patient"].values(), key=lambda r: str(r.id))

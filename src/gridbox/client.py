@@ -15,11 +15,11 @@ from pathlib import Path
 
 from gridbox.anonymize import anonymize_for_site
 from gridbox.config import SiteKey, parse_address
-from gridbox.errors import CorruptBlob, PeerUnreachable, ProtocolError, error_from_code
+from gridbox.errors import CorruptBlob, PeerUnreachable
 from gridbox.ids import IdMinter
 from gridbox.mgi import parse_mgi, write_mgi
 from gridbox.resultset import ResultSet
-from gridbox.wire import request
+from gridbox.wire import call
 
 
 class NodeClient:
@@ -32,16 +32,9 @@ class NodeClient:
 
     def _call(self, op: str, params: dict, binary: bytes = b"",
               timeout: float | None = None) -> tuple[dict, list, bytes]:
-        try:
-            response, resp_binary = request(
-                self.address, op, params, token=self.token, binary=binary,
-                timeout=self.timeout if timeout is None else timeout)
-        except (OSError, ProtocolError) as e:
-            raise PeerUnreachable(f"node at {self.address}: {e}") from e
-        if response["status"] == "error":
-            raise error_from_code(response["error_code"],
-                                  response["result"].get("message", ""))
-        return response["result"], response.get("warnings", []), resp_binary
+        return call(self.address, op, params, unreachable=PeerUnreachable,
+                    token=self.token, binary=binary,
+                    timeout=self.timeout if timeout is None else timeout)
 
     # --- services ---------------------------------------------------------------
 

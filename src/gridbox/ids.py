@@ -5,22 +5,17 @@ is the short ASCII code of the node that minted the id, the kind names one of
 the seven record families, and the local part is 128 bits rendered as 32 hex
 characters.
 
-Two minting modes exist:
-
-* ``mint_random`` draws the local part from the OS RNG (session tokens,
-  one-off registrations).
-* ``mint_keyed`` derives it with an HMAC over the site secret and a caller
-  key.  Ingest uses this mode so that re-processing the same source record
-  yields the same id: uploads stay idempotent, anonymization can run at the
-  acquisition workstation, and a restart re-derives identical ids without a
-  shared mutable table.
+Ids are minted keyed: ``mint_keyed`` derives the local part with an HMAC
+over the site secret and a caller key, so re-processing the same source
+record yields the same id: uploads stay idempotent, anonymization can run at
+the acquisition workstation, and a restart re-derives identical ids without
+a shared mutable table.
 """
 
 from __future__ import annotations
 
 import hmac
 import re
-import secrets
 from dataclasses import dataclass
 from hashlib import sha256
 
@@ -79,16 +74,13 @@ def id_kind(text: str) -> str | None:
 
 
 class IdMinter:
-    """Mints ids for one site, randomly or keyed off the site secret."""
+    """Mints ids for one site, keyed off the site secret."""
 
     def __init__(self, site: str, secret: bytes):
         if not valid_site_code(site):
             raise ValueError(f"bad site code {site!r}")
         self.site = site
         self._secret = secret
-
-    def mint_random(self, kind: str) -> GlobalId:
-        return GlobalId(self.site, kind, secrets.token_hex(16))
 
     def mint_keyed(self, kind: str, key: str) -> GlobalId:
         digest = hmac.new(self._secret, f"{kind}:{key}".encode(), sha256).hexdigest()

@@ -51,6 +51,22 @@ HEADER_KEYS = (
 _REQUIRED = ("image.rows", "image.cols", "image.bits")
 
 
+def _declared_shape(header: dict) -> tuple[int, int]:
+    """Check the mandatory keys and ``image.bits``; return (rows, cols)."""
+    for key in _REQUIRED:
+        if key not in header:
+            raise MgiFormatError(f"missing mandatory header key {key!r}")
+    if header["image.bits"] != "16":
+        raise MgiFormatError("image.bits must be 16")
+    try:
+        rows, cols = int(header["image.rows"]), int(header["image.cols"])
+    except ValueError as e:
+        raise MgiFormatError(f"non-integer image shape: {e}") from e
+    if rows <= 0 or cols <= 0:
+        raise MgiFormatError("image shape must be positive")
+    return rows, cols
+
+
 @dataclass
 class MgiFile:
     """Parsed MGI file: ordered header map plus a rows×cols uint16 array."""
@@ -65,12 +81,7 @@ class MgiFile:
                 raise UnknownHeaderKey(f"unknown header key {key!r}")
             if not isinstance(value, str) or "\n" in value:
                 raise MgiFormatError(f"header value for {key!r} must be a single line")
-        for key in _REQUIRED:
-            if key not in self.header:
-                raise MgiFormatError(f"missing mandatory header key {key!r}")
-        if self.header["image.bits"] != "16":
-            raise MgiFormatError("image.bits must be 16")
-        rows, cols = self._declared_shape()
+        rows, cols = _declared_shape(self.header)
         pixels = np.asarray(self.pixels)
         if pixels.dtype != np.uint16:
             if not np.issubdtype(pixels.dtype, np.integer):
@@ -82,16 +93,6 @@ class MgiFile:
             raise MgiFormatError(
                 f"pixel array is {pixels.shape}, header declares {(rows, cols)}")
         self.pixels = np.ascontiguousarray(pixels)
-
-    def _declared_shape(self) -> tuple[int, int]:
-        try:
-            rows = int(self.header["image.rows"])
-            cols = int(self.header["image.cols"])
-        except ValueError as e:
-            raise MgiFormatError(f"non-integer image shape: {e}") from e
-        if rows <= 0 or cols <= 0:
-            raise MgiFormatError("image shape must be positive")
-        return rows, cols
 
     def __eq__(self, other):
         return (isinstance(other, MgiFile)
@@ -136,17 +137,7 @@ def parse_mgi(data: bytes) -> MgiFile:
         if key in header:
             raise MgiFormatError(f"duplicate header key {key!r}")
         header[key] = value
-    for key in _REQUIRED:
-        if key not in header:
-            raise MgiFormatError(f"missing mandatory header key {key!r}")
-    if header["image.bits"] != "16":
-        raise MgiFormatError("image.bits must be 16")
-    try:
-        rows, cols = int(header["image.rows"]), int(header["image.cols"])
-    except ValueError as e:
-        raise MgiFormatError(f"non-integer image shape: {e}") from e
-    if rows <= 0 or cols <= 0:
-        raise MgiFormatError("image shape must be positive")
+    rows, cols = _declared_shape(header)
     payload = data[pos:]
     if len(payload) != rows * cols * 2:
         raise PayloadSizeMismatch(

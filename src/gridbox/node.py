@@ -5,10 +5,11 @@ the pseudonym table, and a framed-protocol server exposing the six services
 (authenticate, add, retrieve, query, add-algorithm, execute-algorithm) plus
 the peer-facing ops RQUERY and PEER_FETCH and a STATS introspection op.
 
-Federated queries follow the scatter-gather pipeline: parse, decompose
-against the current VO membership, run the local part and all single-hop
-remote parts concurrently, merge the XML result sets, and report unreachable
-sites as warnings instead of failing the whole query.
+Federated queries and algorithm runs follow one scatter-gather pipeline:
+parse, pick the remote sites from the current VO membership, run the local
+part, fan out one hop to the remote sites in parallel, and merge.  A site
+that cannot be reached, or whose answer fails validation, costs a warning
+instead of failing the whole request.
 
 Session tokens are self-certifying: ``user:issued:ttl:nonce:sig`` signed
 with the VO key the registry hands out at node registration, so a token
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import hmac
 import secrets
-import socket
 import sys
 import threading
 import time
@@ -49,16 +49,15 @@ from gridbox.errors import (
     ProtocolError,
     QuerySyntaxError,
     RegistryUnreachable,
+    SchemaViolation,
     UnknownAlgorithm,
     UnknownPeer,
-    error_from_code,
 )
 from gridbox.ids import GlobalId, IdMinter, looks_like_global_id, valid_site_code
 from gridbox.mgi import MgiFile, parse_mgi, write_mgi
 from gridbox.query import (
     FormalQuery,
     decompose,
-    local_only_plan,
     lower_to_local_plan,
     parse_query,
     print_query,
@@ -74,14 +73,7 @@ from gridbox.records import (
 )
 from gridbox.registry import RegistryClient
 from gridbox.resultset import ResultSet, merge
-from gridbox.wire import (
-    TRANSPORT,
-    FramedServer,
-    error_response,
-    ok_response,
-    recv_frame,
-    send_frame,
-)
+from gridbox.wire import FramedServer, call, error_response, ok_response
 
 _SHA_HEX = frozenset("0123456789abcdef")
 
@@ -149,6 +141,17 @@ class GridNode:
         self._stopping = None
         self._identity = self._load_identity()
         self._register_builtin()
+        self._ops = {
+            "AUTH": self._op_auth,
+            "ADD": self._op_add,
+            "RETRIEVE": self._op_retrieve,
+            "QUERY": self._op_query,
+            "ADD_ALG": self._op_add_alg,
+            "EXEC_ALG": self._op_exec_alg,
+            "RQUERY": self._op_rquery,
+            "PEER_FETCH": self._op_peer_fetch,
+            "STATS": self._op_stats,
+        }
 
     # --- lifecycle -------------------------------------------------------------
 
@@ -259,18 +262,7 @@ class GridNode:
         op = envelope.get("op")
         token = str(envelope.get("token") or "")
         params = envelope.get("params") or {}
-        handlers = {
-            "AUTH": self._op_auth,
-            "ADD": self._op_add,
-            "RETRIEVE": self._op_retrieve,
-            "QUERY": self._op_query,
-            "ADD_ALG": self._op_add_alg,
-            "EXEC_ALG": self._op_exec_alg,
-            "RQUERY": self._op_rquery,
-            "PEER_FETCH": self._op_peer_fetch,
-            "STATS": self._op_stats,
-        }
-        fn = handlers.get(op)
+        fn = self._ops.get(op)
         try:
             if fn is None:
                 raise ProtocolError(f"unknown op {op!r}")
@@ -300,35 +292,32 @@ class GridNode:
             raise UnknownPeer(f"site {site} is not a registered VO member")
         return site
 
-    def _peer_params(self, op: str, req_id: str, extra: dict) -> dict:
-        params = dict(extra)
-        params["peer_site"] = self.site
-        params["peer_sig"] = peer_signature(self.vo_key, self.site, op, req_id)
-        return params
-
     def _peer_request(self, site: str, op: str, extra: dict,
                       timeout: float) -> tuple[dict, bytes]:
-        address = self._peer_address(site)
         req_id = secrets.token_hex(8)
-        envelope = {"id": req_id, "op": op, "token": "",
-                    "params": self._peer_params(op, req_id, extra)}
-        try:
-            with socket.create_connection(address, timeout=timeout) as raw:
-                sock = TRANSPORT.wrap(raw)
-                sock.settimeout(timeout)
-                send_frame(sock, envelope)
-                got = recv_frame(sock)
-        except (OSError, ProtocolError) as e:
-            raise PeerUnreachable(f"{site} at {address}: {e}") from e
-        if got is None:
-            raise PeerUnreachable(f"{site} closed the connection without answering")
-        response, resp_binary = got
-        if response.get("id") != req_id:
-            raise ProtocolError("peer response id mismatch")
-        if response["status"] == "error":
-            raise error_from_code(response["error_code"],
-                                  response["result"].get("message", ""))
-        return response["result"], resp_binary
+        params = dict(extra, peer_site=self.site,
+                      peer_sig=peer_signature(self.vo_key, self.site, op, req_id))
+        result, _, data = call(self._peer_address(site), op, params,
+                               unreachable=PeerUnreachable, req_id=req_id,
+                               timeout=timeout)
+        return result, data
+
+    def _fan_out(self, sites: list[str], fn, *args) -> tuple[dict, list[str]]:
+        """Run ``fn(site, *args)`` for every site in parallel.
+
+        Returns the answers by site, and a ``"<site> unreachable: …"``
+        warning for each site whose call raised a GridError.
+        """
+        answers, warnings = {}, []
+        if sites:
+            with ThreadPoolExecutor(max_workers=len(sites)) as pool:
+                futures = {site: pool.submit(fn, site, *args) for site in sites}
+                for site, future in futures.items():
+                    try:
+                        answers[site] = future.result()
+                    except GridError as e:
+                        warnings.append(f"{site} unreachable: {e.message}")
+        return answers, sorted(warnings)
 
     # --- AUTH ------------------------------------------------------------------------
 
@@ -489,34 +478,32 @@ class GridNode:
         """The federated pipeline; returns (merged result, warnings)."""
         q = parse_query(query_text)
         canonical = print_query(q)
-        members = sorted(self.membership())
-        plan = decompose(q, members, self.site)
-        parts = [self._local_resultset(q, canonical)]
-        warnings: list[str] = []
-        if plan.remotes:
-            timeout = self.config.query_timeout_s
-            with ThreadPoolExecutor(max_workers=len(plan.remotes)) as pool:
-                futures = {pool.submit(self._remote_query, site, canonical, timeout):
-                           site for site, _ in plan.remotes}
-                for future, site in futures.items():
-                    try:
-                        parts.append(future.result())
-                    except GridError as e:
-                        warnings.append(f"{site} unreachable: {e.message}")
-        merged = merge(parts)
-        # Normalize origin to the sites that actually contributed rows, so the
-        # same query renders byte-identical XML no matter where it was asked
+        remotes = decompose(q, sorted(self.membership()), self.site)
+        parts = {self.site: self._local_resultset(q, canonical)}
+        answers, warnings = self._fan_out(remotes, self._remote_query, canonical,
+                                          self.config.query_timeout_s)
+        parts.update(answers)
+        merged = merge(list(parts.values()))
+        # Origin lists the sites that actually contributed rows, so the same
+        # query renders byte-identical XML no matter where it was asked
         # (id-pruned plans skip sites that a broadcast would list as responders).
-        normalized = ResultSet(merged.query_text,
-                               frozenset(GlobalId.parse(r.id).site
-                                         for r in merged.rows),
-                               merged.rows)
-        return normalized, sorted(warnings)
+        origin = frozenset(site for site, part in parts.items() if part.rows)
+        return ResultSet(merged.query_text, origin, merged.rows), warnings
 
     def _remote_query(self, site: str, canonical: str, timeout: float) -> ResultSet:
+        """One peer's part; a part that answers another query or carries rows
+        the peer did not mint is refused, so the fan-out drops it."""
         result, _ = self._peer_request(site, "RQUERY",
                                        {"text": canonical, "hop": 1}, timeout)
-        return ResultSet.from_xml(result["xml"].encode("utf-8"))
+        part = ResultSet.from_xml(result["xml"].encode("utf-8"))
+        if part.query_text != canonical:
+            raise SchemaViolation(f"{site} answered {part.query_text!r}, "
+                                  f"not {canonical!r}")
+        prefix = f"{site}:"
+        for row in part.rows:
+            if not row.id.startswith(prefix):
+                raise SchemaViolation(f"{site} returned row {row.id} it did not mint")
+        return part
 
     def _op_query(self, req_id, token, params, binary):
         self._require_user(token)
@@ -528,9 +515,7 @@ class GridNode:
         if params.get("hop") != 1:
             raise HopViolation(f"RQUERY must arrive with hop=1, got {params.get('hop')!r}")
         q = parse_query(str(params.get("text", "")))
-        canonical = print_query(q)
-        local_only_plan(q, self.site)  # asserts the no-fan-out invariant
-        result = self._local_resultset(q, canonical)
+        result = self._local_resultset(q, print_query(q))
         return {"xml": result.to_xml().decode("utf-8")}, [], b""
 
     # --- ADD_ALG ----------------------------------------------------------------------
@@ -557,15 +542,12 @@ class GridNode:
             raise QuerySyntaxError(f"algorithm name {name!r} must be a lowercase "
                                    "identifier")
         alg.parse_algorithm(source)  # syntax gate before anything registers
-        with self.catalog._lock:
-            latest = self.catalog.algorithm(name)
-            version = 1 if latest is None else latest.version + 1
-            record = AlgorithmRecord(
+        record = self.catalog.add_algorithm_version(
+            name, lambda version: AlgorithmRecord(
                 id=self.minter.mint_keyed("algorithm", f"{name}:{version}"),
-                name=name, version=version, source=source, origin_site=self.site)
-            self.catalog.upsert(record)
+                name=name, version=version, source=source, origin_site=self.site))
         warnings = self._gossip_algorithm(record)
-        return {"id": str(record.id), "version": version}, warnings, b""
+        return {"id": str(record.id), "version": record.version}, warnings, b""
 
     def _algorithm_from_params(self, params: dict) -> AlgorithmRecord:
         try:
@@ -574,7 +556,7 @@ class GridNode:
                 name=str(params["name"]), version=int(params["version"]),
                 source=str(params["source"]),
                 origin_site=str(params["origin_site"]))
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ProtocolError(f"bad algorithm envelope: {e}") from e
         alg.parse_algorithm(record.source)
         return record
@@ -648,29 +630,22 @@ class GridNode:
             return {"written": self._execute_local(local_record, q)}, [], b""
         self._require_user(token)
         name = str(params.get("name", ""))
-        version = params.get("version")
-        record = self.catalog.algorithm(name, int(version) if version else None)
+        try:
+            version = int(params["version"]) if params.get("version") else None
+        except (TypeError, ValueError) as e:
+            raise ProtocolError(f"bad algorithm version {params['version']!r}") from e
+        record = self.catalog.algorithm(name, version)
         if record is None:
             raise UnknownAlgorithm(f"no algorithm {name!r}"
                                    + (f" v{version}" if version else ""))
         q = self._selector_query(str(params.get("selector", "")))
-        canonical = print_query(q)
-        members = sorted(self.membership())
-        plan = decompose(q, members, self.site)
+        remotes = decompose(q, sorted(self.membership()), self.site)
         per_site = {self.site: self._execute_local(record, q)}
-        warnings: list[str] = []
-        if plan.remotes:
-            timeout = self.config.query_timeout_s
-            with ThreadPoolExecutor(max_workers=len(plan.remotes)) as pool:
-                futures = {pool.submit(self._remote_exec, site, record, canonical,
-                                       timeout): site for site, _ in plan.remotes}
-                for future, site in futures.items():
-                    try:
-                        per_site[site] = future.result()
-                    except GridError as e:
-                        warnings.append(f"{site} unreachable: {e.message}")
+        answers, warnings = self._fan_out(remotes, self._remote_exec, record,
+                                          print_query(q), self.config.query_timeout_s)
+        per_site.update(answers)
         return {"written": sum(per_site.values()),
-                "per_site": per_site}, sorted(warnings), b""
+                "per_site": per_site}, warnings, b""
 
     def _remote_exec(self, site: str, record: AlgorithmRecord, selector: str,
                      timeout: float) -> int:
@@ -685,13 +660,10 @@ class GridNode:
 
     def _op_stats(self, req_id, token, params, binary):
         self._require_user(token)
-        algorithms = {}
-        for rec in self.catalog._records["algorithm"].values():
-            algorithms.setdefault(rec.name, []).append(rec.version)
         return {
             "site": self.site,
             "catalog": self.catalog.stats(),
             "traffic": self._server.accountant.snapshot() if self._server else {},
             "membership": sorted(self.membership()),
-            "algorithms": {k: sorted(v) for k, v in sorted(algorithms.items())},
+            "algorithms": self.catalog.algorithm_versions(),
         }, [], b""

@@ -17,8 +17,8 @@ Attributes come from the controlled vocabulary (``patient.sex``,
 ``image.view``, ``image.id``, ``image.dose_mgy``, ``derived.<name>``).
 Values are barewords, double-quoted strings, numbers, or ISO dates.
 
-A parsed query can be decomposed against the VO membership into a local part
-plus one single-hop remote per other member; an id-equality conjunct prunes
+A parsed query runs locally and is decomposed against the VO membership
+into one single-hop remote per other member; an id-equality conjunct prunes
 the remote fan-out to the id's minting site.
 """
 
@@ -124,26 +124,6 @@ class FormalQuery:
 
     def __hash__(self):
         return hash((self.target, self.expr))
-
-
-@dataclass(frozen=True)
-class QueryPlan:
-    """Local/remote split of one query: ``local`` always runs here, each
-    remote entry is forwarded once (hop=1 receivers must not re-forward)."""
-
-    local: FormalQuery
-    remotes: tuple  # of (site_code, FormalQuery)
-    origin: str
-    hop: int
-
-    def __post_init__(self):
-        if self.hop not in (0, 1):
-            raise ValueError("hop must be 0 or 1")
-        if self.hop == 1 and self.remotes:
-            raise ValueError("forwarded plans must not fan out again")
-        sites = [s for s, _ in self.remotes]
-        if len(set(sites)) != len(sites) or self.origin in sites:
-            raise ValueError("remote sites must be distinct and exclude the origin")
 
 
 @dataclass(frozen=True)
@@ -459,9 +439,10 @@ def _id_pinned_sites(expr) -> set[str]:
     return sites
 
 
-def decompose(q: FormalQuery, membership: list[str], self_site: str) -> QueryPlan:
-    """Split a query into the local part plus one hop-limited remote per
-    other VO member, pruning the fan-out when an id conjunct pins the site."""
+def decompose(q: FormalQuery, membership: list[str], self_site: str) -> list[str]:
+    """The sorted remote sites a query fans out to, one hop each: every other
+    VO member, pruned when an id conjunct pins the site.  The query itself
+    always runs locally too."""
     if self_site not in membership:
         raise NotAMember(f"{self_site} is not in the VO membership")
     others = sorted(set(membership) - {self_site})
@@ -470,13 +451,7 @@ def decompose(q: FormalQuery, membership: list[str], self_site: str) -> QueryPla
         # conjoined ids from two sites can match nowhere; one pinned site
         # needs no broadcast beyond its owner
         others = sorted(pinned & set(others)) if len(pinned) == 1 else []
-    return QueryPlan(local=q, remotes=tuple((s, q) for s in others),
-                     origin=self_site, hop=0)
-
-
-def local_only_plan(q: FormalQuery, self_site: str) -> QueryPlan:
-    """Plan for a forwarded query: local execution, no further fan-out."""
-    return QueryPlan(local=q, remotes=(), origin=self_site, hop=1)
+    return others
 
 
 # --- lowering ------------------------------------------------------------------

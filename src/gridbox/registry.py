@@ -34,10 +34,9 @@ from gridbox.errors import (
     ProtocolError,
     RegistryUnreachable,
     StorageError,
-    error_from_code,
 )
 from gridbox.ids import valid_site_code
-from gridbox.wire import FramedServer, error_response, ok_response, request
+from gridbox.wire import FramedServer, call, error_response, ok_response
 
 _USER_RE = re.compile(r"^[a-z0-9][a-z0-9_.\-]*$")
 
@@ -242,14 +241,9 @@ class RegistryClient:
         self.timeout = timeout
 
     def _call(self, op: str, params: dict) -> dict:
-        try:
-            response, _ = request(self.address, op, params, timeout=self.timeout)
-        except (OSError, ProtocolError) as e:
-            raise RegistryUnreachable(f"registry at {self.address}: {e}") from e
-        if response["status"] == "error":
-            raise error_from_code(response["error_code"],
-                                  response["result"].get("message", ""))
-        return response["result"]
+        result, _, _ = call(self.address, op, params,
+                            unreachable=RegistryUnreachable, timeout=self.timeout)
+        return result
 
     def register_node(self, site: str, address: str,
                       identity: str) -> tuple[list[dict], str]:

@@ -40,7 +40,7 @@ from pathlib import Path
 
 from gridbox.client import NodeClient
 from gridbox.cohort import manifest_for, spec_for_site, upload_site
-from gridbox.config import SiteKey
+from gridbox.config import SiteKey, parse_address
 from gridbox.errors import GridError
 from gridbox.query import parse_query, print_query
 from gridbox.registry import RegistryClient
@@ -192,7 +192,7 @@ class ScenarioRunner:
         admin_token = (reg_dir / "admin_token.txt").read_text().strip()
         self.vo = _Vo(self.workdir, proc, registry_addr, admin_token)
 
-        RegistryClient(_addr(registry_addr)).add_user(
+        RegistryClient(parse_address(registry_addr)).add_user(
             admin_token, _USER, _CREDENTIAL)
 
         for site in sites:
@@ -374,11 +374,6 @@ class ScenarioRunner:
                 if moved:
                     raise ScenarioError(
                         f"{site} moved {moved} binary bytes over {op}")
-
-
-def _addr(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    return host, int(port)
 
 
 def _dump_manifest(manifest: dict) -> str:

@@ -28,14 +28,10 @@ import struct
 import threading
 from dataclasses import dataclass, field
 
-from gridbox.errors import ProtocolError
+from gridbox.errors import GridError, ProtocolError, error_from_code
 
 MAX_ENVELOPE = 8 * 1024 * 1024
 MAX_BINARY = 64 * 1024 * 1024
-
-CLIENT_OPS = ("AUTH", "ADD", "RETRIEVE", "QUERY", "ADD_ALG", "EXEC_ALG", "STATS")
-PEER_OPS = ("RQUERY", "PEER_FETCH")
-REGISTRY_OPS = ("NODE_REG", "NODE_LIST", "USER_VERIFY", "USER_ADD")
 
 
 class NullTransport:
@@ -151,15 +147,15 @@ def recv_frame(sock: socket.socket) -> tuple[dict, bytes] | None:
 # --- request/response helpers ---------------------------------------------------
 
 def request(address: tuple[str, int], op: str, params: dict, *,
-            token: str = "", binary: bytes = b"",
+            token: str = "", binary: bytes = b"", req_id: str = "",
             timeout: float = 10.0) -> tuple[dict, bytes]:
     """One request/response exchange on a fresh connection.
 
     Returns the raw response envelope and its binary section; error-status
-    envelopes are returned, not raised — callers map error codes to typed
-    exceptions at their own layer.
+    envelopes are returned, not raised (:func:`call` raises them).  A caller
+    that signs the request id passes it as ``req_id``.
     """
-    req_id = secrets.token_hex(8)
+    req_id = req_id or secrets.token_hex(8)
     envelope = {"id": req_id, "op": op, "token": token, "params": params}
     with socket.create_connection(address, timeout=timeout) as raw:
         sock = TRANSPORT.wrap(raw)
@@ -174,6 +170,27 @@ def request(address: tuple[str, int], op: str, params: dict, *,
     if response.get("status") not in ("ok", "error"):
         raise ProtocolError(f"bad response status {response.get('status')!r}")
     return response, resp_binary
+
+
+def call(address: tuple[str, int], op: str, params: dict, *,
+         unreachable: type[GridError], token: str = "", binary: bytes = b"",
+         req_id: str = "", timeout: float = 10.0) -> tuple[dict, list, bytes]:
+    """The one request path of clients, the registry client and peers.
+
+    Returns ``(result, warnings, binary)``.  Failing to reach ``address`` or
+    to get a well-formed answer raises ``unreachable``; an error envelope
+    raises the error the far side reported, under its own code.
+    """
+    try:
+        response, resp_binary = request(address, op, params, token=token,
+                                        binary=binary, req_id=req_id,
+                                        timeout=timeout)
+    except (OSError, ProtocolError) as e:
+        raise unreachable(f"{op} to {address[0]}:{address[1]}: {e}") from e
+    if response["status"] == "error":
+        raise error_from_code(response["error_code"],
+                              response["result"].get("message", ""))
+    return response["result"], response.get("warnings", []), resp_binary
 
 
 def ok_response(req_id: str, result: dict, warnings: list | None = None) -> dict:

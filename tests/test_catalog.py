@@ -118,7 +118,16 @@ def test_algorithm_latest_version_wins():
     cat.upsert(algorithm_record(n=2, version=3, source="max emit m"))
     assert cat.algorithm("alg").version == 3
     assert cat.algorithm("alg", 1).version == 1
-    assert [a.version for a in cat.algorithm_versions("alg")] == [1, 3]
+    assert cat.algorithm_versions() == {"alg": [1, 3]}
+
+
+def test_add_algorithm_version_allocates_the_next_version():
+    cat = SiteCatalog("CAM")
+    cat.upsert(algorithm_record(n=1, version=1))
+    got = cat.add_algorithm_version(
+        "alg", lambda v: algorithm_record(n=2, version=v, source="max emit m"))
+    assert got.version == 2
+    assert cat.algorithm("alg") == got
 
 
 def test_replay_restores_everything(tmp_path):

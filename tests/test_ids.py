@@ -58,13 +58,6 @@ def test_pseudonym_shape_and_stability(original):
     int(p[5:], 16)  # the suffix is hex
 
 
-def test_random_minting_unique():
-    minter = IdMinter("CAM", b"\x04" * 16)
-    minted = {minter.mint_random("image") for _ in range(200)}
-    assert len(minted) == 200
-    assert all(g.site == "CAM" and g.kind == "image" for g in minted)
-
-
 def test_ordering_matches_rendered_form():
     gids = [GlobalId("UDI", "image", "f" * 32), GlobalId("CAM", "image", "0" * 32),
             GlobalId("CAM", "image", "a" * 32)]

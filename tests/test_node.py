@@ -16,7 +16,7 @@ from gridbox.errors import (
 )
 from gridbox.mgi import parse_mgi, write_mgi
 from gridbox.node import mint_token, peer_signature, sign_token, verify_token
-from gridbox.resultset import ResultSet
+from gridbox.resultset import ResultSet, Row
 from gridbox.wire import recv_frame, request, send_frame
 
 KEY = b"\x11" * 32
@@ -261,6 +261,42 @@ def test_rquery_answers_with_local_rows_only(session_vo):
     assert all(r.id.startswith("CAM:") for r in rs.rows)
 
 
+def test_rquery_at_hop1_answers_locally_and_never_fans_out(make_vo):
+    vo = make_vo(sites=("CAM", "UDI", "LEE"))
+    for site in vo.nodes:
+        vo.client(site).add_bytes(make_image_bytes())
+    cam = vo.nodes["CAM"]
+    envelope = rquery_envelope(cam, "select images where true", hop=1, site="UDI")
+    rs = ResultSet.from_xml(exchange(cam.address, envelope)["result"]["xml"].encode())
+    assert len(rs.rows) == 1 and rs.rows[0].id.startswith("CAM:")
+    assert [site for site, node in vo.nodes.items()
+            if "RQUERY" in node.accountant.snapshot()] == ["CAM"]
+
+
+def forge_a_row(part):
+    forged = Row("LEE:image:" + "a" * 32, {"patient.id": "LEE:patient:" + "b" * 32})
+    return ResultSet(part.query_text, part.origin_sites, part.rows + (forged,))
+
+
+def answer_another_query(part):
+    return ResultSet("select images where false", part.origin_sites, part.rows)
+
+
+@pytest.mark.parametrize("tamper", [forge_a_row, answer_another_query])
+def test_bad_peer_part_is_dropped_with_a_warning(make_vo, monkeypatch, tamper):
+    vo = make_vo()
+    for site in vo.nodes:
+        vo.client(site).add_bytes(make_image_bytes())
+    udi = vo.nodes["UDI"]
+    honest = udi._local_resultset
+    monkeypatch.setattr(udi, "_local_resultset",
+                        lambda q, canonical: tamper(honest(q, canonical)))
+    result, warnings = vo.client("CAM").query("select images where true")
+    assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
+    assert result.origin_sites == frozenset({"CAM"})
+    assert len(warnings) == 1 and warnings[0].startswith("UDI unreachable:")
+
+
 def test_dead_site_becomes_a_warning(make_vo):
     vo = make_vo()
     vo.client("CAM").add_bytes(make_image_bytes())
@@ -359,6 +395,22 @@ def test_exec_alg_guards(session_vo):
         client.exec_algorithm("no-such-alg", "select images where true")
     with pytest.raises(QuerySyntaxError, match="select images"):
         client.exec_algorithm("smf-density", "select patients where true")
+
+
+@pytest.mark.parametrize("version", ["abc", [1]], ids=["text", "list"])
+def test_exec_alg_rejects_a_malformed_version(session_vo, version):
+    cam = session_vo.nodes["CAM"]
+    response, _ = request(cam.address, "EXEC_ALG", {
+        "name": "smf-density", "selector": "select images where true",
+        "version": version}, token=session_vo.client("CAM").token)
+    assert response["error_code"] == "ProtocolError"
+    req_id = pysecrets.token_hex(8)
+    response = exchange(cam.address, {"id": req_id, "op": "EXEC_ALG", "token": "", "params": {
+        "alg_id": "UDI:algorithm:" + "0" * 32, "name": "nodemean", "version": version,
+        "source": "mean emit nm", "origin_site": "UDI", "hop": 1,
+        "selector": "select images where true", "peer_site": "UDI",
+        "peer_sig": peer_signature(cam.vo_key, "UDI", "EXEC_ALG", req_id)}})
+    assert response["error_code"] == "ProtocolError"
 
 
 # --- STATS and membership ----------------------------------------------------------

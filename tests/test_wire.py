@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridbox.errors import ProtocolError
+from gridbox.errors import NotFound, PeerUnreachable, ProtocolError
 from gridbox.wire import (
     FramedServer,
     TrafficAccountant,
     add_capture_tap,
+    call,
     encode_envelope,
     error_response,
     ok_response,
@@ -223,6 +224,44 @@ def test_request_rejects_silent_close():
     finally:
         t.join(timeout=5)
         listener.close()
+
+
+def test_call_returns_result_warnings_and_binary():
+    def answer(envelope, binary):
+        return ok_response(envelope["id"], {"n": 1}, ["late"]), b"xyz"
+
+    server = FramedServer("127.0.0.1", 0, answer)
+    server.start()
+    try:
+        got = call(server.address, "PING", {}, unreachable=PeerUnreachable, timeout=5)
+    finally:
+        server.stop()
+    assert got == ({"n": 1}, ["late"], b"xyz")
+
+
+@pytest.mark.parametrize("code,raised", [("ProtocolError", ProtocolError),
+                                         ("NotFound", NotFound)])
+def test_call_raises_the_far_sides_own_error(code, raised):
+    def refuse(envelope, binary):
+        return error_response(envelope["id"], code, "no"), b""
+
+    server = FramedServer("127.0.0.1", 0, refuse)
+    server.start()
+    try:
+        with pytest.raises(raised) as info:
+            call(server.address, "PING", {}, unreachable=PeerUnreachable, timeout=5)
+    finally:
+        server.stop()
+    assert type(info.value) is raised and info.value.code == code
+
+
+def test_call_maps_transport_failures_to_the_callers_class():
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    address = listener.getsockname()
+    listener.close()  # nothing listens here any more
+    with pytest.raises(PeerUnreachable):
+        call(address, "PING", {}, unreachable=PeerUnreachable, timeout=5)
 
 
 def test_error_response_shape():
