@@ -30,11 +30,12 @@ from gridbox.query import (
     And,
     BoolLit,
     Comparison,
-    LocalPlan,
+    FormalQuery,
     Not,
     Or,
+    ROW_KIND,
     RangeTest,
-    STATIC_ATTRS,
+    projection,
 )
 from gridbox.records import (
     RECORD_TYPES,
@@ -158,7 +159,6 @@ class SiteCatalog:
         self.site = site
         self._lock = threading.RLock()
         self._records: dict[str, dict[str, object]] = {k: {} for k in RECORD_TYPES}
-        self._children: dict[str, set[str]] = {}  # parent id -> child ids
         self._files: dict[str, object] = {}  # file gid -> FileRef
         self._derived_by_image: dict[str, list[DerivedRecord]] = {}
         self._algorithms: dict[str, dict[int, AlgorithmRecord]] = {}
@@ -227,17 +227,13 @@ class SiteCatalog:
         if existing == record:
             return False
         self._records[kind][key] = record
-        if kind in _PARENT_FIELD:
-            parent = str(getattr(record, _PARENT_FIELD[kind]))
-            self._children.setdefault(parent, set()).add(key)
         if kind == "derived":
             bucket = self._derived_by_image.setdefault(str(record.image), [])
             if existing is not None:
                 bucket[:] = [r for r in bucket if str(r.id) != key]
             bucket.append(record)
-        file_ref = getattr(record, "file", None)
-        if file_ref is not None:
-            self._files[str(file_ref.id)] = file_ref
+        if kind == "image":
+            self._files[str(record.file.id)] = record.file
         if kind == "algorithm":
             self._algorithms.setdefault(record.name, {})[record.version] = record
         if log:
@@ -314,9 +310,6 @@ class SiteCatalog:
             self.upsert(record)
             return record
 
-    def patients(self) -> list[PatientRecord]:
-        return sorted(self._records["patient"].values(), key=lambda r: str(r.id))
-
     def images(self) -> list[ImageRecord]:
         return sorted(self._records["image"].values(), key=lambda r: str(r.id))
 
@@ -324,15 +317,8 @@ class SiteCatalog:
         return list(self._derived_by_image.get(str(image), []))
 
     def file_by_id(self, gid: GlobalId | str):
-        """FileRef carried by some image/derived record, keyed by file gid."""
+        """FileRef carried by some image record, keyed by file gid."""
         return self._files.get(str(gid))
-
-    def vocabulary(self) -> frozenset[str]:
-        names = set(STATIC_ATTRS)
-        for recs in self._derived_by_image.values():
-            for rec in recs:
-                names.update(f"derived.{k}" for k in rec.scalars)
-        return frozenset(names)
 
     # --- query execution -----------------------------------------------------------
 
@@ -347,9 +333,9 @@ class SiteCatalog:
         return out
 
     @staticmethod
-    def _project(ctx: _ImageContext, projection: tuple) -> dict:
+    def _project(ctx: _ImageContext, attrs: tuple) -> dict:
         fields = {}
-        for attr in projection:
+        for attr in attrs:
             if attr.startswith("derived."):
                 vals = ctx.derived_values(attr.split(".", 1)[1])
                 if vals:  # report the largest scalar; omit when absent
@@ -360,22 +346,18 @@ class SiteCatalog:
                 fields[attr] = canonical_value(value)
         return fields
 
-    def select(self, plan: LocalPlan) -> list[Row]:
-        """Evaluate a plan over this catalog; rows come back sorted by id."""
+    def select(self, q: FormalQuery) -> list[Row]:
+        """Evaluate a parsed query over this catalog; rows come back sorted by id."""
+        attrs, kind = projection(q), ROW_KIND[q.target]
         with self._lock:
             contexts = self._contexts()
         rows: dict[str, Row] = {}
         for ctx in contexts:
-            if not _evaluate(plan.predicate, ctx):
+            if not _evaluate(q.expr, ctx):
                 continue
-            if plan.target == "images":
-                row_id = str(ctx.image.id)
-            elif plan.target == "studies":
-                row_id = str(ctx.study.id)
-            else:
-                row_id = str(ctx.patient.id)
+            row_id = str(getattr(ctx, kind).id)
             if row_id not in rows:  # first image in id order represents the group
-                rows[row_id] = Row(row_id, self._project(ctx, plan.projection))
+                rows[row_id] = Row(row_id, self._project(ctx, attrs))
         return [rows[k] for k in sorted(rows)]
 
     # --- bookkeeping -------------------------------------------------------------
@@ -385,9 +367,6 @@ class SiteCatalog:
             files = {}
             for image in self._records["image"].values():
                 files[image.file.sha256] = image.file.size
-            for rec in self._records["derived"].values():
-                if rec.file is not None:
-                    files[rec.file.sha256] = rec.file.size
             return {
                 "site": self.site,
                 "patients": len(self._records["patient"]),

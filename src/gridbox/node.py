@@ -56,11 +56,12 @@ from gridbox.errors import (
 from gridbox.ids import GlobalId, IdMinter, looks_like_global_id, valid_site_code
 from gridbox.mgi import MgiFile, parse_mgi, write_mgi
 from gridbox.query import (
+    ROW_KIND,
     FormalQuery,
     decompose,
-    lower_to_local_plan,
     parse_query,
     print_query,
+    projection,
 )
 from gridbox.records import (
     SEXES,
@@ -72,7 +73,7 @@ from gridbox.records import (
     StudyRecord,
 )
 from gridbox.registry import RegistryClient
-from gridbox.resultset import ResultSet, merge
+from gridbox.resultset import ResultSet, Row, merge
 from gridbox.wire import FramedServer, call, error_response, ok_response
 
 _SHA_HEX = frozenset("0123456789abcdef")
@@ -470,8 +471,7 @@ class GridNode:
     # --- QUERY / RQUERY ------------------------------------------------------------------
 
     def _local_resultset(self, q: FormalQuery, canonical: str) -> ResultSet:
-        plan = lower_to_local_plan(q, self.catalog.vocabulary())
-        rows = self.catalog.select(plan)
+        rows = self.catalog.select(q)
         return ResultSet(canonical, frozenset({self.site}), tuple(rows))
 
     def run_query(self, query_text: str) -> tuple[ResultSet, list[str]]:
@@ -480,7 +480,7 @@ class GridNode:
         canonical = print_query(q)
         remotes = decompose(q, sorted(self.membership()), self.site)
         parts = {self.site: self._local_resultset(q, canonical)}
-        answers, warnings = self._fan_out(remotes, self._remote_query, canonical,
+        answers, warnings = self._fan_out(remotes, self._remote_query, q, canonical,
                                           self.config.query_timeout_s)
         parts.update(answers)
         merged = merge(list(parts.values()))
@@ -490,20 +490,37 @@ class GridNode:
         origin = frozenset(site for site, part in parts.items() if part.rows)
         return ResultSet(merged.query_text, origin, merged.rows), warnings
 
-    def _remote_query(self, site: str, canonical: str, timeout: float) -> ResultSet:
-        """One peer's part; a part that answers another query or carries rows
-        the peer did not mint is refused, so the fan-out drops it."""
+    def _remote_query(self, site: str, q: FormalQuery, canonical: str,
+                      timeout: float) -> ResultSet:
+        """One peer's part.  A part that answers another query, carries a row
+        the peer did not mint for the query's target, or carries a field
+        outside the projection is refused, so the fan-out drops it."""
         result, _ = self._peer_request(site, "RQUERY",
                                        {"text": canonical, "hop": 1}, timeout)
-        part = ResultSet.from_xml(result["xml"].encode("utf-8"))
-        if part.query_text != canonical:
-            raise SchemaViolation(f"{site} answered {part.query_text!r}, "
-                                  f"not {canonical!r}")
-        prefix = f"{site}:"
-        for row in part.rows:
-            if not row.id.startswith(prefix):
-                raise SchemaViolation(f"{site} returned row {row.id} it did not mint")
-        return part
+        try:
+            text, pairs = result["query"], result["rows"]
+        except (KeyError, TypeError) as e:
+            raise SchemaViolation(f"{site} sent no query part: {e!r}") from None
+        if text != canonical:
+            raise SchemaViolation(f"{site} answered {text!r}, not {canonical!r}")
+        if not isinstance(pairs, list):
+            raise SchemaViolation(f"{site} sent rows that are not a list")
+        kind = ROW_KIND[q.target]
+        prefix, allowed = f"{site}:{kind}:", set(projection(q))
+        rows = []
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise SchemaViolation(f"{site} sent a row that is not an [id, fields] pair")
+            row_id, fields = pair
+            if not (isinstance(row_id, str) and row_id.startswith(prefix)):
+                raise SchemaViolation(f"{site} returned row {row_id!r}, not a {kind} "
+                                      "it minted")
+            if not (isinstance(fields, dict) and fields.keys() <= allowed
+                    and all(isinstance(v, str) for v in fields.values())):
+                raise SchemaViolation(f"{site} returned row {row_id} with fields "
+                                      "outside the projection or not text")
+            rows.append(Row(row_id, fields))
+        return ResultSet(canonical, frozenset({site}), tuple(rows))
 
     def _op_query(self, req_id, token, params, binary):
         self._require_user(token)
@@ -515,8 +532,9 @@ class GridNode:
         if params.get("hop") != 1:
             raise HopViolation(f"RQUERY must arrive with hop=1, got {params.get('hop')!r}")
         q = parse_query(str(params.get("text", "")))
-        result = self._local_resultset(q, print_query(q))
-        return {"xml": result.to_xml().decode("utf-8")}, [], b""
+        part = self._local_resultset(q, print_query(q))
+        return {"query": part.query_text,
+                "rows": [[row.id, row.fields] for row in part.rows]}, [], b""
 
     # --- ADD_ALG ----------------------------------------------------------------------
 
@@ -604,9 +622,8 @@ class GridNode:
     def _execute_local(self, record: AlgorithmRecord, q: FormalQuery) -> int:
         program = alg.parse_algorithm(record.source, record.name,
                                       record.version, record.id)
-        plan = lower_to_local_plan(q, self.catalog.vocabulary())
         written = 0
-        for row in self.catalog.select(plan):
+        for row in self.catalog.select(q):
             image = self.catalog.require(row.id)
             mgi = parse_mgi(self.blobs.get(image.file))
             emits = alg.execute_on_image(program, mgi)
@@ -654,7 +671,11 @@ class GridNode:
             "version": record.version, "source": record.source,
             "origin_site": record.origin_site, "selector": selector, "hop": 1,
         }, timeout)
-        return int(result["written"])
+        written = result.get("written") if isinstance(result, dict) else None
+        if type(written) is not int:
+            raise SchemaViolation(f"{site} answered EXEC_ALG without an integer "
+                                  "written count")
+        return written
 
     # --- STATS -------------------------------------------------------------------------
 

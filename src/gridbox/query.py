@@ -34,7 +34,9 @@ from gridbox.errors import NotAMember, QuerySyntaxError, TypeMismatch, UnknownAt
 from gridbox.ids import GlobalId, looks_like_global_id
 from gridbox.records import LATERALITIES, SEXES, VIEWS
 
-TARGETS = ("patients", "studies", "images")
+# target -> the record kind whose ids are its rows
+ROW_KIND = {"patients": "patient", "studies": "study", "images": "image"}
+TARGETS = tuple(ROW_KIND)
 
 # attribute name -> (type, extra); types: cat, int, real, date, id
 STATIC_ATTRS: dict[str, tuple[str, tuple | str | None]] = {
@@ -124,16 +126,6 @@ class FormalQuery:
 
     def __hash__(self):
         return hash((self.target, self.expr))
-
-
-@dataclass(frozen=True)
-class LocalPlan:
-    """Catalog scan plan: a validated predicate tree, the attribute
-    projection, and the row granularity."""
-
-    predicate: object
-    projection: tuple
-    target: str
 
 
 # --- lexer -------------------------------------------------------------------
@@ -454,7 +446,7 @@ def decompose(q: FormalQuery, membership: list[str], self_site: str) -> list[str
     return others
 
 
-# --- lowering ------------------------------------------------------------------
+# --- projection ----------------------------------------------------------------
 
 def referenced_attrs(expr) -> set[str]:
     if isinstance(expr, (Comparison, RangeTest)):
@@ -469,15 +461,8 @@ def referenced_attrs(expr) -> set[str]:
     return set()
 
 
-def lower_to_local_plan(q: FormalQuery, vocab: frozenset[str]) -> LocalPlan:
-    """Bind a validated query to a concrete catalog scan.
-
-    The predicate tree is kept as-is (the catalog interprets it over joined
-    rows); the projection is the referenced attributes plus ``patient.id``,
-    which every row carries so merged summaries can count distinct patients.
-    """
-    for attr in referenced_attrs(q.expr):
-        if not _DERIVED_RE.match(attr) and attr not in vocab:
-            raise UnknownAttribute(f"attribute {attr!r} not in the catalog vocabulary")
-    projection = tuple(sorted(referenced_attrs(q.expr) | {"patient.id"}))
-    return LocalPlan(predicate=q.expr, projection=projection, target=q.target)
+def projection(q: FormalQuery) -> tuple[str, ...]:
+    """The fields a row of ``q`` carries: the referenced attributes plus
+    ``patient.id``, which every row carries so merged summaries can count
+    distinct patients."""
+    return tuple(sorted(referenced_attrs(q.expr) | {"patient.id"}))

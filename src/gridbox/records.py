@@ -165,7 +165,6 @@ class DerivedRecord:
     image: GlobalId
     algorithm: GlobalId
     scalars: dict = field(hash=False)
-    file: FileRef | None = None
 
     def __post_init__(self):
         _require_kind(self.id, "derived")
@@ -175,19 +174,14 @@ class DerivedRecord:
             raise ValueError("derived record must carry at least one scalar")
 
     def to_json(self) -> dict:
-        d = {"id": str(self.id), "image": str(self.image),
-             "algorithm": str(self.algorithm), "scalars": dict(self.scalars)}
-        if self.file is not None:
-            d["file"] = self.file.to_json()
-        return d
+        return {"id": str(self.id), "image": str(self.image),
+                "algorithm": str(self.algorithm), "scalars": dict(self.scalars)}
 
     @classmethod
     def from_json(cls, d: dict) -> "DerivedRecord":
-        f = d.get("file")
         return cls(GlobalId.parse(d["id"]), GlobalId.parse(d["image"]),
                    GlobalId.parse(d["algorithm"]),
-                   {k: float(v) for k, v in d["scalars"].items()},
-                   FileRef.from_json(f) if f else None)
+                   {k: float(v) for k, v in d["scalars"].items()})
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,8 @@ def _run_trial(index, root):
             assert exec_warnings == []
 
         catalogs = [vo.nodes[s].catalog for s in sites]
-        ids = {"patients": [str(p.id) for c in catalogs for p in c.patients()],
+        ids = {"patients": [pid for c in catalogs for pid in sorted(
+                   {row["attrs"]["patient.id"] for row in oracles.catalog_to_rows(c)})],
                "images": [str(i.id) for c in catalogs for i in c.images()]}
         for _ in range(rnd.randint(5, 12)):
             text = _random_query(rnd, ids)

@@ -14,7 +14,7 @@ from gridbox.errors import (
     StorageError,
 )
 from gridbox.ids import GlobalId, IdMinter
-from gridbox.query import parse_query, lower_to_local_plan
+from gridbox.query import parse_query
 from gridbox.records import (
     AlgorithmRecord,
     DerivedRecord,
@@ -50,9 +50,7 @@ def algorithm_record(n=1, name="alg", version=1, source="mean emit m", site="CAM
 
 
 def select_ids(cat, text):
-    q = parse_query(text)
-    plan = lower_to_local_plan(q, cat.vocabulary())
-    return [r.id for r in cat.select(plan)]
+    return [r.id for r in cat.select(parse_query(text))]
 
 
 # --- writes -----------------------------------------------------------------------
@@ -195,7 +193,7 @@ def test_derived_any_match_and_max_projection():
     assert select_ids(cat, "select images where derived.density > 0.5") \
         == [str(gid("image", 1))]
     q = parse_query("select images where derived.density > 0")
-    rows = cat.select(lower_to_local_plan(q, cat.vocabulary()))
+    rows = cat.select(q)
     assert rows[0].fields["derived.density"] == "0.7"  # the max scalar
 
 
@@ -203,7 +201,7 @@ def test_absent_derived_field_omitted_from_projection():
     cat = SiteCatalog("CAM")
     build_tree(cat, 1)
     q = parse_query("select images where derived.density > 0 or patient.sex = F")
-    rows = cat.select(lower_to_local_plan(q, cat.vocabulary()))
+    rows = cat.select(q)
     assert len(rows) == 1
     assert "derived.density" not in rows[0].fields
     assert rows[0].fields["patient.sex"] == "F"
@@ -225,7 +223,7 @@ def test_projection_values_are_canonical_text():
     build_tree(cat, 1, dose=1.25, study_date=date(2001, 5, 20))
     q = parse_query("select images where image.dose_mgy > 0 and patient.age > 0 "
                     "and study.date > 1990-01-01")
-    rows = cat.select(lower_to_local_plan(q, cat.vocabulary()))
+    rows = cat.select(q)
     fields = rows[0].fields
     assert fields["image.dose_mgy"] == "1.25"
     assert fields["patient.age"] == "51"
@@ -237,16 +235,6 @@ def test_canonical_value_forms():
     assert canonical_value(51) == "51"
     assert canonical_value(date(2001, 5, 20)) == "2001-05-20"
     assert canonical_value("F") == "F"
-
-
-def test_vocabulary_grows_with_derived(tmp_path):
-    cat = SiteCatalog("CAM")
-    build_tree(cat, 1)
-    assert "derived.density" not in cat.vocabulary()
-    cat.upsert(algorithm_record())
-    cat.upsert(DerivedRecord(gid("derived", 1), gid("image", 1),
-                             gid("algorithm", 1), {"density": 0.5}))
-    assert "derived.density" in cat.vocabulary()
 
 
 def test_stats_count_distinct_blobs():

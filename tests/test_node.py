@@ -255,10 +255,9 @@ def test_rquery_rejects_unregistered_sites(session_vo):
 def test_rquery_answers_with_local_rows_only(session_vo):
     cam = session_vo.nodes["CAM"]
     envelope = rquery_envelope(cam, "select images where true", hop=1, site="UDI")
-    response = exchange(cam.address, envelope)
-    rs = ResultSet.from_xml(response["result"]["xml"].encode())
-    assert rs.origin_sites == frozenset({"CAM"})
-    assert all(r.id.startswith("CAM:") for r in rs.rows)
+    result = exchange(cam.address, envelope)["result"]
+    assert result["query"] == "select images where true"
+    assert all(row_id.startswith("CAM:") for row_id, _ in result["rows"])
 
 
 def test_rquery_at_hop1_answers_locally_and_never_fans_out(make_vo):
@@ -267,8 +266,8 @@ def test_rquery_at_hop1_answers_locally_and_never_fans_out(make_vo):
         vo.client(site).add_bytes(make_image_bytes())
     cam = vo.nodes["CAM"]
     envelope = rquery_envelope(cam, "select images where true", hop=1, site="UDI")
-    rs = ResultSet.from_xml(exchange(cam.address, envelope)["result"]["xml"].encode())
-    assert len(rs.rows) == 1 and rs.rows[0].id.startswith("CAM:")
+    rows = exchange(cam.address, envelope)["result"]["rows"]
+    assert len(rows) == 1 and rows[0][0].startswith("CAM:")
     assert [site for site, node in vo.nodes.items()
             if "RQUERY" in node.accountant.snapshot()] == ["CAM"]
 
@@ -282,7 +281,19 @@ def answer_another_query(part):
     return ResultSet("select images where false", part.origin_sites, part.rows)
 
 
-@pytest.mark.parametrize("tamper", [forge_a_row, answer_another_query])
+def add_an_unprojected_field(part):
+    rows = tuple(Row(r.id, dict(r.fields, **{"patient.name": "ANON-1"}))
+                 for r in part.rows)
+    return ResultSet(part.query_text, part.origin_sites, rows)
+
+
+def add_a_study_row(part):
+    study = Row("UDI:study:" + "c" * 32, {"patient.id": "UDI:patient:" + "d" * 32})
+    return ResultSet(part.query_text, part.origin_sites, part.rows + (study,))
+
+
+@pytest.mark.parametrize("tamper", [forge_a_row, answer_another_query,
+                                    add_an_unprojected_field, add_a_study_row])
 def test_bad_peer_part_is_dropped_with_a_warning(make_vo, monkeypatch, tamper):
     vo = make_vo()
     for site in vo.nodes:
@@ -294,6 +305,21 @@ def test_bad_peer_part_is_dropped_with_a_warning(make_vo, monkeypatch, tamper):
     result, warnings = vo.client("CAM").query("select images where true")
     assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
     assert result.origin_sites == frozenset({"CAM"})
+    assert len(warnings) == 1 and warnings[0].startswith("UDI unreachable:")
+
+
+@pytest.mark.parametrize("answer", [
+    lambda params: {},
+    lambda params: {"query": params["text"], "rows": "x"},
+], ids=["empty", "rows-not-a-list"])
+def test_malformed_peer_query_answer_is_dropped_with_a_warning(make_vo, answer):
+    vo = make_vo()
+    for site in vo.nodes:
+        vo.client(site).add_bytes(make_image_bytes())
+    vo.nodes["UDI"]._ops["RQUERY"] = (
+        lambda req_id, token, params, binary: (answer(params), [], b""))
+    result, warnings = vo.client("CAM").query("select images where true")
+    assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
     assert len(warnings) == 1 and warnings[0].startswith("UDI unreachable:")
 
 
@@ -374,6 +400,16 @@ def test_exec_alg_fans_out_and_counts(seeded_vo):
     assert again["written"] == 0
     result, _ = client.query("select images where derived.nm >= 0")
     assert len(result.rows) == 3
+
+
+@pytest.mark.parametrize("answer", [{}, {"written": "many"}], ids=["empty", "text"])
+def test_malformed_peer_exec_answer_is_dropped_with_a_warning(seeded_vo, answer):
+    seeded_vo.nodes["UDI"]._ops["EXEC_ALG"] = (
+        lambda req_id, token, params, binary: (answer, [], b""))
+    got, warnings = seeded_vo.client("CAM").exec_algorithm(
+        "smf-density", "select images where image.laterality = L")
+    assert got == {"written": 2, "per_site": {"CAM": 2}}
+    assert len(warnings) == 1 and warnings[0].startswith("UDI unreachable:")
 
 
 def test_exec_alg_version_pinning(seeded_vo):

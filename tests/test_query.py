@@ -14,14 +14,11 @@ from gridbox.query import (
     Or,
     RangeTest,
     decompose,
-    lower_to_local_plan,
     parse_query,
     print_query,
+    projection,
     referenced_attrs,
 )
-
-VOCAB = frozenset({"patient.sex", "patient.age", "patient.id", "study.date",
-                   "image.laterality", "image.view", "image.id", "image.dose_mgy"})
 
 
 def gid_str(site="CAM", kind="patient", n=0):
@@ -265,15 +262,12 @@ def test_negated_id_does_not_prune():
     assert decompose(q, MEMBERS, "CAM") == ["LEE", "UDI"]
 
 
-# --- lowering -----------------------------------------------------------------
+# --- projection ---------------------------------------------------------------
 
 def test_projection_is_referenced_attrs_plus_patient_id():
     q = parse_query("select images where patient.age in [50,60] "
                     "and image.laterality = L")
-    plan = lower_to_local_plan(q, VOCAB)
-    assert plan.projection == ("image.laterality", "patient.age", "patient.id")
-    assert plan.target == "images"
-    assert plan.predicate == q.expr
+    assert projection(q) == ("image.laterality", "patient.age", "patient.id")
 
 
 def test_referenced_attrs_walks_all_nodes():
@@ -283,7 +277,6 @@ def test_referenced_attrs_walks_all_nodes():
                                         "study.date"}
 
 
-def test_lowering_accepts_derived_attrs_not_yet_in_vocab():
+def test_projection_includes_derived_attrs():
     q = parse_query("select images where derived.novel > 0")
-    plan = lower_to_local_plan(q, VOCAB)
-    assert "derived.novel" in plan.projection
+    assert "derived.novel" in projection(q)
