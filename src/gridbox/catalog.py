@@ -1,22 +1,39 @@
 """Per-site metadata catalog.
 
 Holds the patient/study/series/image tree, derived results, and algorithm
-registrations for one site.  All writes go through :meth:`SiteCatalog.upsert`,
-which validates referential integrity and appends an ``UPSERT <kind> <json>``
-line to the catalog log; a catalog opened on an existing directory replays
-the log to recover its state.
+registrations for one site.  Every write goes through ``SiteCatalog._apply``,
+which validates referential integrity.  :meth:`SiteCatalog.upsert` and
+:meth:`SiteCatalog.ingest_tree` then append the records they changed to the
+catalog log as ``UPSERT <kind> <json>`` lines, in one write per call.  A
+catalog opened on an existing directory replays the log to recover its
+state.  A bad line is fatal, except an unparseable last line with no
+newline: that is an append a crash cut short, and replay drops it with a
+warning and truncates the log to the last whole line.
 
-Query execution (`select`) walks image rows joined up to their patient,
-evaluates the predicate tree from :mod:`gridbox.query`, and projects
-canonical string values.
+Queries run over an *image table*, kept up to date as records land.  It has
+one row per image, joined to its study and patient once, when the image
+arrives, plus ``(row, value)`` pairs for each ``derived.<name>`` scalar,
+appended as derived records arrive.  A write that replaces an existing
+record with different content drops the table; the next `select` rebuilds
+it from the records.  The first `select` after a write turns the rows into
+numpy columns: category codes, date ordinals, ages, doses with a presence
+mask, and a rank per id that orders rows as their id strings do.  `select`
+evaluates the parsed query as boolean masks over those columns, then
+projects the fields of the matched rows from the record objects as
+canonical strings, so the columns decide which rows match and never what
+a field says.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+import sys
 import threading
 from datetime import date
 from pathlib import Path
+
+import numpy as np
 
 from gridbox.errors import (
     AlgorithmConflict,
@@ -27,6 +44,7 @@ from gridbox.errors import (
 )
 from gridbox.ids import GlobalId
 from gridbox.query import (
+    STATIC_ATTRS,
     And,
     BoolLit,
     Comparison,
@@ -71,85 +89,174 @@ def canonical_value(value) -> str:
     raise TypeError(f"no canonical form for {value!r}")
 
 
-class _ImageContext:
-    """An image joined to its ancestors, ready for predicate evaluation."""
+# how an image row, (image, study, patient), reaches each static attribute
+_STATIC_VALUE = {
+    "patient.sex": lambda image, study, patient: patient.sex,
+    "patient.age": lambda image, study, patient: study.date.year - patient.birth_year,
+    "patient.id": lambda image, study, patient: patient.id,
+    "study.date": lambda image, study, patient: study.date,
+    "image.laterality": lambda image, study, patient: image.laterality,
+    "image.view": lambda image, study, patient: image.view,
+    "image.id": lambda image, study, patient: image.id,
+    "image.dose_mgy": lambda image, study, patient: image.dose_mgy,
+}
+# the position in a row of the record whose id names a result row
+_ROW_RECORD = {"image": 0, "study": 1, "patient": 2}
 
-    __slots__ = ("image", "series", "study", "patient", "derived")
-
-    def __init__(self, image, series, study, patient, derived):
-        self.image = image
-        self.series = series
-        self.study = study
-        self.patient = patient
-        self.derived = derived  # list[DerivedRecord]
-
-    def static_value(self, attr: str):
-        if attr == "patient.sex":
-            return self.patient.sex
-        if attr == "patient.age":
-            return self.study.date.year - self.patient.birth_year
-        if attr == "patient.id":
-            return self.patient.id
-        if attr == "study.date":
-            return self.study.date
-        if attr == "image.laterality":
-            return self.image.laterality
-        if attr == "image.view":
-            return self.image.view
-        if attr == "image.id":
-            return self.image.id
-        if attr == "image.dose_mgy":
-            return self.image.dose_mgy
-        raise KeyError(attr)
-
-    def derived_values(self, name: str) -> list[float]:
-        return [rec.scalars[name] for rec in self.derived if name in rec.scalars]
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_EXACT_INT = 2 ** 53  # larger ints may change value on conversion to float64
 
 
-def _compare(x, op: str, v) -> bool:
-    if isinstance(x, GlobalId):
-        x = str(x)
-    if op == "=":
-        return x == v
-    if op == "!=":
-        return x != v
-    if op == "<":
-        return x < v
-    if op == "<=":
-        return x <= v
-    if op == ">":
-        return x > v
-    if op == ">=":
-        return x >= v
-    raise ValueError(f"bad operator {op!r}")
+def _test(op, column: np.ndarray, value) -> np.ndarray:
+    """``op(x, value)`` for every x of ``column``, as Python compares them."""
+    if isinstance(value, int) and abs(value) > _EXACT_INT:
+        return np.fromiter((op(x, value) for x in column.tolist()), bool, len(column))
+    return op(column, value)
 
 
-def _evaluate(expr, ctx: _ImageContext) -> bool:
-    if isinstance(expr, BoolLit):
-        return expr.value
-    if isinstance(expr, Not):
-        return not _evaluate(expr.inner, ctx)
-    if isinstance(expr, And):
-        return all(_evaluate(p, ctx) for p in expr.parts)
-    if isinstance(expr, Or):
-        return any(_evaluate(p, ctx) for p in expr.parts)
-    if isinstance(expr, Comparison):
-        if expr.attr.startswith("derived."):
-            vals = ctx.derived_values(expr.attr.split(".", 1)[1])
-            return any(_compare(x, expr.op, expr.value) for x in vals)
-        x = ctx.static_value(expr.attr)
-        if x is None:  # absent value satisfies nothing, not even !=
-            return False
-        return _compare(x, expr.op, expr.value)
-    if isinstance(expr, RangeTest):
-        if expr.attr.startswith("derived."):
-            vals = ctx.derived_values(expr.attr.split(".", 1)[1])
-            return any(expr.lo <= x <= expr.hi for x in vals)
-        x = ctx.static_value(expr.attr)
-        if x is None:
-            return False
-        return expr.lo <= x <= expr.hi
-    raise TypeError(f"not an expression node: {expr!r}")
+def _ranks(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
+    """Each id's rank among the distinct ids, per row, and the rank of each
+    id; ordering rows by rank orders them by id string."""
+    rank_of = {text: rank for rank, text in enumerate(sorted(set(ids)))}
+    return np.array([rank_of[text] for text in ids], np.int64), rank_of
+
+
+class _Columns:
+    """The image table as numpy columns at one moment; never changes after
+    it is built, so a select evaluates it without the catalog lock."""
+
+    def __init__(self, rows: list[tuple], derived: dict[str, tuple[list, list]]):
+        self.rows = list(rows)
+        self.n = len(self.rows)
+        self.column: dict[str, np.ndarray] = {}
+        self.present: dict[str, np.ndarray] = {}  # real attr -> value not absent
+        self.rank_of: dict[str, dict[str, int]] = {}  # id attr -> {id: rank}
+        for attr, (typ, extra) in STATIC_ATTRS.items():
+            values = [_STATIC_VALUE[attr](*row) for row in self.rows]
+            if typ == "cat":
+                codes = {v: code for code, v in enumerate(extra)}
+                self.column[attr] = np.array([codes[v] for v in values], np.int8)
+            elif typ == "int":
+                self.column[attr] = np.array(values, np.int64)
+            elif typ == "date":
+                self.column[attr] = np.array([v.toordinal() for v in values], np.int64)
+            elif typ == "real":
+                self.present[attr] = np.array([v is not None for v in values], bool)
+                self.column[attr] = np.array(
+                    [np.nan if v is None else v for v in values], np.float64)
+            else:  # id
+                self.column[attr], self.rank_of[attr] = _ranks([str(v) for v in values])
+        self.group = {"image": self.column["image.id"],
+                      "study": _ranks([str(study.id) for _, study, _ in self.rows])[0],
+                      "patient": self.column["patient.id"]}
+        # "derived.<name>" -> (row of each value, the values) and the largest
+        # value of each row (None where the row has none), as max() picks it
+        self.derived: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.largest: dict[str, list] = {}
+        for attr, (at_rows, values) in derived.items():
+            self.derived[attr] = (np.array(at_rows, np.int64),
+                                  np.array(values, np.float64))
+            largest = [None] * self.n
+            for row, value in zip(at_rows, values):
+                if largest[row] is None or value > largest[row]:
+                    largest[row] = value
+            self.largest[attr] = largest
+
+    def _code(self, attr: str, value):
+        """A query value in the units of ``attr``'s column."""
+        typ, extra = STATIC_ATTRS.get(attr, ("real", None))
+        if typ == "cat":
+            return extra.index(value)
+        if typ == "date":
+            return value.toordinal()
+        if typ == "id":
+            return self.rank_of[attr].get(value, -1)
+        return value
+
+    def _where(self, attr: str, test) -> np.ndarray:
+        """Rows where ``test(column)`` holds for ``attr``.  An absent value
+        passes no test, ``!=`` included; a ``derived.`` test holds for a
+        row when any of its values passes."""
+        if attr.startswith("derived."):
+            hit = np.zeros(self.n, bool)
+            if attr in self.derived:
+                at_rows, values = self.derived[attr]
+                hit[at_rows[test(values)]] = True
+            return hit
+        hit = test(self.column[attr])
+        return hit & self.present[attr] if attr in self.present else hit
+
+    def mask(self, expr) -> np.ndarray:
+        if isinstance(expr, BoolLit):
+            return np.full(self.n, expr.value)
+        if isinstance(expr, Not):
+            return ~self.mask(expr.inner)
+        if isinstance(expr, And):
+            return np.logical_and.reduce([self.mask(p) for p in expr.parts])
+        if isinstance(expr, Or):
+            return np.logical_or.reduce([self.mask(p) for p in expr.parts])
+        if isinstance(expr, Comparison):
+            op, value = _OPS[expr.op], self._code(expr.attr, expr.value)
+            return self._where(expr.attr, lambda col: _test(op, col, value))
+        if isinstance(expr, RangeTest):
+            lo, hi = self._code(expr.attr, expr.lo), self._code(expr.attr, expr.hi)
+            return self._where(expr.attr, lambda col: _test(operator.ge, col, lo)
+                               & _test(operator.le, col, hi))
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    def _fields(self, r: int, attrs: tuple) -> dict:
+        fields = {}
+        for attr in attrs:
+            if attr.startswith("derived."):
+                # report the largest scalar; omit when absent
+                value = self.largest[attr][r] if attr in self.largest else None
+            else:
+                value = _STATIC_VALUE[attr](*self.rows[r])
+            if value is not None:
+                fields[attr] = canonical_value(value)
+        return fields
+
+    def select(self, kind: str, expr, attrs: tuple) -> list[Row]:
+        """Rows of ``kind`` matching ``expr``, sorted by id; a study or patient
+        is represented by its first matching image in image-id order."""
+        matched = np.flatnonzero(self.mask(expr))
+        matched = matched[np.argsort(self.group["image"][matched])]
+        _, first = np.unique(self.group[kind][matched], return_index=True)
+        at = _ROW_RECORD[kind]
+        return [Row(str(self.rows[r][at].id), self._fields(r, attrs))
+                for r in matched[first].tolist()]
+
+
+class _ImageTable:
+    """One ``(image, study, patient)`` row per image and the ``(row, value)``
+    pairs of each derived scalar, appended as records land."""
+
+    def __init__(self):
+        self.rows: list[tuple] = []
+        self.row_of: dict[str, int] = {}  # image id -> row
+        self.derived: dict[str, tuple[list, list]] = {}  # "derived.<name>" -> (rows, values)
+        self._columns: _Columns | None = None
+
+    def add_image(self, image: ImageRecord, study: StudyRecord,
+                  patient: PatientRecord) -> None:
+        self.row_of[str(image.id)] = len(self.rows)
+        self.rows.append((image, study, patient))
+        self._columns = None
+
+    def add_derived(self, record: DerivedRecord) -> None:
+        row = self.row_of[str(record.image)]
+        for name, value in record.scalars.items():
+            at_rows, values = self.derived.setdefault(f"derived.{name}", ([], []))
+            at_rows.append(row)
+            values.append(value)
+        self._columns = None
+
+    def columns(self) -> _Columns:
+        """The rows as columns, built again only after the table grew."""
+        if self._columns is None:
+            self._columns = _Columns(self.rows, self.derived)
+        return self._columns
 
 
 class SiteCatalog:
@@ -162,6 +269,7 @@ class SiteCatalog:
         self._files: dict[str, object] = {}  # file gid -> FileRef
         self._derived_by_image: dict[str, list[DerivedRecord]] = {}
         self._algorithms: dict[str, dict[int, AlgorithmRecord]] = {}
+        self._table: _ImageTable | None = _ImageTable()  # None: rebuild at the next select
         self._log_path: Path | None = None
         if data_dir is not None:
             data_dir = Path(data_dir)
@@ -171,30 +279,48 @@ class SiteCatalog:
 
     # --- persistence ---------------------------------------------------------
 
+    @staticmethod
+    def _parse_line(lineno: int, line: bytes) -> tuple[str, object]:
+        try:
+            verb, kind, payload = line.decode("utf-8").split(" ", 2)
+            if verb != "UPSERT":
+                raise ValueError(f"unknown verb {verb!r}")
+            return kind, RECORD_TYPES[kind].from_json(json.loads(payload))
+        except Exception as e:
+            raise StorageError(f"corrupt catalog log at line {lineno}: {e}") from e
+
     def _replay(self) -> None:
         if self._log_path is None or not self._log_path.exists():
             return
-        with self._log_path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    verb, kind, payload = line.split(" ", 2)
-                    if verb != "UPSERT":
-                        raise ValueError(f"unknown verb {verb!r}")
-                    record = RECORD_TYPES[kind].from_json(json.loads(payload))
-                except Exception as e:
-                    raise StorageError(
-                        f"corrupt catalog log at line {lineno}: {e}") from e
-                self._apply(kind, record, log=False)
-
-    def _log(self, kind: str, record) -> None:
-        if self._log_path is None:
+        data = self._log_path.read_bytes()
+        *lines, tail = data.split(b"\n")  # tail: what follows the last newline
+        for lineno, line in enumerate(lines, 1):
+            if line:
+                self._apply(*self._parse_line(lineno, line))
+        if not tail:
             return
-        line = f"UPSERT {kind} {json.dumps(record.to_json(), sort_keys=True)}\n"
+        try:
+            kind, record = self._parse_line(len(lines) + 1, tail)
+        except StorageError as e:
+            # an append cut short by a crash; the next append must start on
+            # a fresh line, so the torn bytes go
+            print(f"warning: {self._log_path}: {e}; dropped the unfinished last line",
+                  file=sys.stderr)
+            with self._log_path.open("r+b") as fh:
+                fh.truncate(len(data) - len(tail))
+            return
+        self._apply(kind, record)
+        with self._log_path.open("ab") as fh:  # whole record, cut before its newline
+            fh.write(b"\n")
+
+    def _log(self, changed: list[tuple[str, object]]) -> None:
+        """Append one line per ``(kind, record)`` in a single write."""
+        if self._log_path is None or not changed:
+            return
+        text = "".join(f"UPSERT {kind} {json.dumps(record.to_json(), sort_keys=True)}\n"
+                       for kind, record in changed)
         with self._log_path.open("a", encoding="utf-8") as fh:
-            fh.write(line)
+            fh.write(text)
             fh.flush()
 
     # --- writes ----------------------------------------------------------------
@@ -211,7 +337,7 @@ class SiteCatalog:
                 raise DanglingParent(
                     f"{record.id} references unregistered {record.algorithm}")
 
-    def _apply(self, kind: str, record, log: bool) -> bool:
+    def _apply(self, kind: str, record) -> bool:
         key = str(record.id)
         if kind in _OWNED_KINDS and record.id.site != self.site:
             raise ForeignSite(
@@ -236,15 +362,28 @@ class SiteCatalog:
             self._files[str(record.file.id)] = record.file
         if kind == "algorithm":
             self._algorithms.setdefault(record.name, {})[record.version] = record
-        if log:
-            self._log(kind, record)
+        if self._table is not None:
+            if existing is not None and kind != "algorithm":
+                # rows joined to the old content; rare, so rebuild on demand
+                self._table = None
+            elif kind == "image":
+                self._table.add_image(record, *self._ancestors(record))
+            elif kind == "derived":
+                self._table.add_derived(record)
         return True
+
+    def _ancestors(self, image: ImageRecord) -> tuple[StudyRecord, PatientRecord]:
+        study = self.require(self.require(image.series).study)
+        return study, self.require(study.patient)
 
     def upsert(self, record) -> bool:
         """Insert or replace one record; returns True when anything changed."""
         kind = _KIND_OF_TYPE[type(record)]
         with self._lock:
-            return self._apply(kind, record, log=True)
+            changed = self._apply(kind, record)
+            if changed:
+                self._log([(kind, record)])
+            return changed
 
     def ingest_tree(self, patient: PatientRecord, studies: list[StudyRecord],
                     series: list[SeriesRecord],
@@ -264,13 +403,14 @@ class SiteCatalog:
                 if str(parent) not in batch_ids and self.lookup(parent) is None:
                     raise DanglingParent(f"{rec.id} references missing {parent}")
             changed = {"patient": 0, "study": 0, "series": 0, "image": 0}
-            changed["patient"] += self._apply("patient", patient, log=True)
-            for s in studies:
-                changed["study"] += self._apply("study", s, log=True)
-            for s in series:
-                changed["series"] += self._apply("series", s, log=True)
-            for im in images:
-                changed["image"] += self._apply("image", im, log=True)
+            written = []
+            for kind, records in (("patient", [patient]), ("study", studies),
+                                  ("series", series), ("image", images)):
+                for rec in records:
+                    if self._apply(kind, rec):
+                        changed[kind] += 1
+                        written.append((kind, rec))
+            self._log(written)
             return changed
 
     # --- reads ------------------------------------------------------------------
@@ -322,43 +462,18 @@ class SiteCatalog:
 
     # --- query execution -----------------------------------------------------------
 
-    def _contexts(self) -> list[_ImageContext]:
-        out = []
-        for image in self.images():
-            series: SeriesRecord = self.require(image.series)
-            study: StudyRecord = self.require(series.study)
-            patient: PatientRecord = self.require(study.patient)
-            out.append(_ImageContext(image, series, study, patient,
-                                     self._derived_by_image.get(str(image.id), [])))
-        return out
-
-    @staticmethod
-    def _project(ctx: _ImageContext, attrs: tuple) -> dict:
-        fields = {}
-        for attr in attrs:
-            if attr.startswith("derived."):
-                vals = ctx.derived_values(attr.split(".", 1)[1])
-                if vals:  # report the largest scalar; omit when absent
-                    fields[attr] = canonical_value(max(vals))
-                continue
-            value = ctx.static_value(attr)
-            if value is not None:
-                fields[attr] = canonical_value(value)
-        return fields
-
     def select(self, q: FormalQuery) -> list[Row]:
         """Evaluate a parsed query over this catalog; rows come back sorted by id."""
-        attrs, kind = projection(q), ROW_KIND[q.target]
         with self._lock:
-            contexts = self._contexts()
-        rows: dict[str, Row] = {}
-        for ctx in contexts:
-            if not _evaluate(q.expr, ctx):
-                continue
-            row_id = str(getattr(ctx, kind).id)
-            if row_id not in rows:  # first image in id order represents the group
-                rows[row_id] = Row(row_id, self._project(ctx, attrs))
-        return [rows[k] for k in sorted(rows)]
+            if self._table is None:
+                self._table = _ImageTable()
+                for image in self._records["image"].values():
+                    self._table.add_image(image, *self._ancestors(image))
+                for bucket in self._derived_by_image.values():
+                    for record in bucket:
+                        self._table.add_derived(record)
+            columns = self._table.columns()
+        return columns.select(ROW_KIND[q.target], q.expr, projection(q))
 
     # --- bookkeeping -------------------------------------------------------------
 

@@ -24,7 +24,6 @@ import secrets
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from gridbox.config import RegistryConfig
 from gridbox.errors import (

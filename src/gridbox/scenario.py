@@ -29,6 +29,7 @@ of failed steps.
 from __future__ import annotations
 
 import json
+import os
 import secrets
 import shutil
 import subprocess
@@ -87,6 +88,17 @@ def _wait_for_file(path: Path, proc: subprocess.Popen, what: str,
                                 f"before becoming ready")
         time.sleep(0.05)
     raise ScenarioError(f"timed out waiting for {what}")
+
+
+def _child_env() -> dict:
+    """This process's environment with ``PYTHONPATH`` led by the directory
+    that holds the imported ``gridbox`` package, so the registry and node
+    children run the same code as their parent."""
+    env = dict(os.environ)
+    package_root = str(Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
 
 
 class ScenarioRunner:
@@ -183,11 +195,12 @@ class ScenarioRunner:
         reg_cfg = self.workdir / "registry.cfg"
         reg_cfg.write_text(f"listen = 127.0.0.1:0\ndata_dir = {reg_dir}\n")
         announce = self.workdir / "registry.addr"
+        env = _child_env()
         proc = subprocess.Popen(
             [sys.executable, "-m", "gridbox.run_registry", str(reg_cfg),
              "--announce", str(announce)],
             stdout=(self.workdir / "registry.out").open("wb"),
-            stderr=subprocess.STDOUT)
+            stderr=subprocess.STDOUT, env=env)
         registry_addr = _wait_for_file(announce, proc, "registry")
         admin_token = (reg_dir / "admin_token.txt").read_text().strip()
         self.vo = _Vo(self.workdir, proc, registry_addr, admin_token)
@@ -213,7 +226,7 @@ class ScenarioRunner:
                 [sys.executable, "-m", "gridbox.run_node", str(cfg_path),
                  "--announce", str(node_announce)],
                 stdout=(self.workdir / f"node-{site}.out").open("wb"),
-                stderr=subprocess.STDOUT)
+                stderr=subprocess.STDOUT, env=env)
             self.vo.nodes[site] = node_proc
             announced = _wait_for_file(node_announce, node_proc, f"node {site}")
             self.vo.addresses[site] = announced.split()[1]

@@ -1,7 +1,6 @@
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from datetime import date
 from pathlib import Path
 
 import numpy as np

@@ -7,9 +7,9 @@ no shared code with the engine beyond the parsed ASTs and record types.
 from __future__ import annotations
 
 from collections import deque
-from datetime import date
 
 from gridbox.query import And, BoolLit, Comparison, FormalQuery, Not, Or, RangeTest
+from gridbox.resultset import Row
 
 # --- query evaluation over plain attribute dicts ----------------------------------
 
@@ -110,6 +110,49 @@ def expected_summary(q: FormalQuery, catalogs) -> tuple[int, int]:
                 groups.add(row["ids"][q.target])
                 patients.add(row["ids"]["patients"])
     return len(groups), len(patients)
+
+
+def _referenced(expr) -> set[str]:
+    if isinstance(expr, (Comparison, RangeTest)):
+        return {expr.attr}
+    if isinstance(expr, Not):
+        return _referenced(expr.inner)
+    if isinstance(expr, (And, Or)):
+        return set().union(*(_referenced(p) for p in expr.parts))
+    return set()
+
+
+def _text(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (str, int)):
+        return str(value)
+    return value.isoformat()  # a date
+
+
+def expected_rows(q: FormalQuery, catalogs) -> list[Row]:
+    """Brute-force rows with their fields: per target id, the first matching
+    image in image-id order stands for the group; fields are the referenced
+    attributes plus ``patient.id`` as text, a derived field carries the
+    largest value and an absent one is left out; sorted by row id."""
+    names = sorted(_referenced(q.expr) | {"patient.id"})
+    rows = {}
+    for catalog in catalogs:
+        for row in sorted(catalog_to_rows(catalog), key=lambda r: r["ids"]["images"]):
+            row_id = row["ids"][q.target]
+            if row_id in rows or not eval_expr(q.expr, row["attrs"], row["derived"]):
+                continue
+            fields = {}
+            for name in names:
+                if name.startswith("derived."):
+                    values = row["derived"].get(name.split(".", 1)[1])
+                    value = max(values) if values else None
+                else:
+                    value = row["attrs"][name]
+                if value is not None:
+                    fields[name] = _text(value)
+            rows[row_id] = Row(row_id, fields)
+    return [rows[k] for k in sorted(rows)]
 
 
 # --- pixel pipeline -----------------------------------------------------------------

@@ -11,12 +11,10 @@ import math
 import random
 import re
 import shutil
-import sys
 import threading
 import time
 from contextlib import contextmanager
 from hashlib import sha256
-from pathlib import Path
 
 import numpy as np
 import pytest
