@@ -10,18 +10,16 @@ state.  A bad line is fatal, except an unparseable last line with no
 newline: that is an append a crash cut short, and replay drops it with a
 warning and truncates the log to the last whole line.
 
-Queries run over an *image table*, kept up to date as records land.  It has
-one row per image, joined to its study and patient once, when the image
-arrives, plus ``(row, value)`` pairs for each ``derived.<name>`` scalar,
-appended as derived records arrive.  A write that replaces an existing
-record with different content drops the table; the next `select` rebuilds
-it from the records.  The first `select` after a write turns the rows into
-numpy columns: category codes, date ordinals, ages, doses with a presence
-mask, and a rank per id that orders rows as their id strings do.  `select`
-evaluates the parsed query as boolean masks over those columns, then
-projects the fields of the matched rows from the record objects as
-canonical strings, so the columns decide which rows match and never what
-a field says.
+Queries run over an *image table*: one row per image, joined to its study
+and patient, with numpy columns for the static attributes (category codes,
+date ordinals, ages, doses with a presence mask, and a rank per id that
+orders rows as their id strings do) and ``(row, value)`` pairs for each
+``derived.<name>`` scalar.  Any write that changes a record drops the
+table, and the next `select` builds it again from the records, so a run of
+writes costs one build.  `select` evaluates the parsed query as boolean
+masks over the columns, then projects the fields of the matched rows from
+the record objects as canonical strings: the columns decide which rows
+match and never what a field says.
 """
 
 from __future__ import annotations
@@ -123,17 +121,18 @@ def _ranks(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
 
 
 class _Columns:
-    """The image table as numpy columns at one moment; never changes after
-    it is built, so a select evaluates it without the catalog lock."""
+    """The image table at one moment, from ``(image, study, patient)`` rows
+    in image-id order; never changes after it is built, so a select
+    evaluates it without the catalog lock."""
 
-    def __init__(self, rows: list[tuple], derived: dict[str, tuple[list, list]]):
-        self.rows = list(rows)
-        self.n = len(self.rows)
+    def __init__(self, rows: list[tuple], derived_by_image: dict[str, list]):
+        self.rows = rows
+        self.n = len(rows)
         self.column: dict[str, np.ndarray] = {}
         self.present: dict[str, np.ndarray] = {}  # real attr -> value not absent
         self.rank_of: dict[str, dict[str, int]] = {}  # id attr -> {id: rank}
         for attr, (typ, extra) in STATIC_ATTRS.items():
-            values = [_STATIC_VALUE[attr](*row) for row in self.rows]
+            values = [_STATIC_VALUE[attr](*row) for row in rows]
             if typ == "cat":
                 codes = {v: code for code, v in enumerate(extra)}
                 self.column[attr] = np.array([codes[v] for v in values], np.int8)
@@ -148,13 +147,20 @@ class _Columns:
             else:  # id
                 self.column[attr], self.rank_of[attr] = _ranks([str(v) for v in values])
         self.group = {"image": self.column["image.id"],
-                      "study": _ranks([str(study.id) for _, study, _ in self.rows])[0],
+                      "study": _ranks([str(study.id) for _, study, _ in rows])[0],
                       "patient": self.column["patient.id"]}
         # "derived.<name>" -> (row of each value, the values) and the largest
         # value of each row (None where the row has none), as max() picks it
+        pairs: dict[str, tuple[list, list]] = {}
+        for image_id, row in self.rank_of["image.id"].items():  # rank == row
+            for record in derived_by_image.get(image_id, ()):
+                for name, value in record.scalars.items():
+                    at_rows, values = pairs.setdefault(f"derived.{name}", ([], []))
+                    at_rows.append(row)
+                    values.append(value)
         self.derived: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.largest: dict[str, list] = {}
-        for attr, (at_rows, values) in derived.items():
+        for attr, (at_rows, values) in pairs.items():
             self.derived[attr] = (np.array(at_rows, np.int64),
                                   np.array(values, np.float64))
             largest = [None] * self.n
@@ -220,43 +226,11 @@ class _Columns:
     def select(self, kind: str, expr, attrs: tuple) -> list[Row]:
         """Rows of ``kind`` matching ``expr``, sorted by id; a study or patient
         is represented by its first matching image in image-id order."""
-        matched = np.flatnonzero(self.mask(expr))
-        matched = matched[np.argsort(self.group["image"][matched])]
+        matched = np.flatnonzero(self.mask(expr))  # in image-id order
         _, first = np.unique(self.group[kind][matched], return_index=True)
         at = _ROW_RECORD[kind]
         return [Row(str(self.rows[r][at].id), self._fields(r, attrs))
                 for r in matched[first].tolist()]
-
-
-class _ImageTable:
-    """One ``(image, study, patient)`` row per image and the ``(row, value)``
-    pairs of each derived scalar, appended as records land."""
-
-    def __init__(self):
-        self.rows: list[tuple] = []
-        self.row_of: dict[str, int] = {}  # image id -> row
-        self.derived: dict[str, tuple[list, list]] = {}  # "derived.<name>" -> (rows, values)
-        self._columns: _Columns | None = None
-
-    def add_image(self, image: ImageRecord, study: StudyRecord,
-                  patient: PatientRecord) -> None:
-        self.row_of[str(image.id)] = len(self.rows)
-        self.rows.append((image, study, patient))
-        self._columns = None
-
-    def add_derived(self, record: DerivedRecord) -> None:
-        row = self.row_of[str(record.image)]
-        for name, value in record.scalars.items():
-            at_rows, values = self.derived.setdefault(f"derived.{name}", ([], []))
-            at_rows.append(row)
-            values.append(value)
-        self._columns = None
-
-    def columns(self) -> _Columns:
-        """The rows as columns, built again only after the table grew."""
-        if self._columns is None:
-            self._columns = _Columns(self.rows, self.derived)
-        return self._columns
 
 
 class SiteCatalog:
@@ -269,7 +243,7 @@ class SiteCatalog:
         self._files: dict[str, object] = {}  # file gid -> FileRef
         self._derived_by_image: dict[str, list[DerivedRecord]] = {}
         self._algorithms: dict[str, dict[int, AlgorithmRecord]] = {}
-        self._table: _ImageTable | None = _ImageTable()  # None: rebuild at the next select
+        self._columns: _Columns | None = None  # None: build at the next select
         self._log_path: Path | None = None
         if data_dir is not None:
             data_dir = Path(data_dir)
@@ -292,22 +266,26 @@ class SiteCatalog:
     def _replay(self) -> None:
         if self._log_path is None or not self._log_path.exists():
             return
-        data = self._log_path.read_bytes()
-        *lines, tail = data.split(b"\n")  # tail: what follows the last newline
-        for lineno, line in enumerate(lines, 1):
-            if line:
-                self._apply(*self._parse_line(lineno, line))
+        whole, tail = 0, b""  # bytes up to the last newline; what follows it
+        with self._log_path.open("rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.endswith(b"\n"):
+                    tail = line
+                    break
+                whole += len(line)
+                if line != b"\n":
+                    self._apply(*self._parse_line(lineno, line[:-1]))
         if not tail:
             return
         try:
-            kind, record = self._parse_line(len(lines) + 1, tail)
+            kind, record = self._parse_line(lineno, tail)
         except StorageError as e:
             # an append cut short by a crash; the next append must start on
             # a fresh line, so the torn bytes go
             print(f"warning: {self._log_path}: {e}; dropped the unfinished last line",
                   file=sys.stderr)
             with self._log_path.open("r+b") as fh:
-                fh.truncate(len(data) - len(tail))
+                fh.truncate(whole)
             return
         self._apply(kind, record)
         with self._log_path.open("ab") as fh:  # whole record, cut before its newline
@@ -362,19 +340,17 @@ class SiteCatalog:
             self._files[str(record.file.id)] = record.file
         if kind == "algorithm":
             self._algorithms.setdefault(record.name, {})[record.version] = record
-        if self._table is not None:
-            if existing is not None and kind != "algorithm":
-                # rows joined to the old content; rare, so rebuild on demand
-                self._table = None
-            elif kind == "image":
-                self._table.add_image(record, *self._ancestors(record))
-            elif kind == "derived":
-                self._table.add_derived(record)
+        self._columns = None
         return True
 
-    def _ancestors(self, image: ImageRecord) -> tuple[StudyRecord, PatientRecord]:
-        study = self.require(self.require(image.series).study)
-        return study, self.require(study.patient)
+    def _image_rows(self) -> list[tuple[ImageRecord, StudyRecord, PatientRecord]]:
+        """Each image joined to its study and patient, in image-id order."""
+        series, studies = self._records["series"], self._records["study"]
+        patients, rows = self._records["patient"], []
+        for image in self.images():
+            study = studies[str(series[str(image.series)].study)]
+            rows.append((image, study, patients[str(study.patient)]))
+        return rows
 
     def upsert(self, record) -> bool:
         """Insert or replace one record; returns True when anything changed."""
@@ -404,13 +380,15 @@ class SiteCatalog:
                     raise DanglingParent(f"{rec.id} references missing {parent}")
             changed = {"patient": 0, "study": 0, "series": 0, "image": 0}
             written = []
-            for kind, records in (("patient", [patient]), ("study", studies),
-                                  ("series", series), ("image", images)):
-                for rec in records:
-                    if self._apply(kind, rec):
-                        changed[kind] += 1
-                        written.append((kind, rec))
-            self._log(written)
+            try:
+                for kind, records in (("patient", [patient]), ("study", studies),
+                                      ("series", series), ("image", images)):
+                    for rec in records:
+                        if self._apply(kind, rec):
+                            changed[kind] += 1
+                            written.append((kind, rec))
+            finally:  # what landed before a failure is logged too
+                self._log(written)
             return changed
 
     # --- reads ------------------------------------------------------------------
@@ -465,14 +443,9 @@ class SiteCatalog:
     def select(self, q: FormalQuery) -> list[Row]:
         """Evaluate a parsed query over this catalog; rows come back sorted by id."""
         with self._lock:
-            if self._table is None:
-                self._table = _ImageTable()
-                for image in self._records["image"].values():
-                    self._table.add_image(image, *self._ancestors(image))
-                for bucket in self._derived_by_image.values():
-                    for record in bucket:
-                        self._table.add_derived(record)
-            columns = self._table.columns()
+            if self._columns is None:
+                self._columns = _Columns(self._image_rows(), self._derived_by_image)
+            columns = self._columns
         return columns.select(ROW_KIND[q.target], q.expr, projection(q))
 
     # --- bookkeeping -------------------------------------------------------------

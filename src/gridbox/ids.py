@@ -42,12 +42,14 @@ class GlobalId:
             raise ValueError(f"bad id kind {self.kind!r}")
         if not _HEX32_RE.match(self.local):
             raise ValueError(f"bad local part {self.local!r}")
+        # rendered once: catalogs key every record by the rendered id
+        object.__setattr__(self, "_text", f"{self.site}:{self.kind}:{self.local}")
 
     def render(self) -> str:
-        return f"{self.site}:{self.kind}:{self.local}"
+        return self._text
 
     def __str__(self) -> str:
-        return self.render()
+        return self._text
 
     @classmethod
     def parse(cls, text: str) -> "GlobalId":

@@ -215,6 +215,24 @@ def test_ingest_tree_appends_its_lines_in_one_open(tmp_path, monkeypatch):
     assert len((tmp_path / "catalog.log").read_text().splitlines()) == 4
 
 
+def test_records_before_a_failing_image_are_logged(tmp_path):
+    cat = SiteCatalog("CAM", tmp_path)
+    patient = PatientRecord(gid("patient", 1), "ANON-000000000001", "F", 1950)
+    study = StudyRecord(gid("study", 1), patient.id, date(2001, 5, 20))
+    series = SeriesRecord(gid("series", 1), study.id)
+    ref = FileRef(gid("file", 1, "UDI"), f"{1:064x}", 128, "UDI")
+    foreign = ImageRecord(gid("image", 1, "UDI"), series.id, "L", "CC", 8, 8, ref, 1.0)
+    with pytest.raises(ForeignSite):
+        cat.ingest_tree(patient, [study], [series], [foreign])
+    image = dataclasses.replace(foreign, id=gid("image", 1),
+                                file=FileRef(gid("file", 1), f"{1:064x}", 128, "CAM"))
+    assert cat.ingest_tree(patient, [study], [series], [image])["image"] == 1
+
+    reopened = SiteCatalog("CAM", tmp_path)
+    assert reopened.stats() == cat.stats()
+    assert reopened.lookup(image.id) == image
+
+
 def test_require_raises(tmp_path):
     cat = SiteCatalog("CAM")
     with pytest.raises(NotFound):
