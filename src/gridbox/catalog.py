@@ -17,9 +17,12 @@ orders rows as their id strings do) and ``(row, value)`` pairs for each
 ``derived.<name>`` scalar.  Any write that changes a record drops the
 table, and the next `select` builds it again from the records, so a run of
 writes costs one build.  `select` evaluates the parsed query as boolean
-masks over the columns, then projects the fields of the matched rows from
-the record objects as canonical strings: the columns decide which rows
-match and never what a field says.
+masks over the columns, then projects the fields of the matched rows as
+canonical strings: the columns decide which rows match and never what a
+field says.  The table keeps one slot per row for each attribute and each
+row-id kind.  A slot is filled from the record objects, through
+`canonical_value`, the first time a select returns its row, and later
+selects reuse it; the slots go with the table at the next write.
 """
 
 from __future__ import annotations
@@ -120,14 +123,21 @@ def _ranks(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
     return np.array([rank_of[text] for text in ids], np.int64), rank_of
 
 
+_UNFILLED = object()  # a text slot no select has returned yet
+
+
 class _Columns:
     """The image table at one moment, from ``(image, study, patient)`` rows
-    in image-id order; never changes after it is built, so a select
-    evaluates it without the catalog lock."""
+    in image-id order.  Its columns never change after it is built, and a
+    text slot only ever goes from unfilled to the one string (or None) its
+    row projects to, so a select evaluates it without the catalog lock."""
 
     def __init__(self, rows: list[tuple], derived_by_image: dict[str, list]):
         self.rows = rows
         self.n = len(rows)
+        # attribute or row kind -> each row's canonical text, None where
+        # absent; filled for the rows selects return
+        self.text: dict[str, list] = {}
         self.column: dict[str, np.ndarray] = {}
         self.present: dict[str, np.ndarray] = {}  # real attr -> value not absent
         self.rank_of: dict[str, dict[str, int]] = {}  # id attr -> {id: rank}
@@ -211,26 +221,43 @@ class _Columns:
                                & _test(operator.le, col, hi))
         raise TypeError(f"not an expression node: {expr!r}")
 
-    def _fields(self, r: int, attrs: tuple) -> dict:
-        fields = {}
-        for attr in attrs:
-            if attr.startswith("derived."):
-                # report the largest scalar; omit when absent
-                value = self.largest[attr][r] if attr in self.largest else None
-            else:
-                value = _STATIC_VALUE[attr](*self.rows[r])
-            if value is not None:
-                fields[attr] = canonical_value(value)
-        return fields
+    def _value_of(self, key: str):
+        """``row -> value`` for an attribute, or the row-id record for a row
+        kind; None is an absent value."""
+        if key in _ROW_RECORD:
+            at = _ROW_RECORD[key]
+            return lambda r: self.rows[r][at].id
+        if key.startswith("derived."):
+            # report the largest scalar; absent when the row has none
+            largest = self.largest.get(key)
+            return (lambda r: None) if largest is None else largest.__getitem__
+        value = _STATIC_VALUE[key]
+        return lambda r: value(*self.rows[r])
+
+    def _texts(self, key: str, rows: list[int]) -> list:
+        """The text slots of ``key``, with those of ``rows`` filled."""
+        texts = self.text.get(key)
+        if texts is None:
+            texts = self.text.setdefault(key, [_UNFILLED] * self.n)
+        missing = [r for r in rows if texts[r] is _UNFILLED]
+        if missing:
+            value_of = self._value_of(key)
+            for r in missing:
+                value = value_of(r)
+                texts[r] = None if value is None else canonical_value(value)
+        return texts
 
     def select(self, kind: str, expr, attrs: tuple) -> list[Row]:
         """Rows of ``kind`` matching ``expr``, sorted by id; a study or patient
         is represented by its first matching image in image-id order."""
         matched = np.flatnonzero(self.mask(expr))  # in image-id order
         _, first = np.unique(self.group[kind][matched], return_index=True)
-        at = _ROW_RECORD[kind]
-        return [Row(str(self.rows[r][at].id), self._fields(r, attrs))
-                for r in matched[first].tolist()]
+        picked = matched[first].tolist()
+        ids = self._texts(kind, picked)
+        columns = [(attr, self._texts(attr, picked)) for attr in attrs]
+        return [Row(ids[r], {attr: text for attr, texts in columns
+                             if (text := texts[r]) is not None})
+                for r in picked]
 
 
 class SiteCatalog:

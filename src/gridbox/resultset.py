@@ -15,6 +15,15 @@ by id; two-space indentation and LF line ends.  Equal result sets serialize
 to identical bytes, so a merged answer assembled at any site compares equal
 byte-for-byte.
 
+Reading has two paths that return the same result set.  The fast path
+matches the input against the canonical form above: UTF-8, exactly these
+attributes in this order, this indentation, and values that hold only the
+four entities ``to_xml`` writes and no character an XML parser would
+reject or normalise.  Any input it does not consume in full goes to the
+ElementTree path, which accepts every well-formed document of the schema
+and is the reference for what a document means and for every error.  Both
+paths then check the row order, duplicate ids and the declared summary.
+
 Merging deduplicates rows on their global id; the same id carrying different
 field maps is treated as a federation bug and raises ``SchemaViolation``
 rather than silently preferring one site's copy.
@@ -22,9 +31,10 @@ rather than silently preferring one site's copy.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+from xml.sax.saxutils import escape, unescape
 
 from gridbox.errors import MalformedXml, QueryMismatch, SchemaViolation
 from gridbox.ids import id_kind
@@ -44,8 +54,111 @@ class Row:
         return hash((self.id, tuple(sorted(self.fields.items()))))
 
 
+_SPECIAL = re.compile('[&<>"]')
+
+
 def _attr(value: str) -> str:
-    return escape(value, {'"': "&quot;"})
+    return escape(value, {'"': "&quot;"}) if _SPECIAL.search(value) else value
+
+
+def _text(value: str) -> str:
+    return escape(value) if _SPECIAL.search(value) else value
+
+
+# The canonical form as to_xml writes it.  A value holds no character that
+# XML rejects or normalises (\r, other controls, U+FFFE/U+FFFF, and the
+# surrogates a str may carry; in an attribute also \t and \n), no raw '>',
+# and '&' only as one of the entities to_xml writes.
+_ATTR = r'[^"<>\x00-\x1f\ud800-\udfff\ufffe\uffff]*'
+_TEXT = r'[^<>\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]*'
+_HEAD = re.compile(rf'<resultset query="({_ATTR})" origin="({_ATTR})">\n')
+_ROW = re.compile(rf'  <row id="({_ATTR})"(?:/>\n|>\n'
+                  rf'((?:    <field name="{_ATTR}">{_TEXT}</field>\n)+)  </row>\n)')
+_FIELD = re.compile(rf'    <field name="({_ATTR})">({_TEXT})</field>\n')
+_COUNT = r'(0|[1-9][0-9]*)'
+_TAIL = re.compile(rf'  <summary images="{_COUNT}" patients="{_COUNT}"/>\n</resultset>\n')
+_BAD_AMP = re.compile(r'&(?!(?:amp|lt|gt|quot);)')
+
+
+def _unescape(value: str) -> str:
+    return unescape(value, {"&quot;": '"'}) if "&" in value else value
+
+
+def _read_canonical(data) -> tuple | None:
+    """``(query, origin, rows, declared summary)`` of a document in the
+    canonical form, or None if the input is anything else."""
+    try:
+        text = data if isinstance(data, str) else str(data, "utf-8")
+    except UnicodeDecodeError:
+        return None
+    plain = "&" not in text  # then no value needs unescaping
+    if not plain and _BAD_AMP.search(text):
+        return None
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    rows, pos, match_row = [], head.end(), _ROW.match
+    while (m := match_row(text, pos)) is not None:
+        pos = m.end()
+        fields = {}
+        if m[2] is not None:
+            pairs = _FIELD.findall(m[2])
+            fields = (dict(pairs) if plain else
+                      {_unescape(name): _unescape(value) for name, value in pairs})
+            if len(fields) != len(pairs):
+                return None  # a repeated field name
+        rows.append(Row(m[1] if plain else _unescape(m[1]), fields))
+    tail = _TAIL.fullmatch(text, pos)
+    if tail is None:
+        return None
+    query, origin = head[1], head[2]
+    if not plain:
+        query, origin = _unescape(query), _unescape(origin)
+    return query, origin, rows, (int(tail[1]), int(tail[2]))
+
+
+def _read_tree(data) -> tuple:
+    """``(query, origin, rows, declared summary)`` of any well-formed
+    document of the schema, through ElementTree; raises on everything else."""
+    try:
+        root = ET.fromstring(data)
+    except ET.ParseError as e:
+        raise MalformedXml(f"unparseable result set: {e}") from e
+    if root.tag != "resultset":
+        raise SchemaViolation(f"root element is <{root.tag}>, not <resultset>")
+    if set(root.attrib) != {"query", "origin"}:
+        raise SchemaViolation("resultset must carry exactly query and origin")
+    rows = []
+    summary_el = None
+    for child in root:
+        if child.tag == "summary":
+            if summary_el is not None:
+                raise SchemaViolation("more than one summary")
+            summary_el = child
+            continue
+        if child.tag != "row":
+            raise SchemaViolation(f"unexpected element <{child.tag}>")
+        if summary_el is not None:
+            raise SchemaViolation("row after summary")
+        if set(child.attrib) != {"id"}:
+            raise SchemaViolation("row must carry exactly an id")
+        fields = {}
+        for f in child:
+            if f.tag != "field" or set(f.attrib) != {"name"}:
+                raise SchemaViolation("rows contain only named fields")
+            name = f.attrib["name"]
+            if name in fields:
+                raise SchemaViolation(f"duplicate field {name!r} in row")
+            fields[name] = f.text or ""
+        rows.append(Row(child.attrib["id"], fields))
+    if summary_el is None:
+        raise SchemaViolation("missing summary")
+    try:
+        declared = (int(summary_el.attrib["images"]),
+                    int(summary_el.attrib["patients"]))
+    except (KeyError, ValueError) as e:
+        raise SchemaViolation(f"bad summary: {e}") from e
+    return root.attrib["query"], root.attrib["origin"], rows, declared
 
 
 def _target_of(query_text: str) -> str | None:
@@ -57,15 +170,18 @@ def _target_of(query_text: str) -> str | None:
 
 def compute_summary(query_text: str, rows: tuple) -> tuple[int, int]:
     """(num_images, num_patients) as re-derived from the rows themselves."""
+    # an id of a kind holds ":<kind>:", so the substring test only skips
+    # rows that id_kind would reject
     if _target_of(query_text) == "images":
         num_images = len(rows)
     else:
-        num_images = sum(1 for r in rows if id_kind(r.id) == "image")
+        num_images = sum(1 for r in rows
+                         if ":image:" in r.id and id_kind(r.id) == "image")
     patient_ids = set()
     for r in rows:
         if "patient.id" in r.fields:
             patient_ids.add(r.fields["patient.id"])
-        elif id_kind(r.id) == "patient":
+        elif ":patient:" in r.id and id_kind(r.id) == "patient":
             patient_ids.add(r.id)
     return num_images, len(patient_ids)
 
@@ -100,7 +216,7 @@ class ResultSet:
                 lines.append(f'  <row id="{_attr(row.id)}">')
                 for name in sorted(row.fields):
                     lines.append(f'    <field name="{_attr(name)}">'
-                                 f'{escape(row.fields[name])}</field>')
+                                 f'{_text(row.fields[name])}</field>')
                 lines.append("  </row>")
             else:
                 lines.append(f'  <row id="{_attr(row.id)}"/>')
@@ -111,51 +227,14 @@ class ResultSet:
 
     @classmethod
     def from_xml(cls, data: bytes) -> "ResultSet":
-        try:
-            root = ET.fromstring(data)
-        except ET.ParseError as e:
-            raise MalformedXml(f"unparseable result set: {e}") from e
-        if root.tag != "resultset":
-            raise SchemaViolation(f"root element is <{root.tag}>, not <resultset>")
-        if set(root.attrib) != {"query", "origin"}:
-            raise SchemaViolation("resultset must carry exactly query and origin")
-        origin = root.attrib["origin"]
+        query, origin, rows, declared = _read_canonical(data) or _read_tree(data)
         origin_sites = frozenset(origin.split(",")) if origin else frozenset()
-        rows = []
-        summary_el = None
-        for child in root:
-            if child.tag == "summary":
-                if summary_el is not None:
-                    raise SchemaViolation("more than one summary")
-                summary_el = child
-                continue
-            if child.tag != "row":
-                raise SchemaViolation(f"unexpected element <{child.tag}>")
-            if summary_el is not None:
-                raise SchemaViolation("row after summary")
-            if set(child.attrib) != {"id"}:
-                raise SchemaViolation("row must carry exactly an id")
-            fields = {}
-            for f in child:
-                if f.tag != "field" or set(f.attrib) != {"name"}:
-                    raise SchemaViolation("rows contain only named fields")
-                name = f.attrib["name"]
-                if name in fields:
-                    raise SchemaViolation(f"duplicate field {name!r} in row")
-                fields[name] = f.text or ""
-            rows.append(Row(child.attrib["id"], fields))
-        if summary_el is None:
-            raise SchemaViolation("missing summary")
-        try:
-            declared = (int(summary_el.attrib["images"]),
-                        int(summary_el.attrib["patients"]))
-        except (KeyError, ValueError) as e:
-            raise SchemaViolation(f"bad summary: {e}") from e
-        result = cls(root.attrib["query"], origin_sites, tuple(rows))
-        if result.summary != declared:
+        result = cls(query, origin_sites, tuple(rows))
+        summary = result.summary
+        if summary != declared:
             raise SchemaViolation(
                 f"summary says images={declared[0]} patients={declared[1]}, "
-                f"rows say images={result.summary[0]} patients={result.summary[1]}")
+                f"rows say images={summary[0]} patients={summary[1]}")
         return result
 
 

@@ -93,7 +93,9 @@ def encode_envelope(envelope: dict) -> bytes:
     return json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def send_frame(sock: socket.socket, envelope: dict, binary: bytes = b"") -> None:
+def _frame(envelope: dict, binary: bytes) -> tuple[bytes, int]:
+    """One whole frame and the length of its envelope, which gains the
+    ``binary_len`` key."""
     envelope = dict(envelope)
     envelope["binary_len"] = len(binary)
     payload = encode_envelope(envelope)
@@ -101,9 +103,16 @@ def send_frame(sock: socket.socket, envelope: dict, binary: bytes = b"") -> None
         raise ProtocolError(f"envelope too large ({len(payload)} bytes)")
     if len(binary) > MAX_BINARY:
         raise ProtocolError(f"binary section too large ({len(binary)} bytes)")
-    frame = struct.pack(">I", len(payload)) + payload + binary
+    return struct.pack(">I", len(payload)) + payload + binary, len(payload)
+
+
+def _send(sock: socket.socket, frame: bytes) -> None:
     _offer_to_taps(frame)
     sock.sendall(frame)
+
+
+def send_frame(sock: socket.socket, envelope: dict, binary: bytes = b"") -> None:
+    _send(sock, _frame(envelope, binary)[0])
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -120,6 +129,12 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def recv_frame(sock: socket.socket) -> tuple[dict, bytes] | None:
     """Read one frame; None on clean EOF at a frame boundary."""
+    got = _recv_frame(sock)
+    return None if got is None else got[:2]
+
+
+def _recv_frame(sock: socket.socket) -> tuple[dict, bytes, int] | None:
+    """`recv_frame`, plus the length of the envelope as it came."""
     header = b""
     while len(header) < 4:
         chunk = sock.recv(4 - len(header))
@@ -141,7 +156,7 @@ def recv_frame(sock: socket.socket) -> tuple[dict, bytes] | None:
     if not isinstance(binary_len, int) or binary_len < 0 or binary_len > MAX_BINARY:
         raise ProtocolError(f"bad binary_len {binary_len!r}")
     binary = _recv_exact(sock, binary_len) if binary_len else b""
-    return envelope, binary
+    return envelope, binary, length
 
 
 # --- request/response helpers ---------------------------------------------------
@@ -213,7 +228,9 @@ class FramedServer:
     called once per request; it must not raise.  The accountant is fed one
     record per request (op, request json+binary) and one per response
     (op, response json+binary) so binary payloads are visible in both
-    directions.
+    directions.  The json bytes are those of the envelope on the wire, its
+    ``binary_len`` key included, and a response is counted before it is
+    sent, so a client that reads the counters after its answer sees it.
     """
 
     host: str
@@ -263,18 +280,18 @@ class FramedServer:
         with conn:
             while not self._stopping.is_set():
                 try:
-                    got = recv_frame(conn)
+                    got = _recv_frame(conn)
                 except (ProtocolError, OSError):
                     return
                 if got is None:
                     return
-                envelope, binary = got
+                envelope, binary, json_bytes = got
                 op = str(envelope.get("op", "?"))
-                self.accountant.record(op, len(encode_envelope(envelope)), len(binary))
+                self.accountant.record(op, json_bytes, len(binary))
                 response, resp_binary = self.handler(envelope, binary)
-                self.accountant.record(op, len(encode_envelope(response)),
-                                       len(resp_binary))
                 try:
-                    send_frame(conn, response, resp_binary)
+                    frame, json_bytes = _frame(response, resp_binary)
+                    self.accountant.record(op, json_bytes, len(resp_binary))
+                    _send(conn, frame)
                 except (ProtocolError, OSError):
                     return

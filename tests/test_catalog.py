@@ -414,6 +414,30 @@ def test_select_matches_bruteforce_oracle(cat, text):
     assert cat.select(q) == oracles.expected_rows(q, [cat])
 
 
+@settings(max_examples=30)
+@given(catalogs(), st.data())
+def test_projection_memo_stays_exact_across_selects_and_writes(cat, data):
+    """Later selects project from text slots that earlier ones filled, for
+    other attributes and row kinds; a write must leave none of them stale."""
+    queries = [parse_query(text) for text in QUERY_POOL]
+
+    def check():
+        for q in queries:
+            assert cat.select(q) == oracles.expected_rows(q, [cat]), q.source_text
+
+    check()
+    table = cat._columns
+    check()
+    assert cat._columns is table  # the second pass read the filled slots
+    image = data.draw(st.sampled_from(cat.images()))
+    patient = cat.require(cat.require(cat.require(image.series).study).patient)
+    # a value larger than any drawn becomes the image's derived.density
+    cat.upsert(DerivedRecord(gid("derived", 2 ** 32 + 1), image.id,
+                             gid("algorithm", 1), {"density": 1.5}))
+    cat.upsert(dataclasses.replace(patient, sex="M" if patient.sex == "F" else "F"))
+    check()
+
+
 def test_select_stays_exact_across_writes_and_reopen(tmp_path):
     cat = SiteCatalog("CAM", tmp_path)
     cat.upsert(algorithm_record(n=1, version=1))

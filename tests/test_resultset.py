@@ -1,9 +1,16 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridbox.errors import MalformedXml, QueryMismatch, SchemaViolation
-from gridbox.resultset import ResultSet, Row, compute_summary, merge
+from gridbox.errors import GridError, MalformedXml, QueryMismatch, SchemaViolation
+from gridbox.resultset import (
+    ResultSet,
+    Row,
+    _read_canonical,
+    _read_tree,
+    compute_summary,
+    merge,
+)
 
 Q = "select images where patient.sex = F"
 
@@ -96,6 +103,112 @@ def test_xml_roundtrip(rows):
     again = ResultSet.from_xml(rs.to_xml())
     assert again == rs
     assert again.to_xml() == rs.to_xml()
+
+
+# --- the canonical reader against the ElementTree reader ---------------------------
+
+# characters of any plane, bar those XML rejects, and ones that need escaping
+plain_chars = st.characters(blacklist_categories=("Cs", "Cc"),
+                            blacklist_characters="\ufffe\uffff")
+SPECIAL = '&<>"\' ;#ampltgquot\x7f\x85\u2028'
+NORMALISED = "\t\n\r"  # XML turns these into a space in an attribute; \r also in text
+REJECTED = "\x00\x01\x0b\x1f\ufffe\uffff"
+
+
+def texts(draw):
+    """Text over escaped characters only, or also ones XML normalises, or
+    also ones it rejects."""
+    extra = draw(st.sampled_from(["", NORMALISED, NORMALISED + REJECTED]))
+    return st.text(st.one_of(plain_chars, st.sampled_from(SPECIAL + extra)), max_size=10)
+
+
+@st.composite
+def result_sets(draw):
+    """Answers with fieldless rows and empty ones, whose attribute values
+    and field texts draw on alphabets of their own."""
+    attr, text = texts(draw), texts(draw)
+    rows = draw(st.lists(st.builds(Row, attr, st.dictionaries(attr, text, max_size=3)),
+                         max_size=6, unique_by=lambda r: r.id))
+    return ResultSet(draw(attr), draw(st.frozensets(attr, max_size=3)), rows)
+
+
+def assert_reader_agrees(xml: bytes):
+    """The fast path returns what the ElementTree path returns, or declines."""
+    fast = _read_canonical(xml)
+    try:
+        slow = _read_tree(xml)
+    except GridError:
+        slow = None
+    assert fast is None or fast == slow
+
+
+@settings(max_examples=200)
+@given(result_sets())
+def test_canonical_reader_returns_what_elementtree_returns_or_declines(rs):
+    assert_reader_agrees(rs.to_xml())
+
+
+special = st.text(st.one_of(plain_chars, st.sampled_from(SPECIAL)), max_size=12)
+
+
+@given(st.lists(st.builds(Row, special, st.dictionaries(special, special, max_size=3)),
+                max_size=6, unique_by=lambda r: r.id), special)
+def test_canonical_reader_reads_what_to_xml_writes(rows, query):
+    """Escaped characters and text of any plane stay on the fast path."""
+    rs = ResultSet(query, {"CAM"}, rows)
+    assert _read_canonical(rs.to_xml()) == _read_tree(rs.to_xml())
+
+
+@pytest.mark.parametrize("char", list(SPECIAL + NORMALISED + REJECTED))
+@pytest.mark.parametrize("where", ["query", "id", "name", "text"])
+def test_canonical_reader_on_each_awkward_character(char, where):
+    value = {"query": Q, "id": "CAM:image:x", "name": "image.view", "text": "CC"}
+    value[where] += char
+    rs = ResultSet(value["query"], {"CAM"}, (Row(value["id"], {value["name"]: value["text"]}),))
+    assert_reader_agrees(rs.to_xml())
+    if char in SPECIAL:
+        assert _read_canonical(rs.to_xml()) is not None
+
+
+PID = f"CAM:patient:{7:032x}"
+IID = f"CAM:image:{1:032x}"
+EXPECTED = ResultSet("q <&>", {"CAM"}, (Row(IID, {"patient.id": PID, "image.view": "CC"}),))
+CANONICAL = EXPECTED.to_xml().decode()
+
+
+@pytest.mark.parametrize("xml", [
+    '<?xml version="1.0" encoding="UTF-8"?>\n' + CANONICAL,
+    "\ufeff" + CANONICAL,
+    CANONICAL.replace("\n", "\r\n"),
+    CANONICAL.replace("\n", "").replace("  ", ""),
+    CANONICAL.rstrip("\n"),
+    CANONICAL + "\n\n",
+    CANONICAL.replace('query="q &lt;&amp;&gt;" origin="CAM"', 'origin="CAM" query="q &lt;&amp;&gt;"'),
+    CANONICAL.replace('"', "'"),
+    CANONICAL.replace(">CC<", ">&#67;&#x43;<"),
+    CANONICAL.replace(">CC<", "><![CDATA[CC]]><"),
+    CANONICAL.replace("q &lt;&amp;&gt;", "q &lt;&amp;>"),
+    CANONICAL.replace("  </row>", "  <!-- a comment -->\n  </row>"),
+    CANONICAL.replace('images="1"', 'images="01"'),
+    CANONICAL.replace('"image.view">CC</field>', '"image.view">C&#x43;</field>'),
+    CANONICAL.replace("<summary", "<summary  "),
+], ids=["declaration", "bom", "crlf", "unindented", "no-final-newline",
+        "trailing-blank-lines", "attribute-order", "single-quotes", "char-refs",
+        "cdata", "raw-gt-in-attribute", "comment", "leading-zero", "hex-char-ref",
+        "space-in-tag"])
+def test_valid_non_canonical_documents_parse_through_the_fallback(xml):
+    assert _read_canonical(xml.encode()) is None
+    assert ResultSet.from_xml(xml.encode()) == EXPECTED
+
+
+def test_empty_field_forms_parse_alike():
+    fieldless = ResultSet(Q, {"CAM"}, (Row(IID, {}),))
+    not_self_closed = fieldless.to_xml().replace(b"/>\n  <summary", b"></row>\n  <summary", 1)
+    assert ResultSet.from_xml(not_self_closed) == fieldless
+    empty = ResultSet(Q, {"CAM"}, (image_row(1, **{"image.view": ""}),))
+    self_closed = empty.to_xml().replace(b'"image.view"></field>', b'"image.view"/>')
+    assert _read_canonical(self_closed) is None
+    assert ResultSet.from_xml(self_closed) == empty == ResultSet.from_xml(empty.to_xml())
 
 
 def test_from_xml_rejects_garbage():

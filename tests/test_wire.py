@@ -179,6 +179,26 @@ def test_server_accountant_sees_both_directions():
     assert row["binary_bytes"] == 1000  # payload echoed back
 
 
+def test_accountant_counts_the_frames_on_the_wire():
+    frames = []
+    tap = frames.append
+    server = FramedServer("127.0.0.1", 0, echo_handler)
+    server.start()
+    add_capture_tap(tap)
+    try:
+        request(server.address, "ADD", {"n": 1}, binary=b"\x00" * 300, timeout=5)
+    finally:
+        remove_capture_tap(tap)
+        server.stop()
+    assert len(frames) == 2  # the request and the echoed response
+    envelopes = [struct.unpack(">I", frame[:4])[0] for frame in frames]
+    assert server.accountant.snapshot()["ADD"] == {
+        "frames": 2,
+        "json_bytes": sum(envelopes),
+        "binary_bytes": sum(len(f) - 4 - n for f, n in zip(frames, envelopes)),
+    }
+
+
 def test_many_requests_on_one_connection():
     server = FramedServer("127.0.0.1", 0, echo_handler)
     server.start()
