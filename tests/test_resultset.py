@@ -107,7 +107,8 @@ def test_xml_roundtrip(rows):
 
 # --- the canonical reader against the ElementTree reader ---------------------------
 
-# characters of any plane, bar those XML rejects, and ones that need escaping
+# characters of any plane bar those XML rejects; ones that need escaping or
+# that XML keeps although they look special; ones it normalises or rejects
 plain_chars = st.characters(blacklist_categories=("Cs", "Cc"),
                             blacklist_characters="\ufffe\uffff")
 SPECIAL = '&<>"\' ;#ampltgquot\x7f\x85\u2028'
