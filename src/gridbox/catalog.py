@@ -17,12 +17,9 @@ orders rows as their id strings do) and ``(row, value)`` pairs for each
 ``derived.<name>`` scalar.  Any write that changes a record drops the
 table, and the next `select` builds it again from the records, so a run of
 writes costs one build.  `select` evaluates the parsed query as boolean
-masks over the columns, then projects the fields of the matched rows as
-canonical strings: the columns decide which rows match and never what a
-field says.  The table keeps one slot per row for each attribute and each
-row-id kind.  A slot is filled from the record objects, through
-`canonical_value`, the first time a select returns its row, and later
-selects reuse it; the slots go with the table at the next write.
+masks over the columns, then projects the fields of the matched rows from
+the record objects as canonical strings, one attribute at a time: the
+columns decide which rows match and never what a field says.
 """
 
 from __future__ import annotations
@@ -90,6 +87,11 @@ def canonical_value(value) -> str:
     raise TypeError(f"no canonical form for {value!r}")
 
 
+# `canonical_value` of a value of exactly one of these types; any other type,
+# bool and subclasses included, goes through `canonical_value` itself
+_CANONICAL_OF_TYPE = {str: str, int: str, float: repr, date: date.isoformat,
+                      GlobalId: str}
+
 # how an image row, (image, study, patient), reaches each static attribute
 _STATIC_VALUE = {
     "patient.sex": lambda image, study, patient: patient.sex,
@@ -123,21 +125,14 @@ def _ranks(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
     return np.array([rank_of[text] for text in ids], np.int64), rank_of
 
 
-_UNFILLED = object()  # a text slot no select has returned yet
-
-
 class _Columns:
     """The image table at one moment, from ``(image, study, patient)`` rows
-    in image-id order.  Its columns never change after it is built, and a
-    text slot only ever goes from unfilled to the one string (or None) its
-    row projects to, so a select evaluates it without the catalog lock."""
+    in image-id order; never changes after it is built, so a select
+    evaluates it without the catalog lock."""
 
     def __init__(self, rows: list[tuple], derived_by_image: dict[str, list]):
         self.rows = rows
         self.n = len(rows)
-        # attribute or row kind -> each row's canonical text, None where
-        # absent; filled for the rows selects return
-        self.text: dict[str, list] = {}
         self.column: dict[str, np.ndarray] = {}
         self.present: dict[str, np.ndarray] = {}  # real attr -> value not absent
         self.rank_of: dict[str, dict[str, int]] = {}  # id attr -> {id: rank}
@@ -221,31 +216,21 @@ class _Columns:
                                & _test(operator.le, col, hi))
         raise TypeError(f"not an expression node: {expr!r}")
 
-    def _value_of(self, key: str):
-        """``row -> value`` for an attribute, or the row-id record for a row
-        kind; None is an absent value."""
-        if key in _ROW_RECORD:
-            at = _ROW_RECORD[key]
-            return lambda r: self.rows[r][at].id
-        if key.startswith("derived."):
+    def _texts(self, attr: str, rows: list[int]) -> list:
+        """The canonical text of ``attr`` for each of ``rows``, None where
+        the value is absent."""
+        if attr.startswith("derived."):
             # report the largest scalar; absent when the row has none
-            largest = self.largest.get(key)
-            return (lambda r: None) if largest is None else largest.__getitem__
-        value = _STATIC_VALUE[key]
-        return lambda r: value(*self.rows[r])
-
-    def _texts(self, key: str, rows: list[int]) -> list:
-        """The text slots of ``key``, with those of ``rows`` filled."""
-        texts = self.text.get(key)
-        if texts is None:
-            texts = self.text.setdefault(key, [_UNFILLED] * self.n)
-        missing = [r for r in rows if texts[r] is _UNFILLED]
-        if missing:
-            value_of = self._value_of(key)
-            for r in missing:
-                value = value_of(r)
-                texts[r] = None if value is None else canonical_value(value)
-        return texts
+            largest = self.largest.get(attr)
+            if largest is None:
+                return [None] * len(rows)
+            values = [largest[r] for r in rows]
+        else:
+            value, table = _STATIC_VALUE[attr], self.rows
+            values = [value(*table[r]) for r in rows]
+        text_of = _CANONICAL_OF_TYPE.get
+        return [None if v is None else text_of(type(v), canonical_value)(v)
+                for v in values]
 
     def select(self, kind: str, expr, attrs: tuple) -> list[Row]:
         """Rows of ``kind`` matching ``expr``, sorted by id; a study or patient
@@ -253,11 +238,12 @@ class _Columns:
         matched = np.flatnonzero(self.mask(expr))  # in image-id order
         _, first = np.unique(self.group[kind][matched], return_index=True)
         picked = matched[first].tolist()
-        ids = self._texts(kind, picked)
+        at = _ROW_RECORD[kind]
         columns = [(attr, self._texts(attr, picked)) for attr in attrs]
-        return [Row(ids[r], {attr: text for attr, texts in columns
-                             if (text := texts[r]) is not None})
-                for r in picked]
+        return [Row(str(self.rows[r][at].id),
+                    {attr: text for attr, texts in columns
+                     if (text := texts[i]) is not None})
+                for i, r in enumerate(picked)]
 
 
 class SiteCatalog:

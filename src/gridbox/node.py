@@ -507,16 +507,6 @@ class GridNode:
             raise SchemaViolation(f"{site} sent rows that are not a list")
         kind = ROW_KIND[q.target]
         prefix, allowed = f"{site}:{kind}:", set(projection(q))
-        within = set()  # field-name tuples known to lie within the projection
-
-        def in_projection(fields: dict) -> bool:
-            names = tuple(fields)
-            if names not in within:
-                if not allowed.issuperset(names):
-                    return False
-                within.add(names)
-            return True
-
         rows = []
         for pair in pairs:
             if not (isinstance(pair, list) and len(pair) == 2):
@@ -525,7 +515,7 @@ class GridNode:
             if not (isinstance(row_id, str) and row_id.startswith(prefix)):
                 raise SchemaViolation(f"{site} returned row {row_id!r}, not a {kind} "
                                       "it minted")
-            if not (isinstance(fields, dict) and in_projection(fields)
+            if not (isinstance(fields, dict) and fields.keys() <= allowed
                     and all(isinstance(v, str) for v in fields.values())):
                 raise SchemaViolation(f"{site} returned row {row_id} with fields "
                                       "outside the projection or not text")

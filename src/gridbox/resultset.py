@@ -75,7 +75,7 @@ _HEAD = re.compile(rf'<resultset query="({_ATTR})" origin="({_ATTR})">\n')
 _ROW = re.compile(rf'  <row id="({_ATTR})"(?:/>\n|>\n'
                   rf'((?:    <field name="{_ATTR}">{_TEXT}</field>\n)+)  </row>\n)')
 _FIELD = re.compile(rf'    <field name="({_ATTR})">({_TEXT})</field>\n')
-_COUNT = r'(0|[1-9][0-9]*)'
+_COUNT = r'(0|[1-9][0-9]{0,17})'  # a longer count goes to ElementTree
 _TAIL = re.compile(rf'  <summary images="{_COUNT}" patients="{_COUNT}"/>\n</resultset>\n')
 _BAD_AMP = re.compile(r'&(?!(?:amp|lt|gt|quot);)')
 

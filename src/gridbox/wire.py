@@ -106,13 +106,10 @@ def _frame(envelope: dict, binary: bytes) -> tuple[bytes, int]:
     return struct.pack(">I", len(payload)) + payload + binary, len(payload)
 
 
-def _send(sock: socket.socket, frame: bytes) -> None:
+def send_frame(sock: socket.socket, envelope: dict, binary: bytes = b"") -> None:
+    frame, _ = _frame(envelope, binary)
     _offer_to_taps(frame)
     sock.sendall(frame)
-
-
-def send_frame(sock: socket.socket, envelope: dict, binary: bytes = b"") -> None:
-    _send(sock, _frame(envelope, binary)[0])
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -127,14 +124,9 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> tuple[dict, bytes] | None:
-    """Read one frame; None on clean EOF at a frame boundary."""
-    got = _recv_frame(sock)
-    return None if got is None else got[:2]
-
-
-def _recv_frame(sock: socket.socket) -> tuple[dict, bytes, int] | None:
-    """`recv_frame`, plus the length of the envelope as it came."""
+def recv_frame(sock: socket.socket) -> tuple[dict, bytes, int] | None:
+    """Read one frame: its envelope, its binary section and the length of
+    the envelope as it came; None on clean EOF at a frame boundary."""
     header = b""
     while len(header) < 4:
         chunk = sock.recv(4 - len(header))
@@ -179,7 +171,7 @@ def request(address: tuple[str, int], op: str, params: dict, *,
         got = recv_frame(sock)
     if got is None:
         raise ProtocolError("peer closed the connection without answering")
-    response, resp_binary = got
+    response, resp_binary, _ = got
     if response.get("id") != req_id:
         raise ProtocolError("response id does not match request id")
     if response.get("status") not in ("ok", "error"):
@@ -280,7 +272,7 @@ class FramedServer:
         with conn:
             while not self._stopping.is_set():
                 try:
-                    got = _recv_frame(conn)
+                    got = recv_frame(conn)
                 except (ProtocolError, OSError):
                     return
                 if got is None:
@@ -292,6 +284,7 @@ class FramedServer:
                 try:
                     frame, json_bytes = _frame(response, resp_binary)
                     self.accountant.record(op, json_bytes, len(resp_binary))
-                    _send(conn, frame)
+                    _offer_to_taps(frame)
+                    conn.sendall(frame)
                 except (ProtocolError, OSError):
                     return

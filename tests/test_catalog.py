@@ -416,9 +416,10 @@ def test_select_matches_bruteforce_oracle(cat, text):
 
 @settings(max_examples=30)
 @given(catalogs(), st.data())
-def test_projection_memo_stays_exact_across_selects_and_writes(cat, data):
-    """Later selects project from text slots that earlier ones filled, for
-    other attributes and row kinds; a write must leave none of them stale."""
+def test_select_stays_exact_across_the_query_pool_and_writes(cat, data):
+    """Every query of the pool, twice over one image table, then again after
+    writes that change a projected value; nothing a select leaves behind on
+    the table may show in a later answer."""
     queries = [parse_query(text) for text in QUERY_POOL]
 
     def check():
@@ -428,7 +429,7 @@ def test_projection_memo_stays_exact_across_selects_and_writes(cat, data):
     check()
     table = cat._columns
     check()
-    assert cat._columns is table  # the second pass read the filled slots
+    assert cat._columns is table  # the second pass read the same table
     image = data.draw(st.sampled_from(cat.images()))
     patient = cat.require(cat.require(cat.require(image.series).study).patient)
     # a value larger than any drawn becomes the image's derived.density

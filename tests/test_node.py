@@ -226,7 +226,7 @@ def rquery_envelope(node, text, hop, site=None, sig=None):
 def exchange(address, envelope):
     with socket.create_connection(address, timeout=5) as sock:
         send_frame(sock, envelope)
-        response, _ = recv_frame(sock)
+        response, _, _ = recv_frame(sock)
     return response
 
 

@@ -237,6 +237,17 @@ def test_from_xml_enforces_schema(xml):
         ResultSet.from_xml(xml.encode())
 
 
+@pytest.mark.parametrize("digits", [19, 5000])
+def test_overlong_summary_count_is_a_schema_violation(digits):
+    """The canonical reader declines counts longer than 18 digits; the
+    ElementTree reader reports them as a bad summary, or one that the rows
+    contradict, even past the length ``int`` accepts from a string."""
+    xml = CANONICAL.replace('images="1"', f'images="{"9" * digits}"').encode()
+    assert _read_canonical(xml) is None
+    with pytest.raises(SchemaViolation):
+        ResultSet.from_xml(xml)
+
+
 def test_from_xml_checks_declared_summary_against_rows():
     rs = ResultSet(Q, {"CAM"}, (image_row(1),))
     tampered = rs.to_xml().replace(b'images="1"', b'images="2"')

@@ -39,12 +39,13 @@ def test_frame_roundtrip(envelope, binary):
     a, b = socket.socketpair()
     try:
         send_frame(a, envelope, binary)
-        got_env, got_bin = recv_frame(b)
+        got_env, got_bin, got_len = recv_frame(b)
     finally:
         a.close()
         b.close()
     assert got_env == {**envelope, "binary_len": len(binary)}
     assert got_bin == binary
+    assert got_len == len(encode_envelope(got_env))
 
 
 def test_envelope_bytes_are_canonical():
@@ -207,7 +208,7 @@ def test_many_requests_on_one_connection():
             for n in range(5):
                 send_frame(sock, {"id": str(n), "op": "PING", "token": "",
                                   "params": {"n": n}})
-                envelope, _ = recv_frame(sock)
+                envelope, _, _ = recv_frame(sock)
                 assert envelope["result"] == {"echo": {"n": n}}
     finally:
         server.stop()
