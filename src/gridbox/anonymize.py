@@ -19,6 +19,7 @@ import re
 import threading
 from pathlib import Path
 
+from gridbox import applog
 from gridbox.errors import MalformedFile
 from gridbox.ids import GlobalId, IdMinter, looks_like_global_id
 from gridbox.mgi import MgiFile
@@ -86,23 +87,24 @@ def anonymize_for_site(f: MgiFile, minter: IdMinter,
                      minter.mint_keyed("patient", original_id), table)
 
 
+def _parse_entry(line: str) -> tuple[str, tuple[str, str]]:
+    d = json.loads(line)
+    return d["original"], (d["id"], d["pseudonym"])
+
+
 class PseudonymTable:
     """Site-local original-id → (global id, pseudonym) map.
 
     Kept out of every wire message by construction: nothing in the package
-    serializes this table except its own on-disk log.
+    serializes this table except its own on-disk log, one JSON object per
+    line (see :mod:`gridbox.applog`).
     """
 
-    def __init__(self, path: str | Path | None = None):
-        self._path = Path(path) if path is not None else None
-        self._entries: dict[str, tuple[str, str]] = {}
+    def __init__(self, path: str | Path):
+        self._path = Path(path)
+        self._path.parent.mkdir(parents=True, exist_ok=True)
+        self._entries = dict(applog.replay(self._path, _parse_entry))
         self._lock = threading.Lock()
-        if self._path is not None and self._path.exists():
-            with self._path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        d = json.loads(line)
-                        self._entries[d["original"]] = (d["id"], d["pseudonym"])
 
     def record(self, original_id: str, new_id: GlobalId, pseudonym: str) -> None:
         with self._lock:
@@ -110,11 +112,8 @@ class PseudonymTable:
             if self._entries.get(original_id) == entry:
                 return
             self._entries[original_id] = entry
-            if self._path is not None:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
-                with self._path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({"original": original_id, "id": entry[0],
-                                         "pseudonym": entry[1]}) + "\n")
+            applog.append(self._path, [json.dumps(
+                {"original": original_id, "id": entry[0], "pseudonym": entry[1]})])
 
     def lookup(self, original_id: str) -> tuple[str, str] | None:
         with self._lock:

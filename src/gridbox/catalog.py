@@ -6,9 +6,8 @@ which validates referential integrity.  :meth:`SiteCatalog.upsert` and
 :meth:`SiteCatalog.ingest_tree` then append the records they changed to the
 catalog log as ``UPSERT <kind> <json>`` lines, in one write per call.  A
 catalog opened on an existing directory replays the log to recover its
-state.  A bad line is fatal, except an unparseable last line with no
-newline: that is an append a crash cut short, and replay drops it with a
-warning and truncates the log to the last whole line.
+state; :mod:`gridbox.applog` frames the lines and decides what a bad or
+torn line means.
 
 Queries run over an *image table*: one row per image, joined to its study
 and patient, with numpy columns for the static attributes (category codes,
@@ -26,19 +25,18 @@ from __future__ import annotations
 
 import json
 import operator
-import sys
 import threading
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
+from gridbox import applog
 from gridbox.errors import (
     AlgorithmConflict,
     DanglingParent,
     ForeignSite,
     NotFound,
-    StorageError,
 )
 from gridbox.ids import GlobalId
 from gridbox.query import (
@@ -70,6 +68,13 @@ _KIND_OF_TYPE = {cls: kind for kind, cls in RECORD_TYPES.items()}
 _OWNED_KINDS = ("patient", "study", "series", "image", "derived")
 
 _PARENT_FIELD = {"study": "patient", "series": "study", "image": "series"}
+
+
+def _parse_line(line: str) -> tuple[str, object]:
+    verb, kind, payload = line.split(" ", 2)
+    if verb != "UPSERT":
+        raise ValueError(f"unknown verb {verb!r}")
+    return kind, RECORD_TYPES[kind].from_json(json.loads(payload))
 
 
 def canonical_value(value) -> str:
@@ -262,57 +267,17 @@ class SiteCatalog:
             data_dir = Path(data_dir)
             data_dir.mkdir(parents=True, exist_ok=True)
             self._log_path = data_dir / "catalog.log"
-            self._replay()
+            for kind, record in applog.replay(self._log_path, _parse_line):
+                self._apply(kind, record)
 
     # --- persistence ---------------------------------------------------------
 
-    @staticmethod
-    def _parse_line(lineno: int, line: bytes) -> tuple[str, object]:
-        try:
-            verb, kind, payload = line.decode("utf-8").split(" ", 2)
-            if verb != "UPSERT":
-                raise ValueError(f"unknown verb {verb!r}")
-            return kind, RECORD_TYPES[kind].from_json(json.loads(payload))
-        except Exception as e:
-            raise StorageError(f"corrupt catalog log at line {lineno}: {e}") from e
-
-    def _replay(self) -> None:
-        if self._log_path is None or not self._log_path.exists():
-            return
-        whole, tail = 0, b""  # bytes up to the last newline; what follows it
-        with self._log_path.open("rb") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.endswith(b"\n"):
-                    tail = line
-                    break
-                whole += len(line)
-                if line != b"\n":
-                    self._apply(*self._parse_line(lineno, line[:-1]))
-        if not tail:
-            return
-        try:
-            kind, record = self._parse_line(lineno, tail)
-        except StorageError as e:
-            # an append cut short by a crash; the next append must start on
-            # a fresh line, so the torn bytes go
-            print(f"warning: {self._log_path}: {e}; dropped the unfinished last line",
-                  file=sys.stderr)
-            with self._log_path.open("r+b") as fh:
-                fh.truncate(whole)
-            return
-        self._apply(kind, record)
-        with self._log_path.open("ab") as fh:  # whole record, cut before its newline
-            fh.write(b"\n")
-
     def _log(self, changed: list[tuple[str, object]]) -> None:
-        """Append one line per ``(kind, record)`` in a single write."""
-        if self._log_path is None or not changed:
-            return
-        text = "".join(f"UPSERT {kind} {json.dumps(record.to_json(), sort_keys=True)}\n"
-                       for kind, record in changed)
-        with self._log_path.open("a", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
+        """Append one ``UPSERT`` line per ``(kind, record)`` in a single write."""
+        if self._log_path is not None:
+            applog.append(self._log_path, (
+                f"UPSERT {kind} {json.dumps(record.to_json(), sort_keys=True)}"
+                for kind, record in changed))
 
     # --- writes ----------------------------------------------------------------
 

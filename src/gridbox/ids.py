@@ -45,9 +45,6 @@ class GlobalId:
         # rendered once: catalogs key every record by the rendered id
         object.__setattr__(self, "_text", f"{self.site}:{self.kind}:{self.local}")
 
-    def render(self) -> str:
-        return self._text
-
     def __str__(self) -> str:
         return self._text
 

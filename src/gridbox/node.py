@@ -136,7 +136,9 @@ class GridNode:
         self.registry = RegistryClient(config.registry)
         self.vo_key: bytes = b""
         self._membership: _Membership | None = None
+        # site -> {"name:version": record} to resend; handlers and the poller share it
         self._pending_gossip: dict[str, dict[str, AlgorithmRecord]] = {}
+        self._gossip_lock = threading.Lock()
         self._server: FramedServer | None = None
         self._poller = None
         self._stopping = None
@@ -471,8 +473,10 @@ class GridNode:
     # --- QUERY / RQUERY ------------------------------------------------------------------
 
     def _local_resultset(self, q: FormalQuery, canonical: str) -> ResultSet:
-        rows = self.catalog.select(q)
-        return ResultSet(canonical, frozenset({self.site}), tuple(rows))
+        """This site's part; it names the site as origin only when it has
+        rows, so an answer's origin is the same whichever node was asked."""
+        rows = tuple(self.catalog.select(q))
+        return ResultSet(canonical, frozenset({self.site} if rows else ()), rows)
 
     def run_query(self, query_text: str) -> tuple[ResultSet, list[str]]:
         """The federated pipeline; returns (merged result, warnings)."""
@@ -483,12 +487,7 @@ class GridNode:
         answers, warnings = self._fan_out(remotes, self._remote_query, q, canonical,
                                           self.config.query_timeout_s)
         parts.update(answers)
-        merged = merge(list(parts.values()))
-        # Origin lists the sites that actually contributed rows, so the same
-        # query renders byte-identical XML no matter where it was asked
-        # (id-pruned plans skip sites that a broadcast would list as responders).
-        origin = frozenset(site for site, part in parts.items() if part.rows)
-        return ResultSet(merged.query_text, origin, merged.rows), warnings
+        return merge(list(parts.values())), warnings
 
     def _remote_query(self, site: str, q: FormalQuery, canonical: str,
                       timeout: float) -> ResultSet:
@@ -520,7 +519,7 @@ class GridNode:
                 raise SchemaViolation(f"{site} returned row {row_id} with fields "
                                       "outside the projection or not text")
             rows.append(Row(row_id, fields))
-        return ResultSet(canonical, frozenset({site}), tuple(rows))
+        return ResultSet(canonical, frozenset({site} if rows else ()), tuple(rows))
 
     def _op_query(self, req_id, token, params, binary):
         self._require_user(token)
@@ -588,8 +587,9 @@ class GridNode:
                 self._send_algorithm(site, record)
             except GridError as e:
                 warnings.append(f"{site} not updated: {e.message}")
-                self._pending_gossip.setdefault(site, {})[
-                    f"{record.name}:{record.version}"] = record
+                with self._gossip_lock:
+                    self._pending_gossip.setdefault(site, {})[
+                        f"{record.name}:{record.version}"] = record
         return warnings
 
     def _send_algorithm(self, site: str, record: AlgorithmRecord) -> None:
@@ -600,16 +600,20 @@ class GridNode:
         }, timeout=self.config.query_timeout_s)
 
     def _retry_gossip(self) -> None:
-        for site in list(self._pending_gossip):
-            pending = self._pending_gossip.get(site, {})
-            for key, record in list(pending.items()):
+        with self._gossip_lock:  # a copy, so that no send holds the lock
+            queued = {site: list(pending.items())
+                      for site, pending in self._pending_gossip.items()}
+        for site, items in queued.items():
+            for key, record in items:
                 try:
                     self._send_algorithm(site, record)
-                    pending.pop(key, None)
                 except GridError:
                     break  # site still down; keep the rest queued
-            if not pending:
-                self._pending_gossip.pop(site, None)
+                with self._gossip_lock:
+                    pending = self._pending_gossip.get(site, {})
+                    pending.pop(key, None)
+                    if not pending:
+                        self._pending_gossip.pop(site, None)
 
     # --- EXEC_ALG ----------------------------------------------------------------------
 

@@ -11,7 +11,8 @@ It answers four framed-protocol ops:
 * ``USER_ADD``    — create/replace a user entry; gated by the admin token.
 
 State is an append-only log (``registry.log``) replayed at startup, so a
-restarted registry remembers the same VO key, membership, and users.
+restarted registry remembers the same VO key, membership, and users; see
+:mod:`gridbox.applog` for what a bad or torn line means.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import re
 import secrets
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from gridbox import applog
 from gridbox.config import RegistryConfig
 from gridbox.errors import (
     AuthFailed,
@@ -32,7 +34,6 @@ from gridbox.errors import (
     GridError,
     ProtocolError,
     RegistryUnreachable,
-    StorageError,
 )
 from gridbox.ids import valid_site_code
 from gridbox.wire import FramedServer, call, error_response, ok_response
@@ -51,14 +52,6 @@ class NodeDescriptor:
     identity: str
     registered_at: int
 
-    def to_json(self) -> dict:
-        return {"site": self.site, "address": self.address,
-                "identity": self.identity, "registered_at": self.registered_at}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "NodeDescriptor":
-        return cls(d["site"], d["address"], d["identity"], d["registered_at"])
-
 
 @dataclass
 class UserEntry:
@@ -68,13 +61,18 @@ class UserEntry:
     home_site: str = ""
     enabled: bool = True
 
-    def to_json(self) -> dict:
-        return {"user": self.user, "salt": self.salt, "digest": self.digest,
-                "home_site": self.home_site, "enabled": self.enabled}
 
-    @classmethod
-    def from_json(cls, d: dict) -> "UserEntry":
-        return cls(d["user"], d["salt"], d["digest"], d["home_site"], d["enabled"])
+# a NODE or USER line holds its entry's fields as a JSON object
+_PARSE_PAYLOAD = {"VOKEY": str, "ADMIN": str,
+                  "NODE": lambda text: NodeDescriptor(**json.loads(text)),
+                  "USER": lambda text: UserEntry(**json.loads(text))}
+
+
+def _parse_line(line: str) -> tuple[str, object]:
+    verb, payload = line.split(" ", 1)
+    if verb not in _PARSE_PAYLOAD:
+        raise ValueError(f"unknown verb {verb!r}")
+    return verb, _PARSE_PAYLOAD[verb](payload)
 
 
 class VoRegistry:
@@ -88,48 +86,25 @@ class VoRegistry:
         self._log_path = config.data_dir / "registry.log"
         self._server: FramedServer | None = None
         config.data_dir.mkdir(parents=True, exist_ok=True)
-        self._replay()
+        for verb, value in applog.replay(self._log_path, _parse_line):
+            if verb == "VOKEY":
+                self.vo_key = value
+            elif verb == "ADMIN":
+                self.admin_token = value
+            elif verb == "NODE":
+                self._nodes[value.site] = value
+            else:
+                self._users[value.user] = value
+        first = []
         if not self.vo_key:
             self.vo_key = secrets.token_hex(32)
-            self._append(f"VOKEY {self.vo_key}")
+            first.append(f"VOKEY {self.vo_key}")
         if not self.admin_token:
             self.admin_token = secrets.token_hex(16)
-            self._append(f"ADMIN {self.admin_token}")
+            first.append(f"ADMIN {self.admin_token}")
+        applog.append(self._log_path, first)
         # convenience copy so harnesses can bootstrap users
         (config.data_dir / "admin_token.txt").write_text(self.admin_token + "\n")
-
-    # --- persistence -------------------------------------------------------------
-
-    def _replay(self) -> None:
-        if not self._log_path.exists():
-            return
-        with self._log_path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    verb, payload = line.split(" ", 1)
-                    if verb == "VOKEY":
-                        self.vo_key = payload
-                    elif verb == "ADMIN":
-                        self.admin_token = payload
-                    elif verb == "NODE":
-                        desc = NodeDescriptor.from_json(json.loads(payload))
-                        self._nodes[desc.site] = desc
-                    elif verb == "USER":
-                        entry = UserEntry.from_json(json.loads(payload))
-                        self._users[entry.user] = entry
-                    else:
-                        raise ValueError(f"unknown verb {verb!r}")
-                except Exception as e:
-                    raise StorageError(
-                        f"corrupt registry log at line {lineno}: {e}") from e
-
-    def _append(self, line: str) -> None:
-        with self._log_path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
 
     # --- service -----------------------------------------------------------------
 
@@ -169,7 +144,8 @@ class VoRegistry:
                 desc = NodeDescriptor(site, address, identity, existing.registered_at)
             if existing != desc:
                 self._nodes[site] = desc
-                self._append(f"NODE {json.dumps(desc.to_json(), sort_keys=True)}")
+                applog.append(self._log_path,
+                              [f"NODE {json.dumps(asdict(desc), sort_keys=True)}"])
             return self.membership()
 
     def add_user(self, user: str, credential: str, home_site: str = "",
@@ -181,7 +157,8 @@ class VoRegistry:
                           home_site, enabled)
         with self._lock:
             self._users[user] = entry
-            self._append(f"USER {json.dumps(entry.to_json(), sort_keys=True)}")
+            applog.append(self._log_path,
+                          [f"USER {json.dumps(asdict(entry), sort_keys=True)}"])
 
     def verify_user(self, user: str, credential: str) -> bool:
         with self._lock:

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import re
+from collections.abc import Callable
 from datetime import date
 from pathlib import Path
 
@@ -8,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gridbox.anonymize import PseudonymTable
 from gridbox.catalog import SiteCatalog, canonical_value
+from gridbox.config import RegistryConfig
 from gridbox.errors import (
     AlgorithmConflict,
     DanglingParent,
@@ -27,6 +31,7 @@ from gridbox.records import (
     SeriesRecord,
     StudyRecord,
 )
+from gridbox.registry import VoRegistry
 
 MINTER = IdMinter("CAM", b"\x0c" * 16)
 
@@ -154,49 +159,85 @@ def test_corrupt_log_is_loud(tmp_path):
         SiteCatalog("CAM", tmp_path)
 
 
-def test_bad_line_before_a_torn_last_line_is_loud(tmp_path):
-    cat = SiteCatalog("CAM", tmp_path)
-    build_tree(cat, 1)
-    with (tmp_path / "catalog.log").open("a") as fh:
-        fh.write("UPSERT patient {not json}\nUPSERT pat")
-    with pytest.raises(StorageError, match="line 5"):
-        SiteCatalog("CAM", tmp_path)
+# The catalog log, the registry log and the pseudonym log share one framing
+# (gridbox.applog); each case below runs over all three.
+
+@dataclasses.dataclass(frozen=True)
+class LogOwner:
+    """How to open the owner of one log on a data directory, write its n-th
+    entry (whose line is the last one written) and read its state."""
+
+    name: str  # the log's file name in the data directory
+    open: Callable
+    write: Callable
+    state: Callable
 
 
-def test_torn_last_line_is_dropped_and_the_log_stays_appendable(tmp_path, capsys):
-    cat = SiteCatalog("CAM", tmp_path)
-    build_tree(cat, 1)
-    _, _, series, image = build_tree(cat, 2)
-    log = tmp_path / "catalog.log"
-    whole = log.read_bytes()
-    start = whole.rstrip(b"\n").rfind(b"\n") + 1  # the last line: image 2
-    log.write_bytes(whole[:(start + len(whole)) // 2])
-
-    again = SiteCatalog("CAM", tmp_path)
-    assert "dropped the unfinished last line" in capsys.readouterr().err
-    assert log.read_bytes() == whole[:start]
-    assert again.lookup(image.id) is None
-    assert again.lookup(series.id) == series
-    assert again.upsert(image) is True
-
-    third = SiteCatalog("CAM", tmp_path)
-    assert third.stats() == cat.stats()
-    assert third.lookup(image.id) == image
-    assert third.audit() == []
+def record_pseudonym(table, n):
+    original = f"P-{n}"
+    table.record(original, MINTER.mint_keyed("patient", original),
+                 MINTER.pseudonym(original))
 
 
-def test_last_line_cut_before_its_newline_is_kept(tmp_path):
-    cat = SiteCatalog("CAM", tmp_path)
-    _, _, _, image = build_tree(cat, 1)
-    log = tmp_path / "catalog.log"
-    whole = log.read_bytes()
-    log.write_bytes(whole[:-1])
+LOGS = [
+    LogOwner("catalog.log", lambda d: SiteCatalog("CAM", d), build_tree,
+             lambda cat: (cat.stats(), cat.images(), cat.audit())),
+    LogOwner("registry.log",
+             lambda d: VoRegistry(RegistryConfig(("127.0.0.1", 0), d)),
+             lambda reg, n: reg.register_node(f"S{n}", f"host:{n}", f"id-{n}"),
+             lambda reg: (reg.vo_key, reg.admin_token, reg.membership())),
+    LogOwner("pseudonyms.log", lambda d: PseudonymTable(d / "pseudonyms.log"),
+             record_pseudonym,
+             lambda table: (len(table), [table.lookup(f"P-{n}") for n in (1, 2, 3)])),
+]
+each_log = pytest.mark.parametrize("log", LOGS, ids=lambda log: log.name)
 
-    again = SiteCatalog("CAM", tmp_path)
-    assert again.lookup(image.id) == image
-    assert log.read_bytes() == whole
-    build_tree(again, 2)
-    assert SiteCatalog("CAM", tmp_path).stats() == again.stats()
+
+@each_log
+def test_bad_line_before_a_torn_last_line_is_loud(tmp_path, log):
+    log.write(log.open(tmp_path), 1)
+    path = tmp_path / log.name
+    lines = path.read_bytes().count(b"\n")
+    with path.open("ab") as fh:
+        fh.write(b"{not a record}\n{half")
+    with pytest.raises(StorageError, match=rf"{re.escape(log.name)} at line {lines + 1}:"):
+        log.open(tmp_path)
+
+
+@each_log
+def test_torn_last_line_is_dropped_and_the_log_stays_appendable(tmp_path, capsys, log):
+    owner = log.open(tmp_path)
+    log.write(owner, 1)
+    log.write(owner, 2)
+    path = tmp_path / log.name
+    whole = path.read_bytes()
+    start = whole.rstrip(b"\n").rfind(b"\n") + 1  # the last line, of entry 2
+    path.write_bytes(whole[:(start + len(whole)) // 2])
+
+    again = log.open(tmp_path)
+    err = capsys.readouterr().err
+    assert log.name in err and "dropped the unfinished last line" in err
+    assert path.read_bytes() == whole[:start]
+    assert log.state(again) != log.state(owner)
+    log.write(again, 2)
+    # only the torn record was lost, so only its line is written again
+    assert path.read_bytes().count(b"\n") == whole.count(b"\n")
+    assert log.state(log.open(tmp_path)) == log.state(owner)
+
+
+@each_log
+def test_last_line_cut_before_its_newline_is_kept(tmp_path, log):
+    owner = log.open(tmp_path)
+    log.write(owner, 1)
+    path = tmp_path / log.name
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-1])
+
+    again = log.open(tmp_path)
+    assert log.state(again) == log.state(owner)
+    assert path.read_bytes() == whole
+    log.write(again, 2)
+    assert log.state(log.open(tmp_path)) == log.state(again)
 
 
 def test_ingest_tree_appends_its_lines_in_one_open(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import secrets as pysecrets
 import socket
+import sys
+import threading
 import time
 from hashlib import sha256
 
@@ -11,10 +13,12 @@ from gridbox.errors import (
     AlgorithmSyntaxError,
     AuthFailed,
     NotFound,
+    PeerUnreachable,
     QuerySyntaxError,
     UnknownAlgorithm,
 )
 from gridbox.mgi import parse_mgi, write_mgi
+from gridbox.records import AlgorithmRecord
 from gridbox.node import mint_token, peer_signature, sign_token, verify_token
 from gridbox.resultset import ResultSet, Row
 from gridbox.wire import recv_frame, request, send_frame
@@ -346,6 +350,74 @@ def test_algorithm_registration_and_gossip(make_vo):
     got, _ = vo.client("CAM").add_algorithm("nodemean", "max emit nm")
     assert got["version"] == 2
     assert vo.nodes["UDI"].catalog.algorithm("nodemean").version == 2
+
+
+def test_failed_gossip_is_queued_and_retried(make_vo, monkeypatch):
+    vo = make_vo(sites=("CAM", "UDI", "LEE"), refresh_interval_s=30)
+    cam, down = vo.nodes["CAM"], {"UDI"}
+    send = cam._send_algorithm
+
+    def send_unless_down(site, record):
+        if site in down:
+            raise PeerUnreachable(f"{site} is down")
+        send(site, record)
+
+    monkeypatch.setattr(cam, "_send_algorithm", send_unless_down)
+    _, warnings = vo.client("CAM").add_algorithm("nodemean", "mean emit nm")
+    assert len(warnings) == 1 and warnings[0].startswith("UDI not updated")
+    assert vo.nodes["LEE"].catalog.algorithm("nodemean") is not None
+    assert vo.nodes["UDI"].catalog.algorithm("nodemean") is None
+
+    cam._retry_gossip()  # UDI still down: the record stays queued
+    assert list(cam._pending_gossip) == ["UDI"]
+    down.clear()
+    cam._retry_gossip()
+    assert vo.nodes["UDI"].catalog.algorithm("nodemean").source == "mean emit nm"
+    assert cam._pending_gossip == {}
+
+
+def test_gossip_queue_loses_no_record_to_a_concurrent_retry(make_vo, monkeypatch):
+    vo = make_vo(sites=("CAM", "UDI"), refresh_interval_s=30)
+    cam = vo.nodes["CAM"]
+    records = [AlgorithmRecord(cam.minter.mint_keyed("algorithm", f"g:{v}"), "g", v,
+                               "mean emit g", "CAM") for v in range(1, 20001)]
+    tried, delivered = set(), set()
+
+    def fail_first_send(site, record):
+        if record.version not in tried:
+            tried.add(record.version)
+            raise PeerUnreachable(f"{site} is down")
+        delivered.add(record.version)
+
+    monkeypatch.setattr(cam, "_send_algorithm", fail_first_send)
+    stop = threading.Event()
+
+    def retry_until_stopped():
+        while not stop.is_set():
+            cam._retry_gossip()
+
+    def gossip(chunk):
+        for record in chunk:
+            cam._gossip_algorithm(record)
+
+    retrier = threading.Thread(target=retry_until_stopped)
+    handlers = [threading.Thread(target=gossip, args=(records[i::4],)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        retrier.start()
+        for thread in handlers:
+            thread.start()
+        for thread in handlers:
+            thread.join(timeout=30)
+    finally:
+        stop.set()
+        retrier.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not retrier.is_alive() and not any(t.is_alive() for t in handlers)
+    cam._retry_gossip()
+    assert delivered == {record.version for record in records}
+    assert cam._pending_gossip == {}
 
 
 def test_algorithm_rejects_bad_source_and_name(session_vo):
