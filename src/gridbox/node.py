@@ -78,6 +78,8 @@ from gridbox.wire import FramedServer, call, error_response, ok_response
 
 _SHA_HEX = frozenset("0123456789abcdef")
 
+FAN_OUT_WORKERS = 32  # threads of a node's fan-out pool; see GridNode._fan_out
+
 
 # --- tokens and peer signatures ----------------------------------------------------
 
@@ -140,6 +142,8 @@ class GridNode:
         self._pending_gossip: dict[str, dict[str, AlgorithmRecord]] = {}
         self._gossip_lock = threading.Lock()
         self._server: FramedServer | None = None
+        self._fan_out_pool = ThreadPoolExecutor(max_workers=FAN_OUT_WORKERS,
+                                                thread_name_prefix=f"fan-out-{self.site}")
         self._poller = None
         self._stopping = None
         self._identity = self._load_identity()
@@ -208,6 +212,7 @@ class GridNode:
             self._stopping.set()
         if self._server is not None:
             self._server.stop()
+        self._fan_out_pool.shutdown(wait=False, cancel_futures=True)
         if self._poller is not None:
             self._poller.join(timeout=5)
 
@@ -306,20 +311,26 @@ class GridNode:
         return result, data
 
     def _fan_out(self, sites: list[str], fn, *args) -> tuple[dict, list[str]]:
-        """Run ``fn(site, *args)`` for every site in parallel.
+        """Run ``fn(site, *args)`` for every site in parallel, on the node's
+        fan-out pool, which lives as long as the node; each call's request
+        goes out on a pooled connection when one to that site is idle.
+
+        A call holds a pool thread until its site answers or times out, so a
+        hung peer ties up one thread per query that asked it.  The pool's
+        FAN_OUT_WORKERS (32) threads let that many peer calls wait at once
+        before a new fan-out queues, far above the handful of concurrent
+        queries a site serves.
 
         Returns the answers by site, and a ``"<site> unreachable: …"``
         warning for each site whose call raised a GridError.
         """
         answers, warnings = {}, []
-        if sites:
-            with ThreadPoolExecutor(max_workers=len(sites)) as pool:
-                futures = {site: pool.submit(fn, site, *args) for site in sites}
-                for site, future in futures.items():
-                    try:
-                        answers[site] = future.result()
-                    except GridError as e:
-                        warnings.append(f"{site} unreachable: {e.message}")
+        futures = {site: self._fan_out_pool.submit(fn, site, *args) for site in sites}
+        for site, future in futures.items():
+            try:
+                answers[site] = future.result()
+            except GridError as e:
+                warnings.append(f"{site} unreachable: {e.message}")
         return answers, sorted(warnings)
 
     # --- AUTH ------------------------------------------------------------------------

@@ -15,6 +15,14 @@ the ``stats`` service:
 * :class:`TrafficAccountant` — per-op frame/byte counters that servers feed
   from their receive/replay loop (the data-locality ledger).
 
+Connections are reused.  :func:`request` keeps each connection it finished
+a clean exchange on in a small process-wide pool, keyed by address, and
+takes it from there for the next request to that address; a server answers
+any number of frames on one connection and keeps no state between them, so
+clients, the registry client and peers can share pooled connections.
+:meth:`FramedServer.stop` shuts every connection it accepted, so a stopped
+server cannot answer over a pooled one.
+
 Transport security is a seam: ``TRANSPORT.wrap(sock)`` is applied to every
 accepted and dialed socket, and the default implementation is a null cipher.
 """
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import json
 import secrets
+import select
 import socket
 import struct
 import threading
@@ -32,6 +41,7 @@ from gridbox.errors import GridError, ProtocolError, error_from_code
 
 MAX_ENVELOPE = 8 * 1024 * 1024
 MAX_BINARY = 64 * 1024 * 1024
+POOL_SIZE = 64  # idle connections kept for reuse, over all addresses
 
 
 class NullTransport:
@@ -153,29 +163,75 @@ def recv_frame(sock: socket.socket) -> tuple[dict, bytes, int] | None:
 
 # --- request/response helpers ---------------------------------------------------
 
+_idle: list[tuple[tuple[str, int], socket.socket]] = []  # oldest first
+_idle_lock = threading.Lock()
+
+
+def _checkout(key: tuple[str, int]) -> socket.socket | None:
+    """The newest idle connection to ``key`` that still has nothing to read,
+    or None.  A readable idle connection was closed by the far side or holds
+    stray bytes; it is closed and the next one tried."""
+    while True:
+        with _idle_lock:
+            for i in range(len(_idle) - 1, -1, -1):
+                if _idle[i][0] == key:
+                    sock = _idle.pop(i)[1]
+                    break
+            else:
+                return None
+        try:
+            readable, _, _ = select.select([sock], [], [], 0)
+        except (OSError, ValueError):  # ValueError: fd beyond select's range
+            readable = True
+        if not readable:
+            return sock
+        sock.close()
+
+
+def _checkin(key: tuple[str, int], sock: socket.socket) -> None:
+    """Keep ``sock`` for reuse; the oldest idle connection goes when the
+    pool is full."""
+    with _idle_lock:
+        _idle.append((key, sock))
+        evicted = _idle.pop(0)[1] if len(_idle) > POOL_SIZE else None
+    if evicted is not None:
+        evicted.close()
+
+
 def request(address: tuple[str, int], op: str, params: dict, *,
             token: str = "", binary: bytes = b"", req_id: str = "",
             timeout: float = 10.0) -> tuple[dict, bytes]:
-    """One request/response exchange on a fresh connection.
+    """One request/response exchange, on a pooled connection to ``address``
+    when there is an idle one and on a new one otherwise.
 
     Returns the raw response envelope and its binary section; error-status
     envelopes are returned, not raised (:func:`call` raises them).  A caller
-    that signs the request id passes it as ``req_id``.
+    that signs the request id passes it as ``req_id``.  The connection goes
+    back to the pool only after an answer whose id and status check out;
+    on any failure it is closed.  A request is written once: a failure after
+    it is sent raises, and is never retried on another connection.
     """
     req_id = req_id or secrets.token_hex(8)
     envelope = {"id": req_id, "op": op, "token": token, "params": params}
-    with socket.create_connection(address, timeout=timeout) as raw:
-        sock = TRANSPORT.wrap(raw)
+    key = (address[0], address[1])
+    sock = _checkout(key)
+    if sock is None:
+        sock = TRANSPORT.wrap(socket.create_connection(key, timeout=timeout))
+    try:
         sock.settimeout(timeout)
         send_frame(sock, envelope, binary)
         got = recv_frame(sock)
-    if got is None:
-        raise ProtocolError("peer closed the connection without answering")
-    response, resp_binary, _ = got
-    if response.get("id") != req_id:
-        raise ProtocolError("response id does not match request id")
-    if response.get("status") not in ("ok", "error"):
-        raise ProtocolError(f"bad response status {response.get('status')!r}")
+        if got is None:
+            raise ProtocolError("peer closed the connection without answering")
+        response, resp_binary, _ = got
+        if response.get("id") != req_id:
+            raise ProtocolError("response id does not match request id")
+        if response.get("status") not in ("ok", "error"):
+            raise ProtocolError(f"bad response status {response.get('status')!r}")
+    except BaseException:
+        sock.close()
+        raise
+    _checkin(key, sock)
     return response, resp_binary
 
 
@@ -216,6 +272,13 @@ def error_response(req_id: str, code: str, message: str) -> dict:
 class FramedServer:
     """Thread-per-connection TCP server speaking the framed protocol.
 
+    A connection carries any number of requests, one after another, and the
+    server keeps nothing between them: each request is read and answered in
+    its own call, so an idle connection holds no reference to its last
+    request or answer.  :meth:`stop` closes the listening socket and shuts
+    down every accepted connection, so a client holding a pooled connection
+    reads EOF and no request is answered after it.
+
     ``handler(envelope, binary) -> (response_envelope, response_binary)`` is
     called once per request; it must not raise.  The accountant is fed one
     record per request (op, request json+binary) and one per response
@@ -238,6 +301,8 @@ class FramedServer:
         self.address = self._sock.getsockname()[:2]
         self._stopping = threading.Event()
         self._thread: threading.Thread | None = None
+        self._conns: set[socket.socket] = set()
+        self._conns_lock = threading.Lock()
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self._accept_loop,
@@ -255,6 +320,13 @@ class FramedServer:
             self._sock.close()
         except OSError:
             pass
+        with self._conns_lock:  # after the flag, so no accepted socket escapes
+            conns = list(self._conns)
+        for conn in conns:  # wakes each connection thread with EOF
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         if self._thread is not None:
             self._thread.join(timeout=5)
 
@@ -265,26 +337,42 @@ class FramedServer:
             except OSError:
                 return
             conn = TRANSPORT.wrap(conn, server_side=True)
+            with self._conns_lock:
+                if self._stopping.is_set():
+                    conn.close()
+                    return
+                self._conns.add(conn)
             threading.Thread(target=self._serve_connection, args=(conn,),
-                             daemon=True).start()
+                             name=f"conn-{self.address[1]}", daemon=True).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            while not self._stopping.is_set():
-                try:
-                    got = recv_frame(conn)
-                except (ProtocolError, OSError):
-                    return
-                if got is None:
-                    return
-                envelope, binary, json_bytes = got
-                op = str(envelope.get("op", "?"))
-                self.accountant.record(op, json_bytes, len(binary))
-                response, resp_binary = self.handler(envelope, binary)
-                try:
-                    frame, json_bytes = _frame(response, resp_binary)
-                    self.accountant.record(op, json_bytes, len(resp_binary))
-                    _offer_to_taps(frame)
-                    conn.sendall(frame)
-                except (ProtocolError, OSError):
-                    return
+        try:
+            while self._exchange(conn):  # stop() ends it by shutting conn down
+                pass
+        finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
+            conn.close()
+
+    def _exchange(self, conn: socket.socket) -> bool:
+        """Read one request and answer it; False once the connection is done.
+        The request and answer are locals of this call, so they are freed
+        before the connection waits for its next request."""
+        try:
+            got = recv_frame(conn)
+        except (ProtocolError, OSError):
+            return False
+        if got is None:
+            return False
+        envelope, binary, json_bytes = got
+        op = str(envelope.get("op", "?"))
+        self.accountant.record(op, json_bytes, len(binary))
+        response, resp_binary = self.handler(envelope, binary)
+        try:
+            frame, json_bytes = _frame(response, resp_binary)
+            self.accountant.record(op, json_bytes, len(resp_binary))
+            _offer_to_taps(frame)
+            conn.sendall(frame)
+        except (ProtocolError, OSError):
+            return False
+        return True

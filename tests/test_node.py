@@ -7,7 +7,7 @@ from hashlib import sha256
 
 import pytest
 
-from conftest import CREDENTIAL, USER, make_image, make_image_bytes
+from conftest import CREDENTIAL, USER, build_vo, make_image, make_image_bytes
 from gridbox.anonymize import anonymize_for_site
 from gridbox.errors import (
     AlgorithmSyntaxError,
@@ -336,6 +336,23 @@ def test_dead_site_becomes_a_warning(make_vo):
     assert len(result.rows) == 1
     assert len(warnings) == 1
     assert warnings[0].startswith("UDI unreachable:")
+
+
+def test_stopped_vos_leave_no_threads(tmp_path):
+    """Connection threads and each node's fan-out pool end with the VO."""
+    baseline = threading.active_count()
+    for n in range(3):
+        vo = build_vo(tmp_path / f"vo{n}")
+        try:
+            vo.client("CAM").add_bytes(make_image_bytes())
+            result, warnings = vo.client("UDI").query("select images where true")
+            assert len(result.rows) == 1 and warnings == []
+        finally:
+            vo.stop()
+    deadline = time.monotonic() + 5
+    while threading.active_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert threading.active_count() <= baseline, [t.name for t in threading.enumerate()]
 
 
 # --- ADD_ALG -----------------------------------------------------------------------

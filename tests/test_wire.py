@@ -1,11 +1,15 @@
+import gc
 import socket
 import struct
 import threading
+import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridbox import wire
 from gridbox.errors import NotFound, PeerUnreachable, ProtocolError
 from gridbox.wire import (
     FramedServer,
@@ -312,3 +316,213 @@ def test_concurrent_clients():
     finally:
         server.stop()
     assert sorted(results) == list(range(12))
+
+
+# --- pooled connections ------------------------------------------------------------
+
+def idle_to(address) -> int:
+    """How many idle pooled connections lead to ``address``."""
+    with wire._idle_lock:
+        return sum(key == tuple(address) for key, _ in wire._idle)
+
+
+def drain_pool() -> None:
+    with wire._idle_lock:
+        idle = [sock for _, sock in wire._idle]
+        wire._idle.clear()
+    for sock in idle:
+        sock.close()
+
+
+@pytest.fixture
+def dials(monkeypatch):
+    """The addresses dialled while the test runs, in order."""
+    seen = []
+    real = socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        seen.append(tuple(address))
+        return real(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return seen
+
+
+def test_sequential_calls_dial_once(dials):
+    server = FramedServer("127.0.0.1", 0, echo_handler)
+    server.start()
+    try:
+        for n in range(5):
+            got = call(server.address, "PING", {"n": n},
+                       unreachable=PeerUnreachable, timeout=5)
+            assert got[0] == {"echo": {"n": n}}
+    finally:
+        server.stop()
+    assert dials == [server.address]
+
+
+def lie_once(envelope, binary, first):
+    if first:
+        return ok_response("0000000000000000", {}), b""
+    return echo_handler(envelope, binary)
+
+
+def stall_once(envelope, binary, first):
+    if first:
+        time.sleep(0.5)
+    return echo_handler(envelope, binary)
+
+
+@pytest.mark.parametrize("misbehave", [lie_once, stall_once])
+def test_a_failed_exchange_is_not_pooled(dials, misbehave):
+    seen = []
+
+    def handler(envelope, binary):
+        seen.append(envelope["id"])
+        return misbehave(envelope, binary, len(seen) == 1)
+
+    server = FramedServer("127.0.0.1", 0, handler)
+    server.start()
+    try:
+        with pytest.raises(PeerUnreachable):
+            call(server.address, "PING", {}, unreachable=PeerUnreachable, timeout=0.2)
+        assert idle_to(server.address) == 0
+        got = call(server.address, "PING", {"n": 2}, unreachable=PeerUnreachable,
+                   timeout=5)
+    finally:
+        server.stop()
+    assert got[0] == {"echo": {"n": 2}}
+    assert dials == [server.address] * 2
+    assert len(seen) == 2
+
+
+def test_a_silently_closed_exchange_is_not_pooled(dials):
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(2)
+    address = listener.getsockname()
+
+    def slam_then_answer():
+        conn, _ = listener.accept()
+        recv_frame(conn)
+        conn.close()
+        conn, _ = listener.accept()
+        with conn:
+            envelope, _, _ = recv_frame(conn)
+            send_frame(conn, ok_response(envelope["id"], {"n": 2}))
+            recv_frame(conn)  # until the client lets go
+
+    t = threading.Thread(target=slam_then_answer, daemon=True)
+    t.start()
+    try:
+        with pytest.raises(PeerUnreachable):
+            call(address, "PING", {}, unreachable=PeerUnreachable, timeout=5)
+        assert idle_to(address) == 0
+        got = call(address, "PING", {}, unreachable=PeerUnreachable, timeout=5)
+    finally:
+        drain_pool()
+        t.join(timeout=5)
+        listener.close()
+    assert got[0] == {"n": 2}
+    assert dials == [address] * 2
+
+
+def test_a_connection_to_a_stopped_server_is_discarded(dials):
+    asked = {"first": [], "second": []}
+
+    def counting(name):
+        def handler(envelope, binary):
+            asked[name].append(envelope["id"])
+            return echo_handler(envelope, binary)
+        return handler
+
+    first = FramedServer("127.0.0.1", 0, counting("first"))
+    first.start()
+    call(first.address, "PING", {}, unreachable=PeerUnreachable, timeout=5)
+    first.stop()
+    assert idle_to(first.address) == 1
+    second = FramedServer("127.0.0.1", first.address[1], counting("second"))
+    second.start()
+    try:
+        got = call(second.address, "PING", {"n": 2}, unreachable=PeerUnreachable,
+                   req_id="feedfacefeedface", timeout=5)
+    finally:
+        second.stop()
+    assert got[0] == {"echo": {"n": 2}}
+    assert asked["second"] == ["feedfacefeedface"]
+    assert len(asked["first"]) == 1
+    assert dials == [first.address] * 2
+
+
+def test_the_pool_holds_at_most_its_bound(dials, monkeypatch):
+    monkeypatch.setattr(wire, "POOL_SIZE", 3)
+    drain_pool()
+    together = threading.Barrier(6, timeout=5)
+
+    def wait_for_all(envelope, binary):
+        together.wait()  # six requests in flight means six connections
+        return echo_handler(envelope, binary)
+
+    server = FramedServer("127.0.0.1", 0, wait_for_all)
+    server.start()
+    threads = [threading.Thread(target=call, args=(server.address, "PING", {}),
+                                kwargs={"unreachable": PeerUnreachable, "timeout": 5})
+               for _ in range(6)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert len(dials) == 6
+        with wire._idle_lock:
+            assert len(wire._idle) == 3
+    finally:
+        server.stop()
+        drain_pool()
+
+
+def test_stop_ends_open_connections():
+    server = FramedServer("127.0.0.1", 0, echo_handler)
+    server.start()
+    with socket.create_connection(server.address, timeout=5) as sock:
+        send_frame(sock, {"id": "1", "op": "PING", "token": "", "params": {}})
+        assert recv_frame(sock)[0]["status"] == "ok"
+        name = f"conn-{server.address[1]}"
+        serving = [t for t in threading.enumerate() if t.name == name]
+        assert len(serving) == 1
+        time.sleep(0.05)  # until the thread waits for the next frame
+        server.stop()
+        assert sock.recv(1) == b""
+    serving[0].join(timeout=5)
+    assert not serving[0].is_alive()
+
+
+class Answer(dict):
+    """A result a weak reference can point at."""
+
+
+def test_an_idle_connection_keeps_nothing_of_its_last_request():
+    answers = []
+
+    def handler(envelope, binary):
+        answer = Answer(n=1)
+        answers.append(weakref.ref(answer))
+        return ok_response(envelope["id"], answer), b"\x00" * 1000
+
+    server = FramedServer("127.0.0.1", 0, handler)
+    server.start()
+    try:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            send_frame(sock, {"id": "1", "op": "PING", "token": "", "params": {}},
+                          b"\x01" * 1000)
+            assert recv_frame(sock)[0]["result"] == {"n": 1}
+            deadline = time.monotonic() + 5
+            while answers[0]() is not None and time.monotonic() < deadline:
+                gc.collect()  # the server thread may still be finishing its send
+                time.sleep(0.01)
+            assert answers[0]() is None
+            serving = [t for t in threading.enumerate()
+                       if t.name == f"conn-{server.address[1]}"]
+            assert len(serving) == 1  # still waiting for the next request
+    finally:
+        server.stop()
