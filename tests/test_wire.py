@@ -1,6 +1,7 @@
 import gc
 import socket
 import struct
+import sys
 import threading
 import time
 import weakref
@@ -526,3 +527,41 @@ def test_an_idle_connection_keeps_nothing_of_its_last_request():
             assert len(serving) == 1  # still waiting for the next request
     finally:
         server.stop()
+
+
+def test_threads_sharing_the_pool_never_share_a_connection(monkeypatch):
+    monkeypatch.setattr(wire, "POOL_SIZE", 3)  # so that eviction runs too
+    drain_pool()
+    servers = [FramedServer("127.0.0.1", 0, echo_handler) for _ in range(2)]
+    for server in servers:
+        server.start()
+    failures = []
+
+    def hammer(worker):
+        for n in range(40):
+            address = servers[n % 2].address
+            try:
+                got = call(address, "PING", {"w": worker, "n": n},
+                           unreachable=PeerUnreachable, timeout=5)
+                assert got[0] == {"echo": {"w": worker, "n": n}}
+            except Exception as e:  # one socket in two exchanges at once
+                failures.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=hammer, args=(w,), daemon=True) for w in range(8)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        with wire._idle_lock:
+            idle = [sock for _, sock in wire._idle]
+        assert failures == []
+        assert len(idle) <= 3 and len(set(idle)) == len(idle)
+    finally:
+        sys.setswitchinterval(interval)
+        for server in servers:
+            server.stop()
+        drain_pool()
