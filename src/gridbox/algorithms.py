@@ -137,9 +137,10 @@ def count_components(mask: np.ndarray) -> int:
 
 
 def execute_on_image(program: AlgorithmProgram, img: MgiFile) -> dict[str, float]:
-    """Run the pipeline over a working copy of the pixels; the image itself
-    is never modified."""
-    buf = img.pixels.copy()
+    """Run the pipeline over the image's pixels.  No statement writes in
+    place (``threshold`` builds a new buffer), so the image is never
+    modified and needs no working copy."""
+    buf = img.pixels
     total = buf.size
     out: dict[str, float] = {}
     for s in program.statements:

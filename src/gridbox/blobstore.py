@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -20,17 +21,20 @@ from gridbox.errors import CorruptBlob, NotFound, StorageError
 from gridbox.ids import IdMinter
 from gridbox.records import FileRef
 
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
 
 class BlobStore:
     def __init__(self, root: str | Path, minter: IdMinter):
         self.root = Path(root) / "store"
         self.minter = minter
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
 
-    def _path(self, sha256: str) -> Path:
-        if len(sha256) != 64 or any(c not in "0123456789abcdef" for c in sha256):
+    def _path(self, sha256: str) -> str:
+        if not _DIGEST.fullmatch(sha256):
             raise StorageError(f"not a sha256 hex digest: {sha256!r}")
-        return self.root / sha256[:2] / sha256[2:4] / sha256
+        return os.path.join(self._root, sha256[:2], sha256[2:4], sha256)
 
     def ref_for(self, data: bytes) -> FileRef:
         sha = hashlib.sha256(data).hexdigest()
@@ -42,9 +46,10 @@ class BlobStore:
             raise StorageError("refusing to store an empty blob")
         ref = self.ref_for(data)
         path = self._path(ref.sha256)
-        if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+        if not os.path.exists(path):
+            parent = os.path.dirname(path)
+            os.makedirs(parent, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-")
             try:
                 with os.fdopen(fd, "wb") as fh:
                     fh.write(data)
@@ -57,9 +62,9 @@ class BlobStore:
 
     def get(self, ref: FileRef | str) -> bytes:
         sha = ref.sha256 if isinstance(ref, FileRef) else ref
-        path = self._path(sha)
         try:
-            data = path.read_bytes()
+            with open(self._path(sha), "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             raise NotFound(f"no blob {sha}") from None
         if hashlib.sha256(data).hexdigest() != sha:
@@ -67,4 +72,4 @@ class BlobStore:
         return data
 
     def has(self, sha256: str) -> bool:
-        return self._path(sha256).exists()
+        return os.path.exists(self._path(sha256))

@@ -2,12 +2,16 @@
 
 Holds the patient/study/series/image tree, derived results, and algorithm
 registrations for one site.  Every write goes through ``SiteCatalog._apply``,
-which validates referential integrity.  :meth:`SiteCatalog.upsert` and
-:meth:`SiteCatalog.ingest_tree` then append the records they changed to the
-catalog log as ``UPSERT <kind> <json>`` lines, in one write per call.  A
-catalog opened on an existing directory replays the log to recover its
-state; :mod:`gridbox.applog` frames the lines and decides what a bad or
-torn line means.
+which validates referential integrity.  :meth:`SiteCatalog.upsert`,
+:meth:`SiteCatalog.upsert_many` and :meth:`SiteCatalog.ingest_tree` share one
+write path: it applies their records in order under one lock hold, then
+appends the ones that changed to the catalog log as ``UPSERT <kind> <json>``
+lines in one write, including those that landed before a record failed.
+One site's derived records from an EXEC_ALG pass go through one such write
+at the end of that site's part, so a concurrent query sees none of them or
+all of them.  A catalog opened on an existing directory replays the log to
+recover its state; :mod:`gridbox.applog` frames the lines and decides what
+a bad or torn line means.
 
 Queries run over an *image table*: one row per image, joined to its study
 and patient, with numpy columns for the static attributes (category codes,
@@ -330,14 +334,30 @@ class SiteCatalog:
             rows.append((image, study, patients[str(study.patient)]))
         return rows
 
+    def _write(self, records) -> list[tuple[str, object]]:
+        """Apply ``records`` in order under one lock hold, then log the ones
+        that changed in one append; returns them as ``(kind, record)``.  A
+        record that fails stops the write, and what landed before it is
+        logged all the same."""
+        with self._lock:
+            written = []
+            try:
+                for record in records:
+                    kind = _KIND_OF_TYPE[type(record)]
+                    if self._apply(kind, record):
+                        written.append((kind, record))
+            finally:
+                if written:
+                    self._log(written)
+            return written
+
     def upsert(self, record) -> bool:
         """Insert or replace one record; returns True when anything changed."""
-        kind = _KIND_OF_TYPE[type(record)]
-        with self._lock:
-            changed = self._apply(kind, record)
-            if changed:
-                self._log([(kind, record)])
-            return changed
+        return bool(self._write([record]))
+
+    def upsert_many(self, records) -> int:
+        """Upsert ``records`` in order as one write; returns how many changed."""
+        return len(self._write(records))
 
     def ingest_tree(self, patient: PatientRecord, studies: list[StudyRecord],
                     series: list[SeriesRecord],
@@ -357,16 +377,8 @@ class SiteCatalog:
                 if str(parent) not in batch_ids and self.lookup(parent) is None:
                     raise DanglingParent(f"{rec.id} references missing {parent}")
             changed = {"patient": 0, "study": 0, "series": 0, "image": 0}
-            written = []
-            try:
-                for kind, records in (("patient", [patient]), ("study", studies),
-                                      ("series", series), ("image", images)):
-                    for rec in records:
-                        if self._apply(kind, rec):
-                            changed[kind] += 1
-                            written.append((kind, rec))
-            finally:  # what landed before a failure is logged too
-                self._log(written)
+            for kind, _ in self._write([patient, *studies, *series, *images]):
+                changed[kind] += 1
             return changed
 
     # --- reads ------------------------------------------------------------------

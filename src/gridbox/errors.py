@@ -142,6 +142,12 @@ class HopViolation(GridError):
     code = "HopViolation"
 
 
+class NodeStopped(GridError):
+    """The node was stopped, so it starts no more peer calls."""
+
+    code = "NodeStopped"
+
+
 class UnknownPeer(GridError):
     code = "UnknownPeer"
 

@@ -9,7 +9,9 @@ Federated queries and algorithm runs follow one scatter-gather pipeline:
 parse, pick the remote sites from the current VO membership, run the local
 part, fan out one hop to the remote sites in parallel, and merge.  A site
 that cannot be reached, or whose answer fails validation, costs a warning
-instead of failing the whole request.
+instead of failing the whole request.  Each site writes the derived records
+of its part of an algorithm run in one catalog write at the end of that
+part, so a concurrent query sees none of them or all of them.
 
 Session tokens are self-certifying: ``user:issued:ttl:nonce:sig`` signed
 with the VO key the registry hands out at node registration, so a token
@@ -26,7 +28,7 @@ import sys
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from hashlib import sha256
@@ -44,6 +46,7 @@ from gridbox.errors import (
     HopViolation,
     MalformedFile,
     MgiFormatError,
+    NodeStopped,
     NotFound,
     PeerUnreachable,
     ProtocolError,
@@ -322,15 +325,22 @@ class GridNode:
         queries a site serves.
 
         Returns the answers by site, and a ``"<site> unreachable: …"``
-        warning for each site whose call raised a GridError.
+        warning for each site whose call raised a GridError.  Once `stop`
+        has shut the pool down, a fan-out raises NodeStopped.
         """
         answers, warnings = {}, []
-        futures = {site: self._fan_out_pool.submit(fn, site, *args) for site in sites}
+        try:
+            futures = {site: self._fan_out_pool.submit(fn, site, *args)
+                       for site in sites}
+        except RuntimeError:  # the pool is shut down
+            raise NodeStopped(f"node {self.site} is stopped") from None
         for site, future in futures.items():
             try:
                 answers[site] = future.result()
             except GridError as e:
                 warnings.append(f"{site} unreachable: {e.message}")
+            except CancelledError:  # shut down before the call started
+                raise NodeStopped(f"node {self.site} is stopped") from None
         return answers, sorted(warnings)
 
     # --- AUTH ------------------------------------------------------------------------
@@ -635,18 +645,24 @@ class GridNode:
         return q
 
     def _execute_local(self, record: AlgorithmRecord, q: FormalQuery) -> int:
+        """Run ``record`` over this site's images that ``q`` selects; returns
+        how many derived records changed.  The pass's records land in one
+        catalog write at its end, also when an image fails, so a concurrent
+        query sees none of them or all of them."""
         program = alg.parse_algorithm(record.source, record.name,
                                       record.version, record.id)
-        written = 0
-        for row in self.catalog.select(q):
-            image = self.catalog.require(row.id)
-            mgi = parse_mgi(self.blobs.get(image.file))
-            emits = alg.execute_on_image(program, mgi)
-            derived = DerivedRecord(
-                id=self.minter.mint_keyed(
-                    "derived", f"{image.id}|{record.name}|{record.version}"),
-                image=image.id, algorithm=record.id, scalars=emits)
-            written += self.catalog.upsert(derived)
+        derived = []
+        try:
+            for row in self.catalog.select(q):
+                image = self.catalog.require(row.id)
+                mgi = parse_mgi(self.blobs.get(image.file))
+                derived.append(DerivedRecord(
+                    id=self.minter.mint_keyed(
+                        "derived", f"{image.id}|{record.name}|{record.version}"),
+                    image=image.id, algorithm=record.id,
+                    scalars=alg.execute_on_image(program, mgi)))
+        finally:  # the images done before a failure keep their records
+            written = self.catalog.upsert_many(derived)
         return written
 
     def _op_exec_alg(self, req_id, token, params, binary):

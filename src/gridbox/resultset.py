@@ -42,13 +42,13 @@ from gridbox.ids import id_kind
 
 @dataclass(frozen=True)
 class Row:
-    """One result row: the row id plus projected canonical field values."""
+    """One result row: the row id plus projected canonical field values.
+
+    A row takes ownership of ``fields``: the caller hands it a dict built
+    for this row alone and does not change it afterwards."""
 
     id: str
     fields: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "fields", dict(self.fields))
 
     def __hash__(self):
         return hash((self.id, tuple(sorted(self.fields.items()))))

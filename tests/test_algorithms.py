@@ -8,6 +8,7 @@ import oracles
 from conftest import make_image
 from gridbox.algorithms import (
     DENSITY_SOURCE,
+    VERBS,
     builtin_density,
     count_components,
     execute_on_image,
@@ -152,6 +153,31 @@ def test_execution_never_mutates_the_image():
     pixels = np.arange(16, dtype=np.uint16).reshape(4, 4)
     img = make_image(pixels.copy(), rows=4, cols=4)
     execute_on_image(parse_algorithm("threshold 3\nmean emit m"), img)
+    assert np.array_equal(img.pixels, pixels)
+
+
+# one program per verb; threshold's output feeds a statement that reads it
+ONE_VERB = {
+    "threshold": "threshold 5\nfraction_above 1 emit f\nmax emit m",
+    "fraction_above": "fraction_above 5 emit f",
+    "mean": "mean emit m",
+    "max": "max emit m",
+    "count_components": "count_components 5 emit c",
+}
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_every_verb_runs_on_read_only_pixels(verb):
+    """Execution reads the pixels in place, so a verb that wrote to its
+    buffer would raise here instead of changing the image."""
+    pixels = np.array([[0, 9, 0, 7], [9, 9, 0, 0], [0, 0, 0, 6], [3, 0, 8, 8]],
+                      np.uint16)
+    img = make_image(pixels.copy(), rows=4, cols=4)
+    img.pixels.flags.writeable = False
+    prog = parse_algorithm(ONE_VERB[verb])
+    assert prog.statements[0].verb == verb
+    got = execute_on_image(prog, img)
+    assert got == oracles.run_program(prog.statements, pixels)
     assert np.array_equal(img.pixels, pixels)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gridbox import applog
 from gridbox.anonymize import PseudonymTable
 from gridbox.catalog import SiteCatalog, canonical_value
 from gridbox.config import RegistryConfig
@@ -272,6 +273,52 @@ def test_records_before_a_failing_image_are_logged(tmp_path):
     reopened = SiteCatalog("CAM", tmp_path)
     assert reopened.stats() == cat.stats()
     assert reopened.lookup(image.id) == image
+
+
+def derived_record(n, value, image=None):
+    """Derived record ``n`` of algorithm 1 on image ``n`` (or ``image``)."""
+    return DerivedRecord(gid("derived", n), gid("image", n if image is None else image),
+                         gid("algorithm", 1), {"m": value})
+
+
+def test_upsert_many_is_one_write_of_what_changed(tmp_path, monkeypatch):
+    cat = SiteCatalog("CAM", tmp_path)
+    for n in (1, 2, 3):
+        build_tree(cat, n)
+    cat.upsert(algorithm_record())
+    appended, real_append = [], applog.append
+
+    def recording_append(path, lines):
+        appended.append(list(lines))
+        real_append(path, appended[-1])
+
+    monkeypatch.setattr(applog, "append", recording_append)
+
+    assert cat.upsert_many([derived_record(n, 0.5) for n in (1, 2, 3)]) == 3
+    # one unchanged, one changed: only the changed one is logged
+    assert cat.upsert_many([derived_record(1, 0.5), derived_record(2, 0.9)]) == 1
+    assert cat.upsert_many([derived_record(3, 0.5)]) == 0  # no change, no append
+    assert [[line.split(" ", 2)[1] for line in lines] for lines in appended] \
+        == [["derived"] * 3, ["derived"]]
+    assert select_ids(cat, "select images where derived.m > 0.6") == [str(gid("image", 2))]
+    again = SiteCatalog("CAM", tmp_path)
+    assert [again.derived_for(gid("image", n)) for n in (1, 2, 3)] \
+        == [cat.derived_for(gid("image", n)) for n in (1, 2, 3)]
+
+
+def test_upsert_many_logs_the_records_before_a_failure(tmp_path):
+    cat = SiteCatalog("CAM", tmp_path)
+    for n in (1, 2):
+        build_tree(cat, n)
+    cat.upsert(algorithm_record())
+    batch = [derived_record(1, 0.5), derived_record(9, 0.5), derived_record(2, 0.5)]
+    with pytest.raises(DanglingParent):
+        cat.upsert_many(batch)  # image 9 does not exist
+    assert cat.derived_for(gid("image", 1)) == [batch[0]]
+    assert cat.derived_for(gid("image", 2)) == []
+    again = SiteCatalog("CAM", tmp_path)
+    assert again.derived_for(gid("image", 1)) == [batch[0]]
+    assert again.stats() == cat.stats() and again.audit() == []
 
 
 def test_require_raises(tmp_path):

@@ -8,18 +8,31 @@ from hashlib import sha256
 import pytest
 
 from conftest import CREDENTIAL, USER, build_vo, make_image, make_image_bytes
+from gridbox import algorithms as alg
+from gridbox import applog
 from gridbox.anonymize import anonymize_for_site
+from gridbox.catalog import SiteCatalog
+from gridbox.cohort import spec_for_site, upload_site
 from gridbox.errors import (
     AlgorithmSyntaxError,
     AuthFailed,
+    CorruptBlob,
+    NodeStopped,
     NotFound,
     PeerUnreachable,
     QuerySyntaxError,
     UnknownAlgorithm,
 )
 from gridbox.mgi import parse_mgi, write_mgi
-from gridbox.records import AlgorithmRecord
-from gridbox.node import mint_token, peer_signature, sign_token, verify_token
+from gridbox.query import parse_query
+from gridbox.records import AlgorithmRecord, DerivedRecord
+from gridbox.node import (
+    GridNode,
+    mint_token,
+    peer_signature,
+    sign_token,
+    verify_token,
+)
 from gridbox.resultset import ResultSet, Row
 from gridbox.wire import recv_frame, request, send_frame
 
@@ -355,6 +368,19 @@ def test_stopped_vos_leave_no_threads(tmp_path):
     assert threading.active_count() <= baseline, [t.name for t in threading.enumerate()]
 
 
+def test_stopped_node_refuses_to_fan_out_with_a_typed_error(make_vo, capsys):
+    vo = make_vo()
+    node, token = vo.nodes["CAM"], vo.client("CAM").token
+    node.stop()
+    with pytest.raises(NodeStopped):
+        node.run_query("select images where true")
+    envelope = {"id": "q1", "op": "QUERY", "token": token,
+                "params": {"text": "select images where true"}}
+    response, _ = node._handle(envelope, b"")
+    assert response["error_code"] == "NodeStopped"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # --- ADD_ALG -----------------------------------------------------------------------
 
 def test_algorithm_registration_and_gossip(make_vo):
@@ -489,6 +515,106 @@ def test_exec_alg_fans_out_and_counts(seeded_vo):
     assert again["written"] == 0
     result, _ = client.query("select images where derived.nm >= 0")
     assert len(result.rows) == 3
+
+
+def count_appends(monkeypatch) -> list:
+    """Record the path of every applog append from now on."""
+    paths, real_append = [], applog.append
+
+    def counting_append(path, lines):
+        paths.append(path)
+        real_append(path, lines)
+
+    monkeypatch.setattr(applog, "append", counting_append)
+    return paths
+
+
+def test_exec_pass_appends_to_each_site_log_once(seeded_vo, monkeypatch):
+    logs = sorted(node.config.data_dir / "catalog.log"
+                  for node in seeded_vo.nodes.values())
+    appends = count_appends(monkeypatch)
+    got, _ = seeded_vo.client("CAM").exec_algorithm("smf-density",
+                                                    "select images where true")
+    assert got["per_site"] == {"CAM": 3, "UDI": 2}
+    assert sorted(appends) == logs
+    appends.clear()
+    again, _ = seeded_vo.client("UDI").exec_algorithm("smf-density",
+                                                      "select images where true")
+    assert again["written"] == 0 and appends == []  # nothing changed, nothing written
+
+
+def test_exec_pass_log_bytes_match_upserts_one_by_one(make_vo, tmp_path):
+    """A pass's one append writes the bytes that an upsert per image writes."""
+    vo = make_vo()
+    for site in vo.nodes:
+        upload_site(vo.client(site), spec_for_site(site, seed=7, n_patients=3))
+    q = parse_query("select images where true")
+    reference = {}
+    for site, node in vo.nodes.items():
+        reference[site] = tmp_path / f"ref-{site}"
+        reference[site].mkdir()
+        (reference[site] / "catalog.log").write_bytes(
+            (node.config.data_dir / "catalog.log").read_bytes())
+    got, _ = vo.client("CAM").exec_algorithm("smf-density", "select images where true")
+    assert got["written"] > 0 and set(got["per_site"]) == set(vo.nodes)
+    program = alg.builtin_density()
+    for site, node in vo.nodes.items():
+        cat = SiteCatalog(site, reference[site])
+        record = cat.algorithm(program.name, program.version)
+        for row in cat.select(q):
+            image = cat.require(row.id)
+            cat.upsert(DerivedRecord(
+                id=node.minter.mint_keyed(
+                    "derived", f"{image.id}|{record.name}|{record.version}"),
+                image=image.id, algorithm=record.id,
+                scalars=alg.execute_on_image(program, parse_mgi(node.blobs.get(image.file)))))
+        assert sha256((node.config.data_dir / "catalog.log").read_bytes()).hexdigest() \
+            == sha256((reference[site] / "catalog.log").read_bytes()).hexdigest()
+
+
+def single_site_with_images(make_vo, n=3):
+    """A VO of one site, CAM, holding ``n`` images."""
+    vo = make_vo(sites=("CAM",))
+    for i in range(n):
+        vo.client("CAM").add_bytes(make_image_bytes(patient_id=f"P-C{i}", image_id=f"I{i}"))
+    return vo
+
+
+def test_pass_cut_in_its_last_line_loses_only_that_record(make_vo, capsys):
+    node = single_site_with_images(make_vo).nodes["CAM"]
+    q = parse_query("select images where true")
+    assert node._execute_local(node.catalog.algorithm("smf-density"), q) == 3
+    node.stop()
+    log = node.config.data_dir / "catalog.log"
+    whole = log.read_bytes()
+    start = whole.rstrip(b"\n").rfind(b"\n") + 1
+    assert whole[start:].startswith(b"UPSERT derived ")
+    log.write_bytes(whole[:(start + len(whole)) // 2])
+
+    again = GridNode(node.config)
+    try:
+        assert "dropped the unfinished last line" in capsys.readouterr().err
+        assert again.catalog.stats()["derived"] == 2
+        assert again.catalog.audit() == []
+        assert again._execute_local(again.catalog.algorithm("smf-density"), q) == 1
+        assert log.read_bytes() == whole
+    finally:
+        again.stop()
+
+
+def test_corrupt_blob_keeps_the_records_of_earlier_images(make_vo):
+    vo = single_site_with_images(make_vo)
+    node = vo.nodes["CAM"]
+    cam = node.catalog
+    images = [cam.require(row.id)
+              for row in cam.select(parse_query("select images where true"))]
+    sha = images[1].file.sha256
+    (node.blobs.root / sha[:2] / sha[2:4] / sha).write_bytes(b"not the image")
+    with pytest.raises(CorruptBlob):
+        vo.client("CAM").exec_algorithm("smf-density", "select images where true")
+    reopened = SiteCatalog("CAM", node.config.data_dir)
+    for catalog in (cam, reopened):
+        assert [len(catalog.derived_for(image.id)) for image in images] == [1, 0, 0]
 
 
 @pytest.mark.parametrize("answer", [{}, {"written": "many"}], ids=["empty", "text"])
