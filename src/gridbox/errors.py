@@ -68,14 +68,10 @@ class SchemaViolation(GridError):
     code = "SchemaViolation"
 
 
-class QueryMismatch(GridError):
-    code = "QueryMismatch"
-
-
 # --- image files and blobs -------------------------------------------------
 
 class MgiFormatError(GridError):
-    code = "MalformedFile"
+    code = "MgiFormat"
 
 
 class BadMagic(MgiFormatError):
@@ -179,9 +175,6 @@ def error_from_code(code: str, message: str) -> GridError:
     """Rebuild the exception a peer reported, falling back to GridError."""
     if not _BY_CODE:
         _index(GridError)
-    cls = _BY_CODE.get(code, GridError)
-    if cls is QuerySyntaxError:
-        return QuerySyntaxError(message)
-    err = cls(message)
+    err = _BY_CODE.get(code, GridError)(message)
     err.code = code
     return err

@@ -22,11 +22,11 @@ four entities ``to_xml`` writes and no character an XML parser would
 reject or normalise.  Any input it does not consume in full goes to the
 ElementTree path, which accepts every well-formed document of the schema
 and is the reference for what a document means and for every error.  Both
-paths then check the row order, duplicate ids and the declared summary.
+paths then sort the rows by id, refuse duplicate ids and check the summary.
 
-Merging deduplicates rows on their global id; the same id carrying different
-field maps is treated as a federation bug and raises ``SchemaViolation``
-rather than silently preferring one site's copy.
+Merging builds one answer from each site's rows, deduplicated on global id;
+the same id carrying different field maps is a federation bug and raises
+``SchemaViolation`` rather than silently preferring one site's copy.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape, unescape
 
-from gridbox.errors import MalformedXml, QueryMismatch, SchemaViolation
+from gridbox.errors import MalformedXml, SchemaViolation
 from gridbox.ids import id_kind
 
 
@@ -195,11 +195,9 @@ class ResultSet:
     def __post_init__(self):
         object.__setattr__(self, "origin_sites", frozenset(self.origin_sites))
         rows = tuple(sorted(self.rows, key=lambda r: r.id))
-        seen = set()
-        for r in rows:
-            if r.id in seen:
+        for r, after in zip(rows, rows[1:]):
+            if r.id == after.id:
                 raise SchemaViolation(f"duplicate row id {r.id}")
-            seen.add(r.id)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -238,23 +236,15 @@ class ResultSet:
         return result
 
 
-def merge(parts: list[ResultSet]) -> ResultSet:
-    """Union the parts keyed on row id; associative and commutative."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    query_text = parts[0].query_text
-    for p in parts[1:]:
-        if p.query_text != query_text:
-            raise QueryMismatch(
-                f"cannot merge answers to {p.query_text!r} into {query_text!r}")
-    origin_sites: frozenset = frozenset()
+def merge(query_text: str, parts: dict[str, list[Row]]) -> ResultSet:
+    """The answer to ``query_text`` from ``parts``, site → its ``Row``s.  The
+    origin is the sites with rows, whichever node merges; identical rows
+    collapse, and the answer's ``ResultSet`` sorts the union once."""
     rows: dict[str, Row] = {}
-    for p in parts:
-        origin_sites |= p.origin_sites
-        for r in p.rows:
-            prior = rows.get(r.id)
-            if prior is None:
-                rows[r.id] = r
-            elif prior.fields != r.fields:
+    for part in parts.values():
+        for r in part:
+            prior = rows.setdefault(r.id, r)
+            if prior is not r and prior.fields != r.fields:
                 raise SchemaViolation(f"row {r.id} differs between sites")
+    origin_sites = frozenset(site for site, part in parts.items() if part)
     return ResultSet(query_text, origin_sites, tuple(rows.values()))

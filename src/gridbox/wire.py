@@ -188,6 +188,20 @@ def _checkout(key: tuple[str, int]) -> socket.socket | None:
         sock.close()
 
 
+def _sweep() -> None:
+    """Close the idle connections, to any address, that one ``select`` finds
+    readable: their server stopped, or they hold stray bytes."""
+    with _idle_lock:  # so no connection is taken or returned between the steps
+        socks = [sock for _, sock in _idle]
+        try:
+            dead = set(select.select(socks, [], [], 0)[0])
+        except (OSError, ValueError):  # ValueError: fd beyond select's range
+            dead = set(socks)
+        _idle[:] = [entry for entry in _idle if entry[1] not in dead]
+    for sock in dead:
+        sock.close()
+
+
 def _checkin(key: tuple[str, int], sock: socket.socket) -> None:
     """Keep ``sock`` for reuse; the oldest idle connection goes when the
     pool is full."""
@@ -202,7 +216,8 @@ def request(address: tuple[str, int], op: str, params: dict, *,
             token: str = "", binary: bytes = b"", req_id: str = "",
             timeout: float = 10.0) -> tuple[dict, bytes]:
     """One request/response exchange, on a pooled connection to ``address``
-    when there is an idle one and on a new one otherwise.
+    when there is an idle one and on a new one otherwise, after dropping the
+    idle connections whose server has stopped (:func:`_sweep`).
 
     Returns the raw response envelope and its binary section; error-status
     envelopes are returned, not raised (:func:`call` raises them).  A caller
@@ -216,6 +231,7 @@ def request(address: tuple[str, int], op: str, params: dict, *,
     key = (address[0], address[1])
     sock = _checkout(key)
     if sock is None:
+        _sweep()
         sock = TRANSPORT.wrap(socket.create_connection(key, timeout=timeout))
     try:
         sock.settimeout(timeout)

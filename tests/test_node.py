@@ -33,7 +33,8 @@ from gridbox.node import (
     sign_token,
     verify_token,
 )
-from gridbox.resultset import ResultSet, Row
+from gridbox.registry import RegistryClient
+from gridbox.resultset import ResultSet
 from gridbox.wire import recv_frame, request, send_frame
 
 KEY = b"\x11" * 32
@@ -289,36 +290,51 @@ def test_rquery_at_hop1_answers_locally_and_never_fans_out(make_vo):
             if "RQUERY" in node.accountant.snapshot()] == ["CAM"]
 
 
-def forge_a_row(part):
-    forged = Row("LEE:image:" + "a" * 32, {"patient.id": "LEE:patient:" + "b" * 32})
-    return ResultSet(part.query_text, part.origin_sites, part.rows + (forged,))
+def forge_a_row(answer):
+    forged = ["LEE:image:" + "a" * 32, {"patient.id": "LEE:patient:" + "b" * 32}]
+    return dict(answer, rows=answer["rows"] + [forged])
 
 
-def answer_another_query(part):
-    return ResultSet("select images where false", part.origin_sites, part.rows)
+def answer_another_query(answer):
+    return dict(answer, query="select images where false")
 
 
-def add_an_unprojected_field(part):
-    rows = tuple(Row(r.id, dict(r.fields, **{"patient.name": "ANON-1"}))
-                 for r in part.rows)
-    return ResultSet(part.query_text, part.origin_sites, rows)
+def add_an_unprojected_field(answer):
+    return dict(answer, rows=[[row_id, dict(fields, **{"patient.name": "ANON-1"})]
+                              for row_id, fields in answer["rows"]])
 
 
-def add_a_study_row(part):
-    study = Row("UDI:study:" + "c" * 32, {"patient.id": "UDI:patient:" + "d" * 32})
-    return ResultSet(part.query_text, part.origin_sites, part.rows + (study,))
+def add_a_study_row(answer):
+    study = ["UDI:study:" + "c" * 32, {"patient.id": "UDI:patient:" + "d" * 32}]
+    return dict(answer, rows=answer["rows"] + [study])
+
+
+def repeat_a_row(answer):
+    first, second = answer["rows"]
+    return dict(answer, rows=[first, first, second])
+
+
+def swap_the_rows(answer):
+    first, second = answer["rows"]
+    return dict(answer, rows=[second, first])
 
 
 @pytest.mark.parametrize("tamper", [forge_a_row, answer_another_query,
-                                    add_an_unprojected_field, add_a_study_row])
-def test_bad_peer_part_is_dropped_with_a_warning(make_vo, monkeypatch, tamper):
+                                    add_an_unprojected_field, add_a_study_row,
+                                    repeat_a_row, swap_the_rows])
+def test_bad_peer_part_is_dropped_with_a_warning(make_vo, tamper):
     vo = make_vo()
-    for site in vo.nodes:
-        vo.client(site).add_bytes(make_image_bytes())
+    vo.client("CAM").add_bytes(make_image_bytes())
+    for image_id in ("IMG1", "IMG2"):
+        vo.client("UDI").add_bytes(make_image_bytes(image_id=image_id))
     udi = vo.nodes["UDI"]
-    honest = udi._local_resultset
-    monkeypatch.setattr(udi, "_local_resultset",
-                        lambda q, canonical: tamper(honest(q, canonical)))
+    honest = udi._ops["RQUERY"]
+
+    def tampered(req_id, token, params, binary):
+        answer, warnings, data = honest(req_id, token, params, binary)
+        return tamper(answer), warnings, data
+
+    udi._ops["RQUERY"] = tampered
     result, warnings = vo.client("CAM").query("select images where true")
     assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
     assert result.origin_sites == frozenset({"CAM"})
@@ -688,3 +704,22 @@ def test_stale_membership_survives_registry_outage(make_vo):
     result, warnings = node.run_query("select images where true")
     assert warnings == []
     assert result.rows == ()
+
+
+def test_a_silent_registry_stays_off_the_query_path(make_vo):
+    vo = make_vo(refresh_interval_s=30)
+    vo.client("UDI").add_bytes(make_image_bytes())
+    cam = vo.nodes["CAM"]
+    silent = socket.socket()
+    silent.bind(("127.0.0.1", 0))
+    silent.listen(8)  # the kernel accepts connections; nothing ever answers
+    try:
+        cam.registry = RegistryClient(silent.getsockname())
+        cam._membership.fetched_at -= 60  # older than refresh_interval_s
+        started = time.monotonic()
+        result, warnings = cam.run_query("select images where true")
+        elapsed = time.monotonic() - started
+    finally:
+        silent.close()  # ends any registry call still waiting on it
+    assert elapsed < 1 and warnings == []
+    assert [r.id.split(":")[0] for r in result.rows] == ["UDI"]

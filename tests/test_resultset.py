@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridbox.errors import GridError, MalformedXml, QueryMismatch, SchemaViolation
+from gridbox.errors import GridError, MalformedXml, SchemaViolation
 from gridbox.resultset import (
     ResultSet,
     Row,
@@ -257,59 +259,46 @@ def test_from_xml_checks_declared_summary_against_rows():
 
 # --- merge -------------------------------------------------------------------------
 
-def make_rs(sites_rows):
-    return [ResultSet(Q, {site}, tuple(rows)) for site, rows in sites_rows]
-
-
 def test_merge_disjoint_counts_add():
     cam = [image_row(i, "CAM") for i in range(8)]
     udi = [image_row(i, "UDI") for i in range(16)]
-    merged = merge(make_rs([("CAM", cam), ("UDI", udi)]))
+    merged = merge(Q, {"CAM": cam, "UDI": udi})
     assert len(merged.rows) == 24
     assert merged.origin_sites == {"CAM", "UDI"}
+    assert merged.query_text == Q
 
 
 def test_merge_identity_with_empty():
-    r = ResultSet(Q, {"CAM"}, (image_row(1),))
-    empty = ResultSet(Q, frozenset(), ())
-    assert merge([r, empty]) == merge([empty, r])
-    assert merge([r, empty]).rows == r.rows
+    rows = [image_row(1)]
+    merged = merge(Q, {"CAM": rows, "UDI": []})
+    assert merged == merge(Q, {"UDI": [], "CAM": rows})
+    assert merged.rows == tuple(rows)
+    assert merged.origin_sites == {"CAM"}
+    assert merge(Q, {"UDI": []}) == ResultSet(Q, frozenset(), ())
 
 
 def test_merge_dedups_identical_rows():
-    r1 = ResultSet(Q, {"CAM"}, (image_row(1),))
-    r2 = ResultSet(Q, {"UDI"}, (image_row(1),))
-    merged = merge([r1, r2])
+    merged = merge(Q, {"CAM": [image_row(1)], "UDI": [image_row(1)]})
     assert len(merged.rows) == 1
     assert merged.origin_sites == {"CAM", "UDI"}
 
 
 def test_merge_conflicting_fields_is_an_error():
-    r1 = ResultSet(Q, {"CAM"}, (image_row(1, **{"patient.sex": "F"}),))
-    r2 = ResultSet(Q, {"UDI"}, (image_row(1, **{"patient.sex": "M"}),))
     with pytest.raises(SchemaViolation):
-        merge([r1, r2])
+        merge(Q, {"CAM": [image_row(1, **{"patient.sex": "F"})],
+                  "UDI": [image_row(1, **{"patient.sex": "M"})]})
 
 
-def test_merge_requires_same_query():
-    r1 = ResultSet(Q, {"CAM"}, ())
-    r2 = ResultSet("select patients where true", {"UDI"}, ())
-    with pytest.raises(QueryMismatch):
-        merge([r1, r2])
-
-
-@given(st.lists(row_strategy, max_size=10, unique_by=lambda r: r.id),
-       st.lists(row_strategy, max_size=10, unique_by=lambda r: r.id),
-       st.lists(row_strategy, max_size=10, unique_by=lambda r: r.id))
-def test_merge_associative_commutative(a, b, c):
+@given(st.lists(st.lists(row_strategy, max_size=10, unique_by=lambda r: r.id),
+                min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_merge_is_independent_of_part_order(lists, random):
     # identical ids appearing in several parts carry identical fields here,
-    # so every grouping must agree
-    pool = {r.id: r for r in a + b + c}
-    a = [pool[r.id] for r in a]
-    b = [pool[r.id] for r in b]
-    c = [pool[r.id] for r in c]
-    ra, rb, rc = make_rs([("CAM", a), ("UDI", b), ("LEE", c)])
-    left = merge([merge([ra, rb]), rc])
-    right = merge([ra, merge([rb, rc])])
-    flat = merge([rc, ra, rb])
-    assert left.to_xml() == right.to_xml() == flat.to_xml()
+    # so every order of the parts must give the same answer
+    pool = {r.id: r for rows in lists for r in rows}
+    parts = {site: [pool[r.id] for r in rows]
+             for site, rows in zip(("CAM", "UDI", "LEE"), lists)}
+    expected = merge(Q, parts).to_xml()
+    for order in itertools.permutations(parts):
+        shuffled = {site: random.sample(parts[site], len(parts[site])) for site in order}
+        assert merge(Q, shuffled).to_xml() == expected

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridbox import wire
-from gridbox.errors import NotFound, PeerUnreachable, ProtocolError
+from gridbox.errors import GridError, PeerUnreachable, ProtocolError
 from gridbox.wire import (
     FramedServer,
     TrafficAccountant,
@@ -265,8 +265,14 @@ def test_call_returns_result_warnings_and_binary():
     assert got == ({"n": 1}, ["late"], b"xyz")
 
 
-@pytest.mark.parametrize("code,raised", [("ProtocolError", ProtocolError),
-                                         ("NotFound", NotFound)])
+def grid_errors(cls=GridError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from grid_errors(sub)
+
+
+@pytest.mark.parametrize("code,raised", [(cls.code, cls) for cls in grid_errors()],
+                         ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_call_raises_the_far_sides_own_error(code, raised):
     def refuse(envelope, binary):
         return error_response(envelope["id"], code, "no"), b""
@@ -531,6 +537,28 @@ def test_an_idle_connection_keeps_nothing_of_its_last_request():
             assert len(serving) == 1  # still waiting for the next request
     finally:
         server.stop()
+
+
+def test_a_dial_drops_idle_connections_to_stopped_servers():
+    """Servers stopped and replaced on new ports, with a request to each:
+    the dial to each new server closes the idle connection to the last."""
+    drain_pool()
+    stopped = []
+    server = None
+    try:
+        for n in range(10):
+            if server is not None:
+                server.stop()
+                stopped.append(tuple(server.address))
+            server = FramedServer("127.0.0.1", 0, echo_handler)
+            server.start()
+            call(server.address, "PING", {"n": n}, unreachable=PeerUnreachable,
+                 timeout=5)
+        assert sum(idle_to(address) for address in stopped) == 0
+        assert idle_to(server.address) == 1
+    finally:
+        server.stop()
+        drain_pool()
 
 
 def test_threads_sharing_the_pool_never_share_a_connection(monkeypatch):
