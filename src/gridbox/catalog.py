@@ -22,7 +22,10 @@ table, and the next `select` builds it again from the records, so a run of
 writes costs one build.  `select` evaluates the parsed query as boolean
 masks over the columns, then projects the fields of the matched rows from
 the record objects as canonical strings, one attribute at a time: the
-columns decide which rows match and never what a field says.
+columns decide which rows match and never what a field says.  It returns
+those texts as they are computed, as a `Part`: the row ids plus one column
+per projected field.  No `Row` is built here; `resultset.merge` builds each
+answer row once.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from gridbox.records import (
     SeriesRecord,
     StudyRecord,
 )
-from gridbox.resultset import Row
+from gridbox.resultset import Part
 
 _KIND_OF_TYPE = {cls: kind for kind, cls in RECORD_TYPES.items()}
 # kinds whose records must be minted by the catalog's own site; algorithm
@@ -241,18 +244,16 @@ class _Columns:
         return [None if v is None else text_of(type(v), canonical_value)(v)
                 for v in values]
 
-    def select(self, kind: str, expr, attrs: tuple) -> list[Row]:
-        """Rows of ``kind`` matching ``expr``, sorted by id; a study or patient
-        is represented by its first matching image in image-id order."""
+    def select(self, kind: str, expr, attrs: tuple) -> Part:
+        """The ids of the rows of ``kind`` matching ``expr``, sorted, and the
+        column of texts of each of ``attrs`` for those rows; a study or
+        patient is represented by its first matching image in image-id order."""
         matched = np.flatnonzero(self.mask(expr))  # in image-id order
         _, first = np.unique(self.group[kind][matched], return_index=True)
         picked = matched[first].tolist()
-        at = _ROW_RECORD[kind]
-        columns = [(attr, self._texts(attr, picked)) for attr in attrs]
-        return [Row(str(self.rows[r][at].id),
-                    {attr: text for attr, texts in columns
-                     if (text := texts[i]) is not None})
-                for i, r in enumerate(picked)]
+        at, table = _ROW_RECORD[kind], self.rows
+        return Part([str(table[r][at].id) for r in picked],
+                    {attr: self._texts(attr, picked) for attr in attrs})
 
 
 class SiteCatalog:
@@ -430,8 +431,9 @@ class SiteCatalog:
 
     # --- query execution -----------------------------------------------------------
 
-    def select(self, q: FormalQuery) -> list[Row]:
-        """Evaluate a parsed query over this catalog; rows come back sorted by id."""
+    def select(self, q: FormalQuery) -> Part:
+        """Evaluate a parsed query over this catalog: the matching row ids,
+        sorted, and one column per name in ``projection(q)``."""
         with self._lock:
             if self._columns is None:
                 self._columns = _Columns(self._image_rows(), self._derived_by_image)

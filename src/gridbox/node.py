@@ -9,9 +9,14 @@ Federated queries and algorithm runs follow one scatter-gather pipeline:
 parse, pick the remote sites from the current VO membership, run the local
 part, fan out one hop to the remote sites in parallel, and merge.  A site
 that cannot be reached, or whose answer fails validation, costs a warning
-instead of failing the whole request.  Each site writes the derived records
-of its part of an algorithm run in one catalog write at the end of that
-part, so a concurrent query sees none of them or all of them.
+instead of failing the whole request.  A site's part of a query is a
+`Part`, its row ids plus one column per projected field; a peer sends it
+as such in its RQUERY answer, the origin checks it as a whole, and the
+answer's rows are built once, at the merge.  Each site writes the derived
+records of its part of an algorithm run in one catalog write at the end of
+that part, so a concurrent query sees none of them or all of them.  A peer
+ADD_ALG or EXEC_ALG carries the algorithm as one ``algorithm`` value, the
+record's `AlgorithmRecord.to_json` form.
 
 Session tokens are self-certifying: ``user:issued:ttl:nonce:sig`` signed
 with the VO key the registry hands out at node registration, so a token
@@ -76,10 +81,11 @@ from gridbox.records import (
     StudyRecord,
 )
 from gridbox.registry import RegistryClient
-from gridbox.resultset import ResultSet, Row, merge
+from gridbox.resultset import Part, ResultSet, merge
 from gridbox.wire import FramedServer, call, error_response, ok_response
 
 _SHA_HEX = frozenset("0123456789abcdef")
+_TEXT_OR_NULL = frozenset({str, type(None)})  # the types a peer part's column may hold
 
 FAN_OUT_WORKERS = 32  # threads of a node's fan-out pool; see GridNode._fan_out
 
@@ -493,9 +499,10 @@ class GridNode:
 
     # --- QUERY / RQUERY ------------------------------------------------------------------
 
-    def _local_resultset(self, q: FormalQuery) -> list[Row]:
-        """This site's part: its rows for ``q``, sorted by id.  The benchmark's
-        tracer times the local part under this method's name."""
+    def _local_resultset(self, q: FormalQuery) -> Part:
+        """This site's part for ``q``: its row ids, sorted, and one column per
+        projected field.  The benchmark's tracer times the local part under
+        this method's name."""
         return self.catalog.select(q)
 
     def run_query(self, query_text: str) -> tuple[ResultSet, list[str]]:
@@ -510,38 +517,38 @@ class GridNode:
         return merge(canonical, parts), warnings
 
     def _remote_query(self, site: str, q: FormalQuery, canonical: str,
-                      timeout: float) -> list[Row]:
-        """One peer's rows; the fan-out drops a part that answers another query
-        or whose rows are not the peer's own of the query's kind, in strictly
-        increasing id order, with fields of the projection only."""
+                      timeout: float) -> Part:
+        """One peer's part, checked as a whole; the fan-out drops a part that
+        answers another query, whose ids are not the peer's own of the query's
+        kind in strictly increasing order, or whose columns are not exactly
+        the projection's, each a list of texts or nulls as long as the ids."""
         result, _ = self._peer_request(site, "RQUERY",
                                        {"text": canonical, "hop": 1}, timeout)
         try:
-            text, pairs = result["query"], result["rows"]
+            text, ids, fields = result["query"], result["ids"], result["fields"]
         except (KeyError, TypeError) as e:
             raise SchemaViolation(f"{site} sent no query part: {e!r}") from None
         if text != canonical:
             raise SchemaViolation(f"{site} answered {text!r}, not {canonical!r}")
-        if not isinstance(pairs, list):
-            raise SchemaViolation(f"{site} sent rows that are not a list")
+        if not isinstance(ids, list):
+            raise SchemaViolation(f"{site} sent ids that are not a list")
         kind = ROW_KIND[q.target]
-        prefix, allowed = f"{site}:{kind}:", set(projection(q))
-        rows = []
-        for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaViolation(f"{site} sent a row that is not an [id, fields] pair")
-            row_id, fields = pair
+        prefix, prior = f"{site}:{kind}:", ""
+        for row_id in ids:
             if not (isinstance(row_id, str) and row_id.startswith(prefix)):
                 raise SchemaViolation(f"{site} returned row {row_id!r}, not a {kind} "
                                       "it minted")
-            if rows and row_id <= rows[-1].id:
+            if row_id <= prior:
                 raise SchemaViolation(f"{site} returned row {row_id} twice or out of order")
-            if not (isinstance(fields, dict) and fields.keys() <= allowed
-                    and all(isinstance(v, str) for v in fields.values())):
-                raise SchemaViolation(f"{site} returned row {row_id} with fields "
-                                      "outside the projection or not text")
-            rows.append(Row(row_id, fields))
-        return rows
+            prior = row_id
+        if not (isinstance(fields, dict) and fields.keys() == set(projection(q))):
+            raise SchemaViolation(f"{site} sent columns other than the projection's")
+        for name, column in fields.items():
+            if not (isinstance(column, list) and len(column) == len(ids)
+                    and set(map(type, column)) <= _TEXT_OR_NULL):
+                raise SchemaViolation(f"{site} sent a column {name} that is not "
+                                      f"{len(ids)} texts or nulls")
+        return Part(ids, fields)
 
     def _op_query(self, req_id, token, params, binary):
         self._require_user(token)
@@ -553,8 +560,8 @@ class GridNode:
         if params.get("hop") != 1:
             raise HopViolation(f"RQUERY must arrive with hop=1, got {params.get('hop')!r}")
         q = parse_query(str(params.get("text", "")))
-        rows = [[row.id, row.fields] for row in self._local_resultset(q)]
-        return {"query": print_query(q), "rows": rows}, [], b""
+        part = self._local_resultset(q)
+        return {"query": print_query(q), "ids": part.ids, "fields": part.fields}, [], b""
 
     # --- ADD_ALG ----------------------------------------------------------------------
 
@@ -588,13 +595,12 @@ class GridNode:
         return {"id": str(record.id), "version": record.version}, warnings, b""
 
     def _algorithm_from_params(self, params: dict) -> AlgorithmRecord:
+        """The record a peer sent under ``algorithm``, in its
+        `AlgorithmRecord.to_json` form; ProtocolError unless it is one."""
         try:
-            record = AlgorithmRecord(
-                id=GlobalId.parse(str(params["alg_id"])),
-                name=str(params["name"]), version=int(params["version"]),
-                source=str(params["source"]),
-                origin_site=str(params["origin_site"]))
-        except (KeyError, TypeError, ValueError) as e:
+            record = AlgorithmRecord.from_json(params["algorithm"])
+        except (KeyError, TypeError, ValueError,
+                AttributeError) as e:  # AttributeError: an id that is not text
             raise ProtocolError(f"bad algorithm envelope: {e}") from e
         alg.parse_algorithm(record.source)
         return record
@@ -614,11 +620,8 @@ class GridNode:
         return warnings
 
     def _send_algorithm(self, site: str, record: AlgorithmRecord) -> None:
-        self._peer_request(site, "ADD_ALG", {
-            "alg_id": str(record.id), "name": record.name,
-            "version": record.version, "source": record.source,
-            "origin_site": record.origin_site,
-        }, timeout=self.config.query_timeout_s)
+        self._peer_request(site, "ADD_ALG", {"algorithm": record.to_json()},
+                           timeout=self.config.query_timeout_s)
 
     def _retry_gossip(self) -> None:
         with self._gossip_lock:  # a copy, so that no send holds the lock
@@ -653,8 +656,8 @@ class GridNode:
                                       record.version, record.id)
         derived = []
         try:
-            for row in self.catalog.select(q):
-                image = self.catalog.require(row.id)
+            for image_id in self.catalog.select(q).ids:
+                image = self.catalog.require(image_id)
                 mgi = parse_mgi(self.blobs.get(image.file))
                 derived.append(DerivedRecord(
                     id=self.minter.mint_keyed(
@@ -698,9 +701,7 @@ class GridNode:
     def _remote_exec(self, site: str, record: AlgorithmRecord, selector: str,
                      timeout: float) -> int:
         result, _ = self._peer_request(site, "EXEC_ALG", {
-            "alg_id": str(record.id), "name": record.name,
-            "version": record.version, "source": record.source,
-            "origin_site": record.origin_site, "selector": selector, "hop": 1,
+            "algorithm": record.to_json(), "selector": selector, "hop": 1,
         }, timeout)
         written = result.get("written") if isinstance(result, dict) else None
         if type(written) is not int:

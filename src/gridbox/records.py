@@ -196,6 +196,9 @@ class AlgorithmRecord:
 
     def __post_init__(self):
         _require_kind(self.id, "algorithm")
+        if not all(isinstance(text, str)
+                   for text in (self.name, self.source, self.origin_site)):
+            raise TypeError("algorithm name, source and origin site must be text")
         if self.version < 1:
             raise ValueError("algorithm versions start at 1")
 

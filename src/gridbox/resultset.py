@@ -24,9 +24,11 @@ ElementTree path, which accepts every well-formed document of the schema
 and is the reference for what a document means and for every error.  Both
 paths then sort the rows by id, refuse duplicate ids and check the summary.
 
-Merging builds one answer from each site's rows, deduplicated on global id;
-the same id carrying different field maps is a federation bug and raises
-``SchemaViolation`` rather than silently preferring one site's copy.
+A site's answer to a query travels as a :class:`Part`: its row ids plus one
+column of texts per projected field.  Merging builds each answer row once,
+from the parts, deduplicated on global id; the same id carrying different
+field maps is a federation bug and raises ``SchemaViolation`` rather than
+silently preferring one site's copy.
 """
 
 from __future__ import annotations
@@ -52,6 +54,29 @@ class Row:
 
     def __hash__(self):
         return hash((self.id, tuple(sorted(self.fields.items()))))
+
+
+@dataclass
+class Part:
+    """One site's answer to a query, by column: ``ids`` are its row ids in
+    strictly increasing order, and ``fields`` maps each projected field name
+    to a list as long as ``ids`` of that field's text per row, None where
+    the row has no value.  ``len()`` is the number of rows."""
+
+    ids: list
+    fields: dict
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self) -> list[Row]:
+        """The part's rows, in id order; a None leaves its field out."""
+        fields = [{} for _ in self.ids]
+        for name, column in self.fields.items():
+            for row_fields, text in zip(fields, column):
+                if text is not None:
+                    row_fields[name] = text
+        return list(map(Row, self.ids, fields))
 
 
 _SPECIAL = re.compile('[&<>"]')
@@ -236,13 +261,14 @@ class ResultSet:
         return result
 
 
-def merge(query_text: str, parts: dict[str, list[Row]]) -> ResultSet:
-    """The answer to ``query_text`` from ``parts``, site → its ``Row``s.  The
-    origin is the sites with rows, whichever node merges; identical rows
-    collapse, and the answer's ``ResultSet`` sorts the union once."""
+def merge(query_text: str, parts: dict[str, Part]) -> ResultSet:
+    """The answer to ``query_text`` from ``parts``, site → its `Part`; each
+    answer row is built here, once.  The origin is the sites with rows,
+    whichever node merges; identical rows collapse, and the answer's
+    ``ResultSet`` sorts the union once."""
     rows: dict[str, Row] = {}
     for part in parts.values():
-        for r in part:
+        for r in part.rows():
             prior = rows.setdefault(r.id, r)
             if prior is not r and prior.fields != r.fields:
                 raise SchemaViolation(f"row {r.id} differs between sites")

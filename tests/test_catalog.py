@@ -22,7 +22,7 @@ from gridbox.errors import (
     StorageError,
 )
 from gridbox.ids import GlobalId, IdMinter
-from gridbox.query import parse_query
+from gridbox.query import parse_query, projection
 from gridbox.records import (
     AlgorithmRecord,
     DerivedRecord,
@@ -59,7 +59,7 @@ def algorithm_record(n=1, name="alg", version=1, source="mean emit m", site="CAM
 
 
 def select_ids(cat, text):
-    return [r.id for r in cat.select(parse_query(text))]
+    return cat.select(parse_query(text)).ids
 
 
 # --- writes -----------------------------------------------------------------------
@@ -363,7 +363,7 @@ def test_derived_any_match_and_max_projection():
     assert select_ids(cat, "select images where derived.density > 0.5") \
         == [str(gid("image", 1))]
     q = parse_query("select images where derived.density > 0")
-    rows = cat.select(q)
+    rows = cat.select(q).rows()
     assert rows[0].fields["derived.density"] == "0.7"  # the max scalar
 
 
@@ -371,7 +371,7 @@ def test_absent_derived_field_omitted_from_projection():
     cat = SiteCatalog("CAM")
     build_tree(cat, 1)
     q = parse_query("select images where derived.density > 0 or patient.sex = F")
-    rows = cat.select(q)
+    rows = cat.select(q).rows()
     assert len(rows) == 1
     assert "derived.density" not in rows[0].fields
     assert rows[0].fields["patient.sex"] == "F"
@@ -393,7 +393,7 @@ def test_projection_values_are_canonical_text():
     build_tree(cat, 1, dose=1.25, study_date=date(2001, 5, 20))
     q = parse_query("select images where image.dose_mgy > 0 and patient.age > 0 "
                     "and study.date > 1990-01-01")
-    rows = cat.select(q)
+    rows = cat.select(q).rows()
     fields = rows[0].fields
     assert fields["image.dose_mgy"] == "1.25"
     assert fields["patient.age"] == "51"
@@ -499,7 +499,9 @@ QUERY_POOL = [
 @given(catalogs(), st.sampled_from(QUERY_POOL))
 def test_select_matches_bruteforce_oracle(cat, text):
     q = parse_query(text)
-    assert cat.select(q) == oracles.expected_rows(q, [cat])
+    part = cat.select(q)
+    assert list(part.fields) == list(projection(q))
+    assert part.rows() == oracles.expected_rows(q, [cat])
 
 
 @settings(max_examples=30)
@@ -512,7 +514,7 @@ def test_select_stays_exact_across_the_query_pool_and_writes(cat, data):
 
     def check():
         for q in queries:
-            assert cat.select(q) == oracles.expected_rows(q, [cat]), q.source_text
+            assert cat.select(q).rows() == oracles.expected_rows(q, [cat]), q.source_text
 
     check()
     table = cat._columns
@@ -537,7 +539,8 @@ def test_select_stays_exact_across_writes_and_reopen(tmp_path):
 
     def check(catalog):
         for q in queries:
-            assert catalog.select(q) == oracles.expected_rows(q, [catalog]), q.source_text
+            assert catalog.select(q).rows() == oracles.expected_rows(q, [catalog]), \
+                q.source_text
 
     check(cat)
     build_tree(cat, 3, study_date=date(1999, 2, 3), dose=0.5)

@@ -275,7 +275,9 @@ def test_rquery_answers_with_local_rows_only(session_vo):
     envelope = rquery_envelope(cam, "select images where true", hop=1, site="UDI")
     result = exchange(cam.address, envelope)["result"]
     assert result["query"] == "select images where true"
-    assert all(row_id.startswith("CAM:") for row_id, _ in result["rows"])
+    assert all(row_id.startswith("CAM:") for row_id in result["ids"])
+    assert list(result["fields"]) == ["patient.id"]
+    assert len(result["fields"]["patient.id"]) == len(result["ids"])
 
 
 def test_rquery_at_hop1_answers_locally_and_never_fans_out(make_vo):
@@ -284,15 +286,29 @@ def test_rquery_at_hop1_answers_locally_and_never_fans_out(make_vo):
         vo.client(site).add_bytes(make_image_bytes())
     cam = vo.nodes["CAM"]
     envelope = rquery_envelope(cam, "select images where true", hop=1, site="UDI")
-    rows = exchange(cam.address, envelope)["result"]["rows"]
-    assert len(rows) == 1 and rows[0][0].startswith("CAM:")
+    ids = exchange(cam.address, envelope)["result"]["ids"]
+    assert len(ids) == 1 and ids[0].startswith("CAM:")
     assert [site for site, node in vo.nodes.items()
             if "RQUERY" in node.accountant.snapshot()] == ["CAM"]
 
 
+# A tamper rewrites an honest RQUERY answer to ``select images where true``
+# from a site holding two images: ids plus the one column, patient.id.
+
+def reorder_rows(answer, order):
+    """The answer's rows at the positions ``order`` names, in that order."""
+    return dict(answer, ids=[answer["ids"][i] for i in order],
+                fields={name: [column[i] for i in order]
+                        for name, column in answer["fields"].items()})
+
+
+def append_a_row(answer, row_id, patient_id):
+    return dict(answer, ids=answer["ids"] + [row_id],
+                fields={"patient.id": answer["fields"]["patient.id"] + [patient_id]})
+
+
 def forge_a_row(answer):
-    forged = ["LEE:image:" + "a" * 32, {"patient.id": "LEE:patient:" + "b" * 32}]
-    return dict(answer, rows=answer["rows"] + [forged])
+    return append_a_row(answer, "LEE:image:" + "a" * 32, "LEE:patient:" + "b" * 32)
 
 
 def answer_another_query(answer):
@@ -300,28 +316,47 @@ def answer_another_query(answer):
 
 
 def add_an_unprojected_field(answer):
-    return dict(answer, rows=[[row_id, dict(fields, **{"patient.name": "ANON-1"})]
-                              for row_id, fields in answer["rows"]])
+    return dict(answer, fields=dict(answer["fields"],
+                                    **{"patient.name": ["ANON-1"] * len(answer["ids"])}))
 
 
 def add_a_study_row(answer):
-    study = ["UDI:study:" + "c" * 32, {"patient.id": "UDI:patient:" + "d" * 32}]
-    return dict(answer, rows=answer["rows"] + [study])
+    return append_a_row(answer, "UDI:study:" + "c" * 32, "UDI:patient:" + "d" * 32)
 
 
 def repeat_a_row(answer):
-    first, second = answer["rows"]
-    return dict(answer, rows=[first, first, second])
+    return reorder_rows(answer, [0, 0, 1])
 
 
 def swap_the_rows(answer):
-    first, second = answer["rows"]
-    return dict(answer, rows=[second, first])
+    return reorder_rows(answer, [1, 0])
+
+
+def shorten_a_column(answer):
+    return dict(answer, fields={"patient.id": answer["fields"]["patient.id"][:1]})
+
+
+def put_a_number_in_a_column(answer):
+    return dict(answer, fields={"patient.id": [answer["fields"]["patient.id"][0], 7]})
+
+
+def drop_the_projected_column(answer):
+    return dict(answer, fields={})
+
+
+def send_ids_as_an_object(answer):
+    return dict(answer, ids=dict.fromkeys(answer["ids"]))
+
+
+def send_fields_as_pairs(answer):
+    return dict(answer, fields=list(answer["fields"].items()))
 
 
 @pytest.mark.parametrize("tamper", [forge_a_row, answer_another_query,
                                     add_an_unprojected_field, add_a_study_row,
-                                    repeat_a_row, swap_the_rows])
+                                    repeat_a_row, swap_the_rows, shorten_a_column,
+                                    put_a_number_in_a_column, drop_the_projected_column,
+                                    send_ids_as_an_object, send_fields_as_pairs])
 def test_bad_peer_part_is_dropped_with_a_warning(make_vo, tamper):
     vo = make_vo()
     vo.client("CAM").add_bytes(make_image_bytes())
@@ -343,8 +378,8 @@ def test_bad_peer_part_is_dropped_with_a_warning(make_vo, tamper):
 
 @pytest.mark.parametrize("answer", [
     lambda params: {},
-    lambda params: {"query": params["text"], "rows": "x"},
-], ids=["empty", "rows-not-a-list"])
+    lambda params: {"query": params["text"], "ids": "x", "fields": {}},
+], ids=["empty", "ids-not-a-list"])
 def test_malformed_peer_query_answer_is_dropped_with_a_warning(make_vo, answer):
     vo = make_vo()
     for site in vo.nodes:
@@ -367,21 +402,38 @@ def test_dead_site_becomes_a_warning(make_vo):
     assert warnings[0].startswith("UDI unreachable:")
 
 
+def threads_of(vo):
+    """A test for the threads of ``vo``: those of its servers and their
+    connections, its nodes' pollers and its nodes' fan-out pools.  Threads
+    of other VOs alive in the process, such as the session VO's, fail it."""
+    ports = [vo.registry.address[1], *(node.address[1] for node in vo.nodes.values())]
+    names = {f"{role}-{port}" for port in ports for role in ("server", "conn")}
+    pollers = {node._poller for node in vo.nodes.values()}
+    pools = [node._fan_out_pool._threads for node in vo.nodes.values()]
+    return lambda thread: (thread.name in names or thread in pollers
+                           or any(thread in pool for pool in pools))
+
+
 def test_stopped_vos_leave_no_threads(tmp_path):
-    """Connection threads and each node's fan-out pool end with the VO."""
-    baseline = threading.active_count()
+    """Connection threads, pollers and each node's fan-out pool end with the VO."""
+    owned = []
     for n in range(3):
         vo = build_vo(tmp_path / f"vo{n}")
+        owned.append(threads_of(vo))
         try:
             vo.client("CAM").add_bytes(make_image_bytes())
             result, warnings = vo.client("UDI").query("select images where true")
             assert len(result.rows) == 1 and warnings == []
         finally:
             vo.stop()
+
+    def left():
+        return [t.name for t in threading.enumerate() if any(ours(t) for ours in owned)]
+
     deadline = time.monotonic() + 5
-    while threading.active_count() > baseline and time.monotonic() < deadline:
+    while left() and time.monotonic() < deadline:
         time.sleep(0.02)
-    assert threading.active_count() <= baseline, [t.name for t in threading.enumerate()]
+    assert left() == []
 
 
 def test_stopped_node_refuses_to_fan_out_with_a_typed_error(make_vo, capsys):
@@ -493,9 +545,9 @@ def test_peer_algorithm_conflict(make_vo):
     udi = vo.nodes["UDI"]
     req_id = pysecrets.token_hex(8)
     params = {
-        "alg_id": "CAM:algorithm:" + "0" * 32, "name": "nodemean", "version": 1,
-        "source": "max emit nm", "origin_site": "CAM", "peer_site": "CAM",
-        "peer_sig": peer_signature(udi.vo_key, "CAM", "ADD_ALG", req_id),
+        "algorithm": {"id": "CAM:algorithm:" + "0" * 32, "name": "nodemean",
+                      "version": 1, "source": "max emit nm", "origin_site": "CAM"},
+        "peer_site": "CAM", "peer_sig": peer_signature(udi.vo_key, "CAM", "ADD_ALG", req_id),
     }
     response = exchange(udi.address, {"id": req_id, "op": "ADD_ALG",
                                       "token": "", "params": params})
@@ -577,8 +629,8 @@ def test_exec_pass_log_bytes_match_upserts_one_by_one(make_vo, tmp_path):
     for site, node in vo.nodes.items():
         cat = SiteCatalog(site, reference[site])
         record = cat.algorithm(program.name, program.version)
-        for row in cat.select(q):
-            image = cat.require(row.id)
+        for image_id in cat.select(q).ids:
+            image = cat.require(image_id)
             cat.upsert(DerivedRecord(
                 id=node.minter.mint_keyed(
                     "derived", f"{image.id}|{record.name}|{record.version}"),
@@ -622,8 +674,8 @@ def test_corrupt_blob_keeps_the_records_of_earlier_images(make_vo):
     vo = single_site_with_images(make_vo)
     node = vo.nodes["CAM"]
     cam = node.catalog
-    images = [cam.require(row.id)
-              for row in cam.select(parse_query("select images where true"))]
+    images = [cam.require(image_id)
+              for image_id in cam.select(parse_query("select images where true")).ids]
     sha = images[1].file.sha256
     (node.blobs.root / sha[:2] / sha[2:4] / sha).write_bytes(b"not the image")
     with pytest.raises(CorruptBlob):
@@ -672,11 +724,36 @@ def test_exec_alg_rejects_a_malformed_version(session_vo, version):
         "version": version}, token=session_vo.client("CAM").token)
     assert response["error_code"] == "ProtocolError"
     req_id = pysecrets.token_hex(8)
-    response = exchange(cam.address, {"id": req_id, "op": "EXEC_ALG", "token": "", "params": {
-        "alg_id": "UDI:algorithm:" + "0" * 32, "name": "nodemean", "version": version,
-        "source": "mean emit nm", "origin_site": "UDI", "hop": 1,
-        "selector": "select images where true", "peer_site": "UDI",
-        "peer_sig": peer_signature(cam.vo_key, "UDI", "EXEC_ALG", req_id)}})
+    response = peer_algorithm_request(cam, "EXEC_ALG",
+                                      algorithm=dict(ALGORITHM, version=version))
+    assert response["error_code"] == "ProtocolError"
+
+
+ALGORITHM = {"id": "UDI:algorithm:" + "0" * 32, "name": "nodemean", "version": 1,
+             "source": "mean emit nm", "origin_site": "UDI"}
+
+
+def peer_algorithm_request(node, op, **params):
+    """``node``'s answer to a peer-mode ``op`` from UDI with ``params``."""
+    req_id = pysecrets.token_hex(8)
+    if op == "EXEC_ALG":
+        params.update(hop=1, selector="select images where true")
+    return exchange(node.address, {"id": req_id, "op": op, "token": "", "params": dict(
+        params, peer_site="UDI", peer_sig=peer_signature(node.vo_key, "UDI", op, req_id))})
+
+
+@pytest.mark.parametrize("params", [
+    {}, {"algorithm": "nodemean"}, {"algorithm": ["UDI:algorithm:" + "0" * 32]},
+    {"algorithm": {key: value for key, value in ALGORITHM.items() if key != "source"}},
+    {"algorithm": dict(ALGORITHM, id="nodemean")}, {"algorithm": dict(ALGORITHM, id=7)},
+    {"algorithm": dict(ALGORITHM, version="abc")}, {"algorithm": dict(ALGORITHM, name=7)},
+    {"algorithm": dict(ALGORITHM, source=["mean emit nm"])},
+    {"algorithm": dict(ALGORITHM, origin_site=None)},
+], ids=["missing", "text", "list", "no-source", "bad-id", "number-id", "text-version",
+        "number-name", "list-source", "null-origin"])
+@pytest.mark.parametrize("op", ["ADD_ALG", "EXEC_ALG"])
+def test_peer_algorithm_envelope_is_checked(session_vo, op, params):
+    response = peer_algorithm_request(session_vo.nodes["CAM"], op, **params)
     assert response["error_code"] == "ProtocolError"
 
 

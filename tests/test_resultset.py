@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gridbox.errors import GridError, MalformedXml, SchemaViolation
 from gridbox.resultset import (
+    Part,
     ResultSet,
     Row,
     _read_canonical,
@@ -259,10 +260,17 @@ def test_from_xml_checks_declared_summary_against_rows():
 
 # --- merge -------------------------------------------------------------------------
 
+def part_of(rows):
+    """The part holding ``rows`` in their order; a field a row lacks is None."""
+    names = sorted({name for r in rows for name in r.fields})
+    return Part([r.id for r in rows], {name: [r.fields.get(name) for r in rows]
+                                       for name in names})
+
+
 def test_merge_disjoint_counts_add():
     cam = [image_row(i, "CAM") for i in range(8)]
     udi = [image_row(i, "UDI") for i in range(16)]
-    merged = merge(Q, {"CAM": cam, "UDI": udi})
+    merged = merge(Q, {"CAM": part_of(cam), "UDI": part_of(udi)})
     assert len(merged.rows) == 24
     assert merged.origin_sites == {"CAM", "UDI"}
     assert merged.query_text == Q
@@ -270,23 +278,23 @@ def test_merge_disjoint_counts_add():
 
 def test_merge_identity_with_empty():
     rows = [image_row(1)]
-    merged = merge(Q, {"CAM": rows, "UDI": []})
-    assert merged == merge(Q, {"UDI": [], "CAM": rows})
+    merged = merge(Q, {"CAM": part_of(rows), "UDI": part_of([])})
+    assert merged == merge(Q, {"UDI": part_of([]), "CAM": part_of(rows)})
     assert merged.rows == tuple(rows)
     assert merged.origin_sites == {"CAM"}
-    assert merge(Q, {"UDI": []}) == ResultSet(Q, frozenset(), ())
+    assert merge(Q, {"UDI": part_of([])}) == ResultSet(Q, frozenset(), ())
 
 
 def test_merge_dedups_identical_rows():
-    merged = merge(Q, {"CAM": [image_row(1)], "UDI": [image_row(1)]})
+    merged = merge(Q, {"CAM": part_of([image_row(1)]), "UDI": part_of([image_row(1)])})
     assert len(merged.rows) == 1
     assert merged.origin_sites == {"CAM", "UDI"}
 
 
 def test_merge_conflicting_fields_is_an_error():
     with pytest.raises(SchemaViolation):
-        merge(Q, {"CAM": [image_row(1, **{"patient.sex": "F"})],
-                  "UDI": [image_row(1, **{"patient.sex": "M"})]})
+        merge(Q, {"CAM": part_of([image_row(1, **{"patient.sex": "F"})]),
+                  "UDI": part_of([image_row(1, **{"patient.sex": "M"})])})
 
 
 @given(st.lists(st.lists(row_strategy, max_size=10, unique_by=lambda r: r.id),
@@ -298,7 +306,27 @@ def test_merge_is_independent_of_part_order(lists, random):
     pool = {r.id: r for rows in lists for r in rows}
     parts = {site: [pool[r.id] for r in rows]
              for site, rows in zip(("CAM", "UDI", "LEE"), lists)}
-    expected = merge(Q, parts).to_xml()
+    expected = merge(Q, {site: part_of(rows) for site, rows in parts.items()}).to_xml()
     for order in itertools.permutations(parts):
-        shuffled = {site: random.sample(parts[site], len(parts[site])) for site in order}
+        shuffled = {site: part_of(random.sample(parts[site], len(parts[site])))
+                    for site in order}
         assert merge(Q, shuffled).to_xml() == expected
+
+
+@given(st.data())
+def test_merge_builds_the_rows_a_part_holds(data):
+    ids = sorted(f"CAM:image:{n:032x}"
+                 for n in data.draw(st.sets(st.integers(0, 2**32), max_size=8)))
+    names = data.draw(st.sets(st.sampled_from(
+        ["derived.density", "image.dose_mgy", "patient.id", "patient.sex"])))
+    fields = {name: data.draw(st.lists(st.none() | st.text(max_size=4),
+                                       min_size=len(ids), max_size=len(ids)))
+              for name in names}
+    part = Part(ids, fields)
+    by_hand = tuple(Row(row_id, {name: column[i] for name, column in fields.items()
+                                 if column[i] is not None})
+                    for i, row_id in enumerate(ids))
+    merged = merge(Q, {"CAM": part})
+    assert len(part) == len(ids)
+    assert merged.rows == by_hand
+    assert merged.origin_sites == ({"CAM"} if ids else set())

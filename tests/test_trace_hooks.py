@@ -1,11 +1,15 @@
 """The benchmark's traced run hooks gridbox by name from outside; a rename
 in src/ would silently read as a zero per-layer metric.  This checks that
-every hook still resolves, bar the three known dead ones."""
+every hook still resolves, bar the three known dead ones, and that the
+counts the hooks take from results still mean what the benchmark reads."""
 
 import importlib.util
 from pathlib import Path
 
 from gridbox import resultset
+from gridbox.catalog import SiteCatalog
+from gridbox.query import parse_query
+from test_catalog import build_tree
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -32,3 +36,19 @@ def test_every_trace_hook_resolves():
         tracer.uninstall()
     assert resultset.merge is merge
     assert set(tracer.missing) <= KNOWN_DEAD
+
+
+def test_traced_select_books_the_rows_it_returns():
+    """The tracer counts a select's rows as ``len()`` of its result."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    cat = SiteCatalog("CAM")
+    for n in range(3):
+        build_tree(cat, n)
+    try:
+        tracing.install(tracer)
+        part = tracer.op("query", True, cat.select, parse_query("select images where true"))
+    finally:
+        tracer.uninstall()
+    [span] = [s for s in tracer.spans if s.name == "catalog.select"]
+    assert len(part.ids) == 3 and span.n1 == 3
