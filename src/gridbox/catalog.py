@@ -24,8 +24,9 @@ masks over the columns, then projects the fields of the matched rows from
 the record objects as canonical strings, one attribute at a time: the
 columns decide which rows match and never what a field says.  It returns
 those texts as they are computed, as a `Part`: the row ids plus one column
-per projected field.  No `Row` is built here; `resultset.merge` builds each
-answer row once.
+per projected field.  No `Row` is built here: `resultset.merge` joins the
+sites' parts column by column, and the answer stays in columns until its
+XML is written.
 """
 
 from __future__ import annotations

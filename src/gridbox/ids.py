@@ -50,6 +50,8 @@ class GlobalId:
 
     @classmethod
     def parse(cls, text: str) -> "GlobalId":
+        if not isinstance(text, str):
+            raise ValueError(f"not a global id: {text!r}")
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"not a global id: {text!r}")

@@ -12,7 +12,7 @@ that cannot be reached, or whose answer fails validation, costs a warning
 instead of failing the whole request.  A site's part of a query is a
 `Part`, its row ids plus one column per projected field; a peer sends it
 as such in its RQUERY answer, the origin checks it as a whole, and the
-answer's rows are built once, at the merge.  Each site writes the derived
+merge joins the parts column by column into the answer.  Each site writes the derived
 records of its part of an algorithm run in one catalog write at the end of
 that part, so a concurrent query sees none of them or all of them.  A peer
 ADD_ALG or EXEC_ALG carries the algorithm as one ``algorithm`` value, the
@@ -599,8 +599,7 @@ class GridNode:
         `AlgorithmRecord.to_json` form; ProtocolError unless it is one."""
         try:
             record = AlgorithmRecord.from_json(params["algorithm"])
-        except (KeyError, TypeError, ValueError,
-                AttributeError) as e:  # AttributeError: an id that is not text
+        except (KeyError, TypeError, ValueError) as e:
             raise ProtocolError(f"bad algorithm envelope: {e}") from e
         alg.parse_algorithm(record.source)
         return record
@@ -681,14 +680,13 @@ class GridNode:
             return {"written": self._execute_local(local_record, q)}, [], b""
         self._require_user(token)
         name = str(params.get("name", ""))
-        try:
-            version = int(params["version"]) if params.get("version") else None
-        except (TypeError, ValueError) as e:
-            raise ProtocolError(f"bad algorithm version {params['version']!r}") from e
+        version = params.get("version")
+        if version is not None and type(version) is not int:  # not a bool or float
+            raise ProtocolError(f"bad algorithm version {version!r}")
         record = self.catalog.algorithm(name, version)
         if record is None:
             raise UnknownAlgorithm(f"no algorithm {name!r}"
-                                   + (f" v{version}" if version else ""))
+                                   + (f" v{version}" if version is not None else ""))
         q = self._selector_query(str(params.get("selector", "")))
         remotes = decompose(q, sorted(self.membership()), self.site)
         per_site = {self.site: self._execute_local(record, q)}

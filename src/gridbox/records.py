@@ -199,6 +199,8 @@ class AlgorithmRecord:
         if not all(isinstance(text, str)
                    for text in (self.name, self.source, self.origin_site)):
             raise TypeError("algorithm name, source and origin site must be text")
+        if type(self.version) is not int:  # a bool or a float is no version
+            raise TypeError(f"algorithm version {self.version!r} is not an integer")
         if self.version < 1:
             raise ValueError("algorithm versions start at 1")
 
@@ -208,7 +210,7 @@ class AlgorithmRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "AlgorithmRecord":
-        return cls(GlobalId.parse(d["id"]), d["name"], int(d["version"]),
+        return cls(GlobalId.parse(d["id"]), d["name"], d["version"],
                    d["source"], d["origin_site"])
 
 

@@ -15,27 +15,35 @@ by id; two-space indentation and LF line ends.  Equal result sets serialize
 to identical bytes, so a merged answer assembled at any site compares equal
 byte-for-byte.
 
+An answer stays in columns from the merge to its bytes and back.  A site's
+answer to a query travels as a :class:`Part`: its row ids plus one column
+of texts per projected field.  :func:`merge` joins the parts column by
+column with one sort of the ids, deduplicated on global id; the same id
+carrying different fields is a federation bug and raises
+``SchemaViolation`` rather than silently preferring one site's copy.  A
+:class:`ResultSet` holds the merged part.  ``to_xml`` escapes each column
+in one pass and formats each row through one template per set of field
+names; ``ResultSet.rows`` builds `Row` objects only when a caller asks.
+
 Reading has two paths that return the same result set.  The fast path
 matches the input against the canonical form above: UTF-8, exactly these
 attributes in this order, this indentation, and values that hold only the
 four entities ``to_xml`` writes and no character an XML parser would
-reject or normalise.  Any input it does not consume in full goes to the
-ElementTree path, which accepts every well-formed document of the schema
-and is the reference for what a document means and for every error.  Both
-paths then sort the rows by id, refuse duplicate ids and check the summary.
-
-A site's answer to a query travels as a :class:`Part`: its row ids plus one
-column of texts per projected field.  Merging builds each answer row once,
-from the parts, deduplicated on global id; the same id carrying different
-field maps is a federation bug and raises ``SchemaViolation`` rather than
-silently preferring one site's copy.
+reject or normalise.  It fills the columns directly and unescapes the rows
+only when they hold an entity.  Any input it does not consume in full goes
+to the ElementTree path, which accepts every well-formed document of the
+schema and is the reference for what a document means and for every error.
+Both paths then sort the rows by id, refuse duplicate ids and check the
+summary.
 """
 
 from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, count, islice, repeat
+from operator import eq, gt, is_not, itemgetter
 from xml.sax.saxutils import escape, unescape
 
 from gridbox.errors import MalformedXml, SchemaViolation
@@ -58,10 +66,10 @@ class Row:
 
 @dataclass
 class Part:
-    """One site's answer to a query, by column: ``ids`` are its row ids in
-    strictly increasing order, and ``fields`` maps each projected field name
-    to a list as long as ``ids`` of that field's text per row, None where
-    the row has no value.  ``len()`` is the number of rows."""
+    """Rows by column: ``ids`` are the row ids in strictly increasing order,
+    and ``fields`` maps each field name to a list as long as ``ids`` of that
+    field's text per row, None where the row has no value.  ``len()`` is the
+    number of rows."""
 
     ids: list
     fields: dict
@@ -79,15 +87,69 @@ class Part:
         return list(map(Row, self.ids, fields))
 
 
+def _in_id_order(ids: list, fields: dict) -> tuple[list, dict, list]:
+    """``ids`` and the columns of ``fields`` stably sorted by id, and the
+    positions whose id repeats the one before.  Input already in order, as
+    the concatenated parts of disjoint sites are, is not sorted again."""
+    if any(map(gt, ids, islice(ids, 1, None))):
+        take = itemgetter(*sorted(range(len(ids)), key=ids.__getitem__))
+        ids = list(take(ids))
+        fields = {name: list(take(column)) for name, column in fields.items()}
+    repeats = []
+    if any(map(eq, ids, islice(ids, 1, None))):
+        repeats = [k for k in range(1, len(ids)) if ids[k] == ids[k - 1]]
+    return ids, fields, repeats
+
+
+def _filled(fields: dict) -> dict:
+    """The columns of ``fields`` that hold a value in some row."""
+    return {name: column for name, column in fields.items()
+            if column.count(None) < len(column)}
+
+
 _SPECIAL = re.compile('[&<>"]')
+_QUOT = {'"': "&quot;"}
 
 
 def _attr(value: str) -> str:
-    return escape(value, {'"': "&quot;"}) if _SPECIAL.search(value) else value
+    return escape(value, _QUOT) if _SPECIAL.search(value) else value
 
 
-def _text(value: str) -> str:
-    return escape(value) if _SPECIAL.search(value) else value
+def _escaped(values: list, entities: dict) -> list:
+    """``values`` with ``&<>`` and ``entities`` escaped and None kept, from
+    one scan of the whole list; the list itself when nothing needs it."""
+    if _SPECIAL.search("".join(filter(None, values))) is None:
+        return values
+    return [value and escape(value, entities) for value in values]
+
+
+def _render_rows(ids: list, names: list, columns: list) -> str:
+    """The ``<row>`` elements of rows ``ids`` whose field ``names[j]`` holds
+    ``columns[j]``, all escaped and the names sorted.  Each row goes through
+    the %-template of the set of fields it holds."""
+    field_lines = [f'    <field name="{name.replace("%", "%%")}">%s</field>\n'
+                   for name in names]
+
+    def template(present) -> str:
+        if not present:
+            return '  <row id="%s"/>\n'
+        return ('  <row id="%s">\n' + "".join(field_lines[j] for j in present)
+                + "  </row>\n")
+
+    rows = zip(ids, *columns)
+    if not any(None in column for column in columns):
+        return "".join(map(template(range(len(columns))).__mod__, rows))
+    plans, out = {}, []
+    for row in rows:
+        held = tuple(map(is_not, row, repeat(None)))  # held[0] is the id's
+        plan = plans.get(held)
+        if plan is None:
+            present = [j for j in range(len(columns)) if held[j + 1]]
+            plan = plans[held] = (template(present).__mod__,
+                                  itemgetter(0, *(j + 1 for j in present)))
+        render, pick = plan
+        out.append(render(pick(row)))
+    return "".join(out)
 
 
 # The canonical form as to_xml writes it.  A value holds no character that
@@ -110,41 +172,52 @@ def _unescape(value: str) -> str:
 
 
 def _read_canonical(data) -> tuple | None:
-    """``(query, origin, rows, declared summary)`` of a document in the
-    canonical form, or None if the input is anything else."""
+    """``(query, origin, ids, columns, declared summary)`` of a document in
+    the canonical form, the rows in document order, or None if the input is
+    anything else."""
     try:
         text = data if isinstance(data, str) else str(data, "utf-8")
     except UnicodeDecodeError:
         return None
-    plain = "&" not in text  # then no value needs unescaping
-    if not plain and _BAD_AMP.search(text):
+    if "&" in text and _BAD_AMP.search(text):
         return None
     head = _HEAD.match(text)
     if head is None:
         return None
-    rows, pos, match_row = [], head.end(), _ROW.match
-    while (m := match_row(text, pos)) is not None:
-        pos = m.end()
-        fields = {}
-        if m[2] is not None:
-            pairs = _FIELD.findall(m[2])
-            fields = (dict(pairs) if plain else
-                      {_unescape(name): _unescape(value) for name, value in pairs})
-            if len(fields) != len(pairs):
-                return None  # a repeated field name
-        rows.append(Row(m[1] if plain else _unescape(m[1]), fields))
-    tail = _TAIL.fullmatch(text, pos)
+    start, end = head.end(), text.rfind("  <summary ")
+    tail = _TAIL.fullmatch(text, end) if end >= start else None
     if tail is None:
         return None
-    query, origin = head[1], head[2]
-    if not plain:
-        query, origin = _unescape(query), _unescape(origin)
-    return query, origin, rows, (int(tail[1]), int(tail[2]))
+    # '<' only opens markup in this form, so every match below is a whole
+    # element; the rows read in full if their lengths add up to the body's.
+    # A row's markup is '  <row id=""/>\n', or 8 characters more with fields.
+    rows = _ROW.findall(text, start, end)
+    ids, blocks = [row[0] for row in rows], [row[1] for row in rows]
+    markup = 15 * len(rows) + 8 * (len(rows) - blocks.count(""))
+    if sum(map(len, ids)) + sum(map(len, blocks)) + markup != end - start:
+        return None
+    columns: dict = {}
+    fields_per_row = map(str.count, blocks, repeat("<f"))
+    row_of = chain.from_iterable(map(repeat, count(), fields_per_row))
+    for i, (name, value) in zip(row_of, _FIELD.findall(text, start, end)):
+        column = columns.get(name)
+        if column is None:
+            column = columns[name] = [None] * len(ids)
+        elif column[i] is not None:
+            return None  # a repeated field name
+        column[i] = value
+    if text.find("&", start, end) >= 0:
+        ids = list(map(_unescape, ids))
+        columns = {_unescape(name): [value and _unescape(value) for value in column]
+                   for name, column in columns.items()}
+    return (_unescape(head[1]), _unescape(head[2]), ids, columns,
+            (int(tail[1]), int(tail[2])))
 
 
 def _read_tree(data) -> tuple:
-    """``(query, origin, rows, declared summary)`` of any well-formed
-    document of the schema, through ElementTree; raises on everything else."""
+    """``(query, origin, ids, columns, declared summary)`` of any
+    well-formed document of the schema, the rows in document order, through
+    ElementTree; raises on everything else."""
     try:
         root = ET.fromstring(data)
     except ET.ParseError as e:
@@ -153,7 +226,7 @@ def _read_tree(data) -> tuple:
         raise SchemaViolation(f"root element is <{root.tag}>, not <resultset>")
     if set(root.attrib) != {"query", "origin"}:
         raise SchemaViolation("resultset must carry exactly query and origin")
-    rows = []
+    ids, rows = [], []
     summary_el = None
     for child in root:
         if child.tag == "summary":
@@ -175,7 +248,8 @@ def _read_tree(data) -> tuple:
             if name in fields:
                 raise SchemaViolation(f"duplicate field {name!r} in row")
             fields[name] = f.text or ""
-        rows.append(Row(child.attrib["id"], fields))
+        ids.append(child.attrib["id"])
+        rows.append(fields)
     if summary_el is None:
         raise SchemaViolation("missing summary")
     try:
@@ -183,7 +257,9 @@ def _read_tree(data) -> tuple:
                     int(summary_el.attrib["patients"]))
     except (KeyError, ValueError) as e:
         raise SchemaViolation(f"bad summary: {e}") from e
-    return root.attrib["query"], root.attrib["origin"], rows, declared
+    names = dict.fromkeys(name for fields in rows for name in fields)
+    columns = {name: [fields.get(name) for fields in rows] for name in names}
+    return root.attrib["query"], root.attrib["origin"], ids, columns, declared
 
 
 def _target_of(query_text: str) -> str | None:
@@ -193,66 +269,75 @@ def _target_of(query_text: str) -> str | None:
     return None
 
 
-def compute_summary(query_text: str, rows: tuple) -> tuple[int, int]:
+def compute_summary(query_text: str, part: Part) -> tuple[int, int]:
     """(num_images, num_patients) as re-derived from the rows themselves."""
     # an id of a kind holds ":<kind>:", so the substring test only skips
     # rows that id_kind would reject
+    ids = part.ids
     if _target_of(query_text) == "images":
-        num_images = len(rows)
+        num_images = len(ids)
     else:
-        num_images = sum(1 for r in rows
-                         if ":image:" in r.id and id_kind(r.id) == "image")
-    patient_ids = set()
-    for r in rows:
-        if "patient.id" in r.fields:
-            patient_ids.add(r.fields["patient.id"])
-        elif ":patient:" in r.id and id_kind(r.id) == "patient":
-            patient_ids.add(r.id)
+        num_images = sum(1 for i in ids if ":image:" in i and id_kind(i) == "image")
+    patients = part.fields.get("patient.id") or [None] * len(ids)
+    patient_ids = set(patients)
+    if None in patient_ids:
+        patient_ids.discard(None)
+        patient_ids.update(i for i, patient in zip(ids, patients) if patient is None
+                           and ":patient:" in i and id_kind(i) == "patient")
     return num_images, len(patient_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultSet:
+    """One answer: its query text, the sites that returned rows, and its
+    rows as one `Part`.  Two answers are equal when they hold the same rows;
+    a column with no value in any row is the same as no column."""
+
     query_text: str
-    origin_sites: frozenset = field(default_factory=frozenset)
-    rows: tuple = ()
+    origin_sites: frozenset
+    part: Part
 
     def __post_init__(self):
         object.__setattr__(self, "origin_sites", frozenset(self.origin_sites))
-        rows = tuple(sorted(self.rows, key=lambda r: r.id))
-        for r, after in zip(rows, rows[1:]):
-            if r.id == after.id:
-                raise SchemaViolation(f"duplicate row id {r.id}")
-        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, ResultSet):
+            return NotImplemented
+        return ((self.query_text, self.origin_sites, self.part.ids,
+                 _filled(self.part.fields))
+                == (other.query_text, other.origin_sites, other.part.ids,
+                    _filled(other.part.fields)))
+
+    @property
+    def rows(self) -> tuple:
+        """The answer's rows in id order, built from its columns on each call."""
+        return tuple(self.part.rows())
 
     @property
     def summary(self) -> tuple[int, int]:
-        return compute_summary(self.query_text, self.rows)
+        return compute_summary(self.query_text, self.part)
 
     # --- XML ------------------------------------------------------------------
 
     def to_xml(self) -> bytes:
+        ids, fields = self.part.ids, self.part.fields
+        names = sorted(fields)
         origin = ",".join(sorted(self.origin_sites))
-        lines = [f'<resultset query="{_attr(self.query_text)}" origin="{_attr(origin)}">']
-        for row in self.rows:
-            if row.fields:
-                lines.append(f'  <row id="{_attr(row.id)}">')
-                for name in sorted(row.fields):
-                    lines.append(f'    <field name="{_attr(name)}">'
-                                 f'{_text(row.fields[name])}</field>')
-                lines.append("  </row>")
-            else:
-                lines.append(f'  <row id="{_attr(row.id)}"/>')
         num_images, num_patients = self.summary
-        lines.append(f'  <summary images="{num_images}" patients="{num_patients}"/>')
-        lines.append("</resultset>")
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return (f'<resultset query="{_attr(self.query_text)}" origin="{_attr(origin)}">\n'
+                + _render_rows(_escaped(ids, _QUOT), [_attr(name) for name in names],
+                               [_escaped(fields[name], {}) for name in names])
+                + f'  <summary images="{num_images}" patients="{num_patients}"/>\n'
+                "</resultset>\n").encode("utf-8")
 
     @classmethod
     def from_xml(cls, data: bytes) -> "ResultSet":
-        query, origin, rows, declared = _read_canonical(data) or _read_tree(data)
+        query, origin, ids, fields, declared = _read_canonical(data) or _read_tree(data)
+        ids, fields, repeats = _in_id_order(ids, fields)
+        if repeats:
+            raise SchemaViolation(f"duplicate row id {ids[repeats[0]]}")
         origin_sites = frozenset(origin.split(",")) if origin else frozenset()
-        result = cls(query, origin_sites, tuple(rows))
+        result = cls(query, origin_sites, Part(ids, fields))
         summary = result.summary
         if summary != declared:
             raise SchemaViolation(
@@ -262,15 +347,26 @@ class ResultSet:
 
 
 def merge(query_text: str, parts: dict[str, Part]) -> ResultSet:
-    """The answer to ``query_text`` from ``parts``, site → its `Part`; each
-    answer row is built here, once.  The origin is the sites with rows,
-    whichever node merges; identical rows collapse, and the answer's
-    ``ResultSet`` sorts the union once."""
-    rows: dict[str, Row] = {}
-    for part in parts.values():
-        for r in part.rows():
-            prior = rows.setdefault(r.id, r)
-            if prior is not r and prior.fields != r.fields:
-                raise SchemaViolation(f"row {r.id} differs between sites")
+    """The answer to ``query_text`` from ``parts``, site → its `Part`, joined
+    column by column.  The origin is the sites with rows, whichever node
+    merges; rows may come in any order, identical rows collapse, and the
+    ids are sorted once, which takes one pass over parts that are each in
+    order and hold other sites' rows."""
+    filled = sorted((part for part in parts.values() if part), key=lambda p: p.ids[0])
+    names = dict.fromkeys(name for part in filled for name in part.fields)
+    ids, fields, repeats = _in_id_order(
+        list(chain.from_iterable(part.ids for part in filled)),
+        {name: list(chain.from_iterable(
+            part.fields[name] if name in part.fields else repeat(None, len(part))
+            for part in filled)) for name in names})
+    if repeats:
+        columns = list(fields.values())
+        for k in repeats:
+            if any(column[k] != column[k - 1] for column in columns):
+                raise SchemaViolation(f"row {ids[k]} differs between sites")
+        drop = set(repeats)
+        keep = [k for k in range(len(ids)) if k not in drop]
+        ids = [ids[k] for k in keep]
+        fields = {name: [column[k] for k in keep] for name, column in fields.items()}
     origin_sites = frozenset(site for site, part in parts.items() if part)
-    return ResultSet(query_text, origin_sites, tuple(rows.values()))
+    return ResultSet(query_text, origin_sites, Part(ids, fields))

@@ -7,7 +7,9 @@ no shared code with the engine beyond the parsed ASTs and record types.
 from __future__ import annotations
 
 from collections import deque
+from xml.sax.saxutils import escape
 
+from gridbox.ids import id_kind
 from gridbox.query import And, BoolLit, Comparison, FormalQuery, Not, Or, RangeTest
 from gridbox.resultset import Row
 
@@ -153,6 +155,37 @@ def expected_rows(q: FormalQuery, catalogs) -> list[Row]:
                     fields[name] = _text(value)
             rows[row_id] = Row(row_id, fields)
     return [rows[k] for k in sorted(rows)]
+
+
+# --- result set bytes --------------------------------------------------------------
+
+def reference_xml(rs) -> bytes:
+    """The bytes of result set ``rs`` written one row at a time from its
+    ``rows``, with the summary counted from those rows."""
+    def attr(value: str) -> str:
+        return escape(value, {'"': "&quot;"})
+
+    rows = rs.rows
+    words = rs.query_text.split()
+    if words[:1] == ["select"] and words[1:2] == ["images"]:
+        images = len(rows)
+    else:
+        images = sum(1 for r in rows if id_kind(r.id) == "image")
+    patients = {r.fields["patient.id"] if "patient.id" in r.fields else r.id
+                for r in rows if "patient.id" in r.fields or id_kind(r.id) == "patient"}
+    origin = ",".join(sorted(rs.origin_sites))
+    lines = [f'<resultset query="{attr(rs.query_text)}" origin="{attr(origin)}">']
+    for row in rows:
+        if row.fields:
+            lines.append(f'  <row id="{attr(row.id)}">')
+            for name in sorted(row.fields):
+                lines.append(f'    <field name="{attr(name)}">{escape(row.fields[name])}</field>')
+            lines.append("  </row>")
+        else:
+            lines.append(f'  <row id="{attr(row.id)}"/>')
+    lines.append(f'  <summary images="{images}" patients="{len(patients)}"/>')
+    lines.append("</resultset>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # --- pixel pipeline -----------------------------------------------------------------

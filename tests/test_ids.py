@@ -31,6 +31,12 @@ def test_rejects_malformed(bad):
     assert id_kind(bad) is None
 
 
+def test_parse_refuses_what_is_not_text():
+    with pytest.raises(ValueError):
+        GlobalId.parse(7)
+    assert not looks_like_global_id(7)
+
+
 def test_valid_site_code():
     assert valid_site_code("CAM")
     assert valid_site_code("UDI2")

@@ -716,7 +716,8 @@ def test_exec_alg_guards(session_vo):
         client.exec_algorithm("smf-density", "select patients where true")
 
 
-@pytest.mark.parametrize("version", ["abc", [1]], ids=["text", "list"])
+@pytest.mark.parametrize("version", ["abc", [1], 1.9, True],
+                         ids=["text", "list", "float", "bool"])
 def test_exec_alg_rejects_a_malformed_version(session_vo, version):
     cam = session_vo.nodes["CAM"]
     response, _ = request(cam.address, "EXEC_ALG", {
@@ -749,8 +750,9 @@ def peer_algorithm_request(node, op, **params):
     {"algorithm": dict(ALGORITHM, version="abc")}, {"algorithm": dict(ALGORITHM, name=7)},
     {"algorithm": dict(ALGORITHM, source=["mean emit nm"])},
     {"algorithm": dict(ALGORITHM, origin_site=None)},
+    {"algorithm": dict(ALGORITHM, version=1.9)}, {"algorithm": dict(ALGORITHM, version=True)},
 ], ids=["missing", "text", "list", "no-source", "bad-id", "number-id", "text-version",
-        "number-name", "list-source", "null-origin"])
+        "number-name", "list-source", "null-origin", "float-version", "bool-version"])
 @pytest.mark.parametrize("op", ["ADD_ALG", "EXEC_ALG"])
 def test_peer_algorithm_envelope_is_checked(session_vo, op, params):
     response = peer_algorithm_request(session_vo.nodes["CAM"], op, **params)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gridbox.errors import GridError, MalformedXml, SchemaViolation
 from gridbox.resultset import (
     Part,
@@ -23,10 +24,22 @@ def image_row(n, site="CAM", patient=0, **fields):
     return Row(f"{site}:image:{n:032x}", fields)
 
 
+def part_of(rows):
+    """The part holding ``rows`` in their order; a field a row lacks is None."""
+    names = sorted({name for r in rows for name in r.fields})
+    return Part([r.id for r in rows], {name: [r.fields.get(name) for r in rows]
+                                       for name in names})
+
+
+def answer(query, origin_sites, rows):
+    """The result set of ``rows``, whose ids differ, in id order."""
+    return ResultSet(query, origin_sites, part_of(sorted(rows, key=lambda r: r.id)))
+
+
 # --- serialization ----------------------------------------------------------------
 
 def test_exact_bytes():
-    rs = ResultSet(Q, {"CAM"}, (image_row(1, patient=7, **{"patient.sex": "F"}),))
+    rs = answer(Q, {"CAM"}, (image_row(1, patient=7, **{"patient.sex": "F"}),))
     pid = f"CAM:patient:{7:032x}"
     assert rs.to_xml().decode() == (
         f'<resultset query="{Q}" origin="CAM">\n'
@@ -39,7 +52,7 @@ def test_exact_bytes():
 
 
 def test_empty_resultset_bytes():
-    rs = ResultSet(Q, frozenset(), ())
+    rs = answer(Q, frozenset(), ())
     assert rs.to_xml() == (
         f'<resultset query="{Q}" origin="">\n'
         f'  <summary images="0" patients="0"/>\n'
@@ -47,45 +60,49 @@ def test_empty_resultset_bytes():
 
 
 def test_fieldless_row_self_closes():
-    rs = ResultSet(Q, {"CAM"}, (Row(f"CAM:image:{0:032x}", {}),))
+    rs = answer(Q, {"CAM"}, (Row(f"CAM:image:{0:032x}", {}),))
     assert f'<row id="CAM:image:{0:032x}"/>' in rs.to_xml().decode()
 
 
 def test_rows_sorted_and_origin_sorted():
-    rows = (image_row(9, "UDI"), image_row(1, "CAM"))
-    rs = ResultSet(Q, {"UDI", "CAM"}, rows)
+    rs = merge(Q, {"UDI": part_of([image_row(9, "UDI")]),
+                   "CAM": part_of([image_row(1, "CAM")])})
     xml = rs.to_xml().decode()
     assert xml.index("CAM:image") < xml.index("UDI:image")
     assert 'origin="CAM,UDI"' in xml
 
 
 def test_quotes_in_query_text_escape():
-    rs = ResultSet('select images where patient.sex = "F"', {"CAM"}, ())
+    rs = answer('select images where patient.sex = "F"', {"CAM"}, ())
     xml = rs.to_xml()
     assert b'query="select images where patient.sex = &quot;F&quot;"' in xml
     assert ResultSet.from_xml(xml).query_text == rs.query_text
 
 
 def test_duplicate_row_ids_rejected():
-    with pytest.raises(SchemaViolation):
-        ResultSet(Q, {"CAM"}, (image_row(1), image_row(1)))
+    """Both readers refuse a document that holds one row id twice."""
+    xml = answer(Q, {"CAM"}, [image_row(1), image_row(2)]).to_xml()
+    twice = xml.replace(f"{2:032x}".encode(), f"{1:032x}".encode())
+    for doc in (twice, twice.replace(b"\n", b"\r\n")):
+        with pytest.raises(SchemaViolation, match="duplicate row id"):
+            ResultSet.from_xml(doc)
 
 
 # --- summary ----------------------------------------------------------------------
 
 def test_summary_counts_distinct_patients():
     rows = (image_row(1, patient=1), image_row(2, patient=1), image_row(3, patient=2))
-    assert compute_summary(Q, rows) == (3, 2)
+    assert compute_summary(Q, part_of(rows)) == (3, 2)
 
 
 def test_summary_for_patient_target_counts_row_ids():
     rows = (Row(f"CAM:patient:{1:032x}", {}), Row(f"CAM:patient:{2:032x}", {}))
-    assert compute_summary("select patients where true", rows) == (0, 2)
+    assert compute_summary("select patients where true", part_of(rows)) == (0, 2)
 
 
 def test_summary_same_patient_two_images():
     rows = (image_row(1, patient=5), image_row(2, patient=5))
-    rs = ResultSet(Q, {"CAM"}, rows)
+    rs = answer(Q, {"CAM"}, rows)
     assert rs.summary == (2, 1)
 
 
@@ -102,7 +119,7 @@ row_strategy = st.builds(
 @given(st.lists(row_strategy, max_size=12,
                 unique_by=lambda r: r.id))
 def test_xml_roundtrip(rows):
-    rs = ResultSet(Q, {r.id.split(":")[0] for r in rows}, tuple(rows))
+    rs = answer(Q, {r.id.split(":")[0] for r in rows}, tuple(rows))
     again = ResultSet.from_xml(rs.to_xml())
     assert again == rs
     assert again.to_xml() == rs.to_xml()
@@ -133,7 +150,7 @@ def result_sets(draw):
     attr, text = texts(draw), texts(draw)
     rows = draw(st.lists(st.builds(Row, attr, st.dictionaries(attr, text, max_size=3)),
                          max_size=6, unique_by=lambda r: r.id))
-    return ResultSet(draw(attr), draw(st.frozensets(attr, max_size=3)), rows)
+    return answer(draw(attr), draw(st.frozensets(attr, max_size=3)), rows)
 
 
 def assert_reader_agrees(xml: bytes):
@@ -159,7 +176,7 @@ special = st.text(st.one_of(plain_chars, st.sampled_from(SPECIAL)), max_size=12)
                 max_size=6, unique_by=lambda r: r.id), special)
 def test_canonical_reader_reads_what_to_xml_writes(rows, query):
     """Escaped characters and text of any plane stay on the fast path."""
-    rs = ResultSet(query, {"CAM"}, rows)
+    rs = answer(query, {"CAM"}, rows)
     assert _read_canonical(rs.to_xml()) == _read_tree(rs.to_xml())
 
 
@@ -168,7 +185,7 @@ def test_canonical_reader_reads_what_to_xml_writes(rows, query):
 def test_canonical_reader_on_each_awkward_character(char, where):
     value = {"query": Q, "id": "CAM:image:x", "name": "image.view", "text": "CC"}
     value[where] += char
-    rs = ResultSet(value["query"], {"CAM"}, (Row(value["id"], {value["name"]: value["text"]}),))
+    rs = answer(value["query"], {"CAM"}, (Row(value["id"], {value["name"]: value["text"]}),))
     assert_reader_agrees(rs.to_xml())
     if char in SPECIAL:
         assert _read_canonical(rs.to_xml()) is not None
@@ -176,7 +193,7 @@ def test_canonical_reader_on_each_awkward_character(char, where):
 
 PID = f"CAM:patient:{7:032x}"
 IID = f"CAM:image:{1:032x}"
-EXPECTED = ResultSet("q <&>", {"CAM"}, (Row(IID, {"patient.id": PID, "image.view": "CC"}),))
+EXPECTED = answer("q <&>", {"CAM"}, (Row(IID, {"patient.id": PID, "image.view": "CC"}),))
 CANONICAL = EXPECTED.to_xml().decode()
 
 
@@ -206,10 +223,10 @@ def test_valid_non_canonical_documents_parse_through_the_fallback(xml):
 
 
 def test_empty_field_forms_parse_alike():
-    fieldless = ResultSet(Q, {"CAM"}, (Row(IID, {}),))
+    fieldless = answer(Q, {"CAM"}, (Row(IID, {}),))
     not_self_closed = fieldless.to_xml().replace(b"/>\n  <summary", b"></row>\n  <summary", 1)
     assert ResultSet.from_xml(not_self_closed) == fieldless
-    empty = ResultSet(Q, {"CAM"}, (image_row(1, **{"image.view": ""}),))
+    empty = answer(Q, {"CAM"}, (image_row(1, **{"image.view": ""}),))
     self_closed = empty.to_xml().replace(b'"image.view"></field>', b'"image.view"/>')
     assert _read_canonical(self_closed) is None
     assert ResultSet.from_xml(self_closed) == empty == ResultSet.from_xml(empty.to_xml())
@@ -252,20 +269,41 @@ def test_overlong_summary_count_is_a_schema_violation(digits):
 
 
 def test_from_xml_checks_declared_summary_against_rows():
-    rs = ResultSet(Q, {"CAM"}, (image_row(1),))
+    rs = answer(Q, {"CAM"}, (image_row(1),))
     tampered = rs.to_xml().replace(b'images="1"', b'images="2"')
     with pytest.raises(SchemaViolation):
         ResultSet.from_xml(tampered)
 
 
+# --- the columnar render against the row-by-row reference ---------------------------
+
+cells = st.none() | special
+
+
+@st.composite
+def columnar_answers(draw):
+    """Answers with null cells, all-null columns and rows with no fields,
+    and ``&<>"`` in ids, field names, values, origin and query text."""
+    ids = sorted(draw(st.sets(st.sampled_from([IID, PID, f"UDI:image:{2:032x}"]) | special,
+                              max_size=6)))
+    names = draw(st.sets(st.sampled_from(["patient.id", "image.view"]) | special, max_size=3))
+    fields = {name: draw(st.lists(st.none() if draw(st.booleans()) else cells,
+                                  min_size=len(ids), max_size=len(ids)))
+              for name in names}
+    query = draw(st.sampled_from([Q, "select patients where true"]) | special)
+    origin_sites = draw(st.frozensets(st.sampled_from(["CAM", "UDI", "A&B", 'Q"<>']),
+                                      max_size=3))
+    return ResultSet(query, origin_sites, Part(ids, fields))
+
+
+@settings(max_examples=300)
+@given(columnar_answers())
+def test_to_xml_writes_the_reference_bytes(rs):
+    assert rs.to_xml() == oracles.reference_xml(rs)
+    assert ResultSet.from_xml(rs.to_xml()) == rs
+
+
 # --- merge -------------------------------------------------------------------------
-
-def part_of(rows):
-    """The part holding ``rows`` in their order; a field a row lacks is None."""
-    names = sorted({name for r in rows for name in r.fields})
-    return Part([r.id for r in rows], {name: [r.fields.get(name) for r in rows]
-                                       for name in names})
-
 
 def test_merge_disjoint_counts_add():
     cam = [image_row(i, "CAM") for i in range(8)]
@@ -282,7 +320,7 @@ def test_merge_identity_with_empty():
     assert merged == merge(Q, {"UDI": part_of([]), "CAM": part_of(rows)})
     assert merged.rows == tuple(rows)
     assert merged.origin_sites == {"CAM"}
-    assert merge(Q, {"UDI": part_of([])}) == ResultSet(Q, frozenset(), ())
+    assert merge(Q, {"UDI": part_of([])}) == answer(Q, frozenset(), ())
 
 
 def test_merge_dedups_identical_rows():

@@ -52,3 +52,25 @@ def test_traced_select_books_the_rows_it_returns():
         tracer.uninstall()
     [span] = [s for s in tracer.spans if s.name == "catalog.select"]
     assert len(part.ids) == 3 and span.n1 == 3
+
+
+def test_traced_render_books_the_merged_answers_rows():
+    """The tracer counts a render's rows from the answer's ``rows`` view:
+    the merged row count of three sites' parts, not one site's."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    q = parse_query("select images where true")
+    parts = {}
+    for k, site in enumerate(("CAM", "LEE", "UDI")):
+        cat = SiteCatalog(site)
+        for n in range(k + 1):
+            build_tree(cat, n, site=site)
+        parts[site] = cat.select(q)
+    answer = resultset.merge("select images where true", parts)
+    try:
+        tracing.install(tracer)
+        xml = tracer.op("query", True, resultset.ResultSet.to_xml, answer)
+    finally:
+        tracer.uninstall()
+    [span] = [s for s in tracer.spans if s.name == "resultset.to_xml"]
+    assert len(answer.rows) == 6 and (span.n1, span.n2) == (len(xml), 6)
