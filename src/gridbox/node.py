@@ -284,6 +284,8 @@ class GridNode:
         try:
             if fn is None:
                 raise ProtocolError(f"unknown op {op!r}")
+            if not isinstance(params, dict):
+                raise ProtocolError("params must be an object")
             result, warnings, resp_binary = fn(req_id, token, params, binary)
             return ok_response(req_id, result, warnings), resp_binary
         except GridError as e:

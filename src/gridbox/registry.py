@@ -179,6 +179,8 @@ class VoRegistry:
         op = envelope.get("op")
         params = envelope.get("params") or {}
         try:
+            if not isinstance(params, dict):
+                raise ProtocolError("params must be an object")
             if op == "NODE_REG":
                 members = self.register_node(str(params.get("site", "")),
                                              str(params.get("address", "")),
@@ -195,10 +197,12 @@ class VoRegistry:
                 supplied = str(params.get("admin_token", ""))
                 if not hmac.compare_digest(supplied, self.admin_token):
                     raise AuthFailed("bad admin token")
+                enabled = params.get("enabled", True)
+                if not isinstance(enabled, bool):
+                    raise ProtocolError(f"enabled must be true or false, got {enabled!r}")
                 self.add_user(str(params.get("user", "")),
                               str(params.get("credential", "")),
-                              str(params.get("home_site", "")),
-                              bool(params.get("enabled", True)))
+                              str(params.get("home_site", "")), enabled)
                 return ok_response(req_id, {"ok": True}), b""
             return error_response(req_id, "ProtocolError",
                                   f"unknown registry op {op!r}"), b""

@@ -21,20 +21,21 @@ of texts per projected field.  :func:`merge` joins the parts column by
 column with one sort of the ids, deduplicated on global id; the same id
 carrying different fields is a federation bug and raises
 ``SchemaViolation`` rather than silently preferring one site's copy.  A
-:class:`ResultSet` holds the merged part.  ``to_xml`` escapes each column
-in one pass and formats each row through one template per set of field
-names; ``ResultSet.rows`` builds `Row` objects only when a caller asks.
+:class:`ResultSet` holds the merged part.  ``to_xml`` escapes a column
+only when a substring test finds a character that needs it, and writes
+the rows as one interleaving of ids, columns and markup; ``ResultSet.rows``
+builds `Row` objects only when a caller asks.
 
-Reading has two paths that return the same result set.  The fast path
-matches the input against the canonical form above: UTF-8, exactly these
-attributes in this order, this indentation, and values that hold only the
-four entities ``to_xml`` writes and no character an XML parser would
-reject or normalise.  It fills the columns directly and unescapes the rows
-only when they hold an entity.  Any input it does not consume in full goes
-to the ElementTree path, which accepts every well-formed document of the
-schema and is the reference for what a document means and for every error.
-Both paths then sort the rows by id, refuse duplicate ids and check the
-summary.
+Reading has two paths that return the same result set.  The line reader
+takes the canonical form above: UTF-8, exactly these attributes in this
+order, this indentation, and texts that hold only the four entities
+``to_xml`` writes and no character an XML parser would reject or
+normalise.  It cuts ids and texts out of the body's lines with slices, or
+out of its pieces between tags when the rows differ, and keeps the read
+only if writing it back gives the body.  Anything else goes to the
+ElementTree path, which accepts every well-formed document of the schema
+and is the reference for what a document means and for every error.  Both
+paths then sort the rows by id, refuse duplicate ids and check the summary.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from operator import eq, gt, is_not, itemgetter
+from operator import add, eq, gt, itemgetter
 from xml.sax.saxutils import escape, unescape
 
 from gridbox.errors import MalformedXml, SchemaViolation
@@ -107,74 +108,104 @@ def _filled(fields: dict) -> dict:
             if column.count(None) < len(column)}
 
 
-_SPECIAL = re.compile('[&<>"]')
 _QUOT = {'"': "&quot;"}
 
 
 def _attr(value: str) -> str:
-    return escape(value, _QUOT) if _SPECIAL.search(value) else value
+    return escape(value, _QUOT) if any(map(value.__contains__, '&<>"')) else value
 
 
 def _escaped(values: list, entities: dict) -> list:
     """``values`` with ``&<>`` and ``entities`` escaped and None kept, from
-    one scan of the whole list; the list itself when nothing needs it."""
-    if _SPECIAL.search("".join(filter(None, values))) is None:
+    one substring test per character; the list itself when nothing needs it."""
+    if not any(map("".join(filter(None, values)).__contains__, chain("&<>", entities))):
         return values
     return [value and escape(value, entities) for value in values]
 
 
 def _render_rows(ids: list, names: list, columns: list) -> str:
     """The ``<row>`` elements of rows ``ids`` whose field ``names[j]`` holds
-    ``columns[j]``, all escaped and the names sorted.  Each row goes through
-    the %-template of the set of fields it holds."""
-    field_lines = [f'    <field name="{name.replace("%", "%%")}">%s</field>\n'
-                   for name in names]
-
-    def template(present) -> str:
-        if not present:
-            return '  <row id="%s"/>\n'
-        return ('  <row id="%s">\n' + "".join(field_lines[j] for j in present)
-                + "  </row>\n")
-
-    rows = zip(ids, *columns)
+    ``columns[j]``, all escaped, fields in ``names`` order: one interleaving
+    of the ids, the columns and the markup.  A None leaves out its field's
+    line, and a row with no field closes itself."""
     if not any(None in column for column in columns):
-        return "".join(map(template(range(len(columns))).__mod__, rows))
-    plans, out = {}, []
-    for row in rows:
-        held = tuple(map(is_not, row, repeat(None)))  # held[0] is the id's
-        plan = plans.get(held)
-        if plan is None:
-            present = [j for j in range(len(columns)) if held[j + 1]]
-            plan = plans[held] = (template(present).__mod__,
-                                  itemgetter(0, *(j + 1 for j in present)))
-        render, pick = plan
-        out.append(render(pick(row)))
-    return "".join(out)
+        ends = ['">\n', *repeat("</field>\n", len(names))]
+        heads = map(add, ends, (f'{_FIELD}{name}">' for name in names))
+        marks = map(repeat, [_OPEN, *heads, ends[-1] + _CLOSE + "\n" if names else '"/>\n'])
+        streams = [next(marks), *chain.from_iterable(zip([ids, *columns], marks))]
+        return "".join(chain.from_iterable(zip(*streams)))
+    nones = list(map(tuple.count, zip(*columns), repeat(None)))  # per row
+    bare = {len(columns): ""}.get  # bare(n, text): "" for a row with no field, else text
+    held = {None: ""}.get  # held(cell, text): "" for a None cell, else text
+    streams = [repeat(_OPEN), ids, map(bare, nones, repeat('">\n'))]
+    for name, column in zip(names, columns):
+        streams += (map(held, column, repeat(f'{_FIELD}{name}">')), map(held, column, column),
+                    map(held, column, repeat("</field>\n")))
+    closed = {len(columns): '"/>\n'}.get  # the end of a row with no field, else ""
+    streams += (map(bare, nones, repeat(_CLOSE + "\n")), map(closed, nones, repeat("")))
+    return "".join(chain.from_iterable(zip(*streams)))
 
 
-# The canonical form as to_xml writes it.  A value holds no character that
+# The canonical form as to_xml writes it.  A text holds no character that
 # XML rejects or normalises (\r, other controls, U+FFFE/U+FFFF, and the
-# surrogates a str may carry; in an attribute also \t and \n), no raw '>',
-# and '&' only as one of the entities to_xml writes.
+# surrogates a str may carry; in an attribute also \t and \n), no raw '<'
+# or '>', and '&' only as one of the entities to_xml writes.
+_OPEN, _FIELD, _CLOSE = '  <row id="', '    <field name="', "  </row>"
 _ATTR = r'[^"<>\x00-\x1f\ud800-\udfff\ufffe\uffff]*'
-_TEXT = r'[^<>\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]*'
 _HEAD = re.compile(rf'<resultset query="({_ATTR})" origin="({_ATTR})">\n')
-_ROW = re.compile(rf'  <row id="({_ATTR})"(?:/>\n|>\n'
-                  rf'((?:    <field name="{_ATTR}">{_TEXT}</field>\n)+)  </row>\n)')
-_FIELD = re.compile(rf'    <field name="({_ATTR})">({_TEXT})</field>\n')
 _COUNT = r'(0|[1-9][0-9]{0,17})'  # a longer count goes to ElementTree
 _TAIL = re.compile(rf'  <summary images="{_COUNT}" patients="{_COUNT}"/>\n</resultset>\n')
 _BAD_AMP = re.compile(r'&(?!(?:amp|lt|gt|quot);)')
+_BAD_TEXT = re.compile(r'[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]')
+_PRINTABLE = bytes(range(0x20, 0x80)) + b"\t\n"
 
 
 def _unescape(value: str) -> str:
     return unescape(value, {"&quot;": '"'}) if "&" in value else value
 
 
+def _read_strided(lines: list) -> tuple | None:
+    """``(ids, names, columns)`` of body ``lines`` as rows that each hold the
+    fields of the first: line j of the first row gives the offsets of the
+    texts on every ``period``-th line from j, and each text is cut out by one
+    slice.  None when the rows cannot all be as long as the first."""
+    closes = lines.count(_CLOSE)
+    period = lines.index(_CLOSE) + 1 if closes else 1
+    if closes * period not in (0, len(lines)):
+        return None
+    ids = list(map(itemgetter(slice(11, -2 if closes else -3)), lines[::period]))
+    names = [lines[j][17:].partition('">')[0] for j in range(1, period - 1)]
+    return ids, names, [list(map(itemgetter(slice(19 + len(name), -8)), lines[j::period]))
+                        for j, name in enumerate(names, 1)]
+
+
+def _read_rows(body: str) -> tuple:
+    """``(ids, names, columns)`` of a body whose rows differ, from one split
+    at each row's opening tag and one at each field's.  The names are sorted
+    as ``to_xml`` sorts them."""
+    rows = body.split(_OPEN)[1:]
+    ids = list(map(itemgetter(0), map(str.partition, rows, repeat('"'))))
+    row_of = chain.from_iterable(map(repeat, count(1), map(str.count, rows, repeat(_FIELD))))
+    names, _, rests = tuple(zip(*map(str.partition, body.split(_FIELD)[1:], repeat('">')))) \
+        or ((), (), ())
+    values = map(itemgetter(0), map(str.partition, rests, repeat("</field>")))
+    cells = dict(zip(zip(row_of, names), values))  # (row number from 1, name) -> value
+    names = sorted(set(names), key=_unescape)
+    return ids, names, [list(map(cells.get, zip(count(1), repeat(name, len(ids)))))
+                        for name in names]
+
+
 def _read_canonical(data) -> tuple | None:
     """``(query, origin, ids, columns, declared summary)`` of a document in
     the canonical form, the rows in document order, or None if the input is
-    anything else."""
+    anything else.
+
+    The body between the header and the summary is read by `_read_strided`,
+    or by `_read_rows` when its rows differ.  The read stands if
+    `_render_rows` writes the body back from it exactly and its texts hold
+    no '<' or '>', no character XML rejects or normalises, no quote, tab or
+    newline in an id or field name and no repeated name: bulk tests of the
+    joined texts, a byte deletion when they are ASCII."""
     try:
         text = data if isinstance(data, str) else str(data, "utf-8")
     except UnicodeDecodeError:
@@ -188,29 +219,24 @@ def _read_canonical(data) -> tuple | None:
     tail = _TAIL.fullmatch(text, end) if end >= start else None
     if tail is None:
         return None
-    # '<' only opens markup in this form, so every match below is a whole
-    # element; the rows read in full if their lengths add up to the body's.
-    # A row's markup is '  <row id=""/>\n', or 8 characters more with fields.
-    rows = _ROW.findall(text, start, end)
-    ids, blocks = [row[0] for row in rows], [row[1] for row in rows]
-    markup = 15 * len(rows) + 8 * (len(rows) - blocks.count(""))
-    if sum(map(len, ids)) + sum(map(len, blocks)) + markup != end - start:
+    body = text[start:end]
+    read = _read_strided(body.split("\n")[:-1])  # "" follows the last newline
+    if read is None or _render_rows(*read) != body:
+        read = _read_rows(body)
+        if _render_rows(*read) != body:
+            return None
+    ids, names, columns = read
+    attrs = "".join(chain(ids, names))
+    texts = "".join(filter(None, chain(ids, names, *columns)))
+    if (any(map(attrs.__contains__, '"\t\n')) or "<" in texts or ">" in texts
+            or len(set(names)) < len(names)
+            or (texts.encode().translate(None, _PRINTABLE) if texts.isascii()
+                else _BAD_TEXT.search(texts))):
         return None
-    columns: dict = {}
-    fields_per_row = map(str.count, blocks, repeat("<f"))
-    row_of = chain.from_iterable(map(repeat, count(), fields_per_row))
-    for i, (name, value) in zip(row_of, _FIELD.findall(text, start, end)):
-        column = columns.get(name)
-        if column is None:
-            column = columns[name] = [None] * len(ids)
-        elif column[i] is not None:
-            return None  # a repeated field name
-        column[i] = value
-    if text.find("&", start, end) >= 0:
-        ids = list(map(_unescape, ids))
-        columns = {_unescape(name): [value and _unescape(value) for value in column]
-                   for name, column in columns.items()}
-    return (_unescape(head[1]), _unescape(head[2]), ids, columns,
+    if "&" in body:
+        ids, names = list(map(_unescape, ids)), list(map(_unescape, names))
+        columns = [[value and _unescape(value) for value in column] for column in columns]
+    return (_unescape(head[1]), _unescape(head[2]), ids, dict(zip(names, columns)),
             (int(tail[1]), int(tail[2])))
 
 

@@ -4,6 +4,7 @@ import re
 from collections.abc import Callable
 from datetime import date
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from gridbox.records import (
     SeriesRecord,
     StudyRecord,
 )
+from gridbox import registry as registry_module
 from gridbox.registry import VoRegistry
 
 MINTER = IdMinter("CAM", b"\x0c" * 16)
@@ -239,6 +241,36 @@ def test_last_line_cut_before_its_newline_is_kept(tmp_path, log):
     assert path.read_bytes() == whole
     log.write(again, 2)
     assert log.state(log.open(tmp_path)) == log.state(again)
+
+
+@each_log
+def test_a_crash_at_any_byte_of_the_last_append_recovers(tmp_path, monkeypatch, log):
+    """Cut the log at every byte offset of its last append and reopen it:
+    the audit is clean, the state is that of the log cut after some whole
+    line, and re-running the cut write restores the file byte for byte."""
+    monkeypatch.setattr(registry_module, "time", SimpleNamespace(time=lambda: 1.7e9))
+    owner = log.open(tmp_path / "whole")
+    log.write(owner, 1)
+    path = tmp_path / "whole" / log.name
+    before = len(path.read_bytes())
+    log.write(owner, 2)
+    whole, final = path.read_bytes(), log.state(owner)
+    reopened = tmp_path / "cut" / log.name
+
+    def reopen(data: bytes):
+        reopened.parent.mkdir(exist_ok=True)
+        reopened.write_bytes(data)
+        return log.open(reopened.parent)
+
+    line_ends = [before] + [at + 1 for at in range(before, len(whole)) if whole[at] == ord("\n")]
+    prefix_states = [log.state(reopen(whole[:end])) for end in line_ends]
+    for cut in range(before, len(whole)):
+        again = reopen(whole[:cut])
+        assert getattr(again, "audit", list)() == []
+        assert log.state(again) in prefix_states
+        if log.state(again) != final:
+            log.write(again, 2)
+        assert reopened.read_bytes() == whole, cut
 
 
 def test_ingest_tree_appends_its_lines_in_one_open(tmp_path, monkeypatch):

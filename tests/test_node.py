@@ -449,6 +449,18 @@ def test_stopped_node_refuses_to_fan_out_with_a_typed_error(make_vo, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params", [[1], "x", 5], ids=["list", "string", "number"])
+@pytest.mark.parametrize("op", ["QUERY", "AUTH", "NODE_LIST", "USER_ADD"])
+def test_params_that_are_not_an_object_are_a_protocol_error(session_vo, capsys, op, params):
+    vo = session_vo
+    to_registry = op in ("NODE_LIST", "USER_ADD")
+    address = vo.registry_address if to_registry else vo.nodes["CAM"].address
+    response, _ = request(address, op, params, token=vo.client("CAM").token)
+    assert response["status"] == "error"
+    assert response["error_code"] == "ProtocolError"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # --- ADD_ALG -----------------------------------------------------------------------
 
 def test_algorithm_registration_and_gossip(make_vo):

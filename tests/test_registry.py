@@ -9,6 +9,7 @@ from gridbox.errors import (
     StorageError,
 )
 from gridbox.registry import RegistryClient, VoRegistry, credential_digest
+from gridbox.wire import request
 
 
 @pytest.fixture
@@ -106,6 +107,15 @@ def test_user_add_needs_admin_token(registry):
     with pytest.raises(AuthFailed):
         client.add_user("forged", "alice", "wonderland")
     assert client.verify_user("alice", "wonderland") is False
+
+
+@pytest.mark.parametrize("enabled", ["false", 0, None], ids=["string", "number", "null"])
+def test_user_add_refuses_an_enabled_that_is_not_a_bool(registry, enabled):
+    response, _ = request(registry.address, "USER_ADD", {
+        "admin_token": registry.admin_token, "user": "mallory", "credential": "pw",
+        "enabled": enabled})
+    assert response["error_code"] == "ProtocolError"
+    assert "mallory" not in registry._users
 
 
 def test_wire_errors_carry_types(registry):

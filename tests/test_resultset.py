@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gridbox import resultset
 from gridbox.errors import GridError, MalformedXml, SchemaViolation
 from gridbox.resultset import (
     Part,
@@ -222,6 +223,13 @@ def test_valid_non_canonical_documents_parse_through_the_fallback(xml):
     assert ResultSet.from_xml(xml.encode()) == EXPECTED
 
 
+def test_a_repeated_field_name_is_declined():
+    xml = CANONICAL.replace('"image.view"', '"patient.id"').encode()
+    assert _read_canonical(xml) is None
+    with pytest.raises(SchemaViolation, match="duplicate field"):
+        ResultSet.from_xml(xml)
+
+
 def test_empty_field_forms_parse_alike():
     fieldless = answer(Q, {"CAM"}, (Row(IID, {}),))
     not_self_closed = fieldless.to_xml().replace(b"/>\n  <summary", b"></row>\n  <summary", 1)
@@ -300,6 +308,56 @@ def columnar_answers(draw):
 @given(columnar_answers())
 def test_to_xml_writes_the_reference_bytes(rs):
     assert rs.to_xml() == oracles.reference_xml(rs)
+    assert ResultSet.from_xml(rs.to_xml()) == rs
+    assert _read_canonical(rs.to_xml()) is not None  # whatever the rows' shape
+
+
+# --- the canonical reader under one-character edits ---------------------------------
+
+@st.composite
+def uniform_answers(draw):
+    """Answers whose rows all hold the same fields, which the reader cuts
+    from every n-th line."""
+    ids = sorted(draw(st.sets(special, min_size=1, max_size=5)))
+    names = draw(st.sets(special, max_size=3))
+    return ResultSet(draw(special), {"CAM"}, Part(ids, {
+        name: draw(st.lists(special, min_size=len(ids), max_size=len(ids)))
+        for name in names}))
+
+
+edit_chars = (st.sampled_from('<>"&\n\t\r')
+              | st.characters(whitelist_categories=("Cc",))
+              | st.characters(min_codepoint=0x80, blacklist_categories=("Cs",))
+              | st.characters(whitelist_categories=("Lu", "Ll"), max_codepoint=0x7f))
+
+
+@settings(max_examples=150)
+@given(st.one_of(result_sets(), uniform_answers()), edit_chars,
+       st.sampled_from(["delete", "insert", "replace"]))
+def test_canonical_reader_agrees_after_one_edit(rs, char, edit):
+    """A canonical document with one character deleted, inserted or
+    replaced is read as ElementTree reads it, or declined; the drawn edit
+    is tried at every offset of the document."""
+    xml = rs.to_xml().decode()
+    for at in range(len(xml) + 1):
+        kept = xml[at + (edit != "insert"):]
+        assert_reader_agrees((xml[:at] + ("" if edit == "delete" else char) + kept).encode())
+
+
+NULLS = ResultSet(Q, {"CAM", "UDI"}, Part(
+    [IID, f"CAM:image:{2:032x}", f"CAM:image:{3:032x}", f"UDI:image:{4:032x}"],
+    {"image.view": ["CC", None, None, "MLO"], "patient.id": [PID, PID, None, None]}))
+FIELDLESS = answer(Q, {"CAM"}, (Row(IID, {}), image_row(2), image_row(3, **{"image.view": "CC"})))
+ALL_FIELDLESS = answer(Q, {"CAM"}, (Row(IID, {}), Row(f"CAM:image:{2:032x}", {})))
+
+
+@pytest.mark.parametrize("rs", [NULLS, FIELDLESS, ALL_FIELDLESS],
+                         ids=["null-cells", "fieldless-rows", "all-fieldless"])
+def test_rows_of_any_shape_are_read_without_elementtree(rs, monkeypatch):
+    def refuse(data):
+        raise AssertionError("read through ElementTree")
+
+    monkeypatch.setattr(resultset, "_read_tree", refuse)
     assert ResultSet.from_xml(rs.to_xml()) == rs
 
 
