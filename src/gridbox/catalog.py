@@ -14,19 +14,24 @@ recover its state; :mod:`gridbox.applog` frames the lines and decides what
 a bad or torn line means.
 
 Queries run over an *image table*: one row per image, joined to its study
-and patient, with numpy columns for the static attributes (category codes,
-date ordinals, ages, doses with a presence mask, and a rank per id that
-orders rows as their id strings do) and ``(row, value)`` pairs for each
-``derived.<name>`` scalar.  Any write that changes a record drops the
-table, and the next `select` builds it again from the records, so a run of
-writes costs one build.  `select` evaluates the parsed query as boolean
-masks over the columns, then projects the fields of the matched rows from
-the record objects as canonical strings, one attribute at a time: the
-columns decide which rows match and never what a field says.  It returns
-those texts as they are computed, as a `Part`: the row ids plus one column
-per projected field.  No `Row` is built here: `resultset.merge` joins the
-sites' parts column by column, and the answer stays in columns until its
-XML is written.
+and patient, in image-id order.  It keeps numpy columns for the static
+attributes (category codes, date ordinals, ages, doses with a presence
+mask, and a rank per id that orders rows as their id strings do),
+``(row, value)`` pairs for each ``derived.<name>`` scalar, and, as Python
+lists, the id string of each row's image, study and patient and the
+canonical text of each projected field, None where the value is absent.
+The id strings are made when the table is built and are also the texts of
+``image.id`` and ``patient.id``; the text column of any other field is
+built over all rows by the first select that projects it.  Any write that
+changes a record drops the table with all its columns, and the next
+`select` builds it again from the records, so a run of writes costs one
+build.  `select` evaluates the parsed query as boolean masks over the
+numpy columns, then gathers the ids and each projected field's texts of
+the matched rows from the lists: the numpy columns decide which rows match
+and never what a field says.  It returns them as a `Part`: the row ids
+plus one column per projected field.  No `Row` is built here:
+`resultset.merge` joins the sites' parts column by column, and the answer
+stays in columns until its XML is written.
 """
 
 from __future__ import annotations
@@ -116,8 +121,6 @@ _STATIC_VALUE = {
     "image.id": lambda image, study, patient: image.id,
     "image.dose_mgy": lambda image, study, patient: image.dose_mgy,
 }
-# the position in a row of the record whose id names a result row
-_ROW_RECORD = {"image": 0, "study": 1, "patient": 2}
 
 _OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -131,6 +134,23 @@ def _test(op, column: np.ndarray, value) -> np.ndarray:
     return op(column, value)
 
 
+def _canonical(value) -> str | None:
+    """`canonical_value` of ``value``, None for None."""
+    if value is None:
+        return None
+    return _CANONICAL_OF_TYPE.get(type(value), canonical_value)(value)
+
+
+def _canonical_texts(values: list) -> list:
+    """`_canonical` of each of ``values``, each distinct value formatted once.
+    Values are told apart by type as well, so that ``1`` and ``True`` or a
+    date and a datetime are never mistaken for each other.  Not for float
+    columns: ``0.0 == -0.0`` would merge two texts."""
+    keys = list(zip(map(type, values), values))
+    text_of = {key: _canonical(key[1]) for key in set(keys)}
+    return list(map(text_of.__getitem__, keys))
+
+
 def _ranks(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
     """Each id's rank among the distinct ids, per row, and the rank of each
     id; ordering rows by rank orders them by id string."""
@@ -140,8 +160,15 @@ def _ranks(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
 
 class _Columns:
     """The image table at one moment, from ``(image, study, patient)`` rows
-    in image-id order; never changes after it is built, so a select
-    evaluates it without the catalog lock."""
+    in image-id order, with everything a select projects ready to gather:
+    ``ids`` holds each row's image, study and patient id string, made with
+    the table, and ``texts`` holds one canonical-text column per projected
+    field, None where the value is absent.  ``image.id`` and ``patient.id``
+    share the id strings; the first select that projects any other field
+    builds its column over all rows.  Apart from filling ``texts`` the
+    table never changes after it is built, so a select evaluates it
+    without the catalog lock; two selects that race to fill one column
+    both compute the same list."""
 
     def __init__(self, rows: list[tuple], derived_by_image: dict[str, list]):
         self.rows = rows
@@ -149,6 +176,7 @@ class _Columns:
         self.column: dict[str, np.ndarray] = {}
         self.present: dict[str, np.ndarray] = {}  # real attr -> value not absent
         self.rank_of: dict[str, dict[str, int]] = {}  # id attr -> {id: rank}
+        self.texts: dict[str, list] = {}
         for attr, (typ, extra) in STATIC_ATTRS.items():
             values = [_STATIC_VALUE[attr](*row) for row in rows]
             if typ == "cat":
@@ -163,14 +191,17 @@ class _Columns:
                 self.column[attr] = np.array(
                     [np.nan if v is None else v for v in values], np.float64)
             else:  # id
-                self.column[attr], self.rank_of[attr] = _ranks([str(v) for v in values])
-        self.group = {"image": self.column["image.id"],
-                      "study": _ranks([str(study.id) for _, study, _ in rows])[0],
+                self.texts[attr] = list(map(str, values))
+                self.column[attr], self.rank_of[attr] = _ranks(self.texts[attr])
+        study_ids = [str(study.id) for _, study, _ in rows]
+        self.ids = {"image": self.texts["image.id"], "study": study_ids,
+                    "patient": self.texts["patient.id"]}
+        self.group = {"image": self.column["image.id"], "study": _ranks(study_ids)[0],
                       "patient": self.column["patient.id"]}
         # "derived.<name>" -> (row of each value, the values) and the largest
         # value of each row (None where the row has none), as max() picks it
         pairs: dict[str, tuple[list, list]] = {}
-        for image_id, row in self.rank_of["image.id"].items():  # rank == row
+        for row, image_id in enumerate(self.ids["image"]):
             for record in derived_by_image.get(image_id, ()):
                 for name, value in record.scalars.items():
                     at_rows, values = pairs.setdefault(f"derived.{name}", ([], []))
@@ -229,21 +260,23 @@ class _Columns:
                                & _test(operator.le, col, hi))
         raise TypeError(f"not an expression node: {expr!r}")
 
-    def _texts(self, attr: str, rows: list[int]) -> list:
-        """The canonical text of ``attr`` for each of ``rows``, None where
-        the value is absent."""
-        if attr.startswith("derived."):
-            # report the largest scalar; absent when the row has none
-            largest = self.largest.get(attr)
-            if largest is None:
-                return [None] * len(rows)
-            values = [largest[r] for r in rows]
-        else:
-            value, table = _STATIC_VALUE[attr], self.rows
-            values = [value(*table[r]) for r in rows]
-        text_of = _CANONICAL_OF_TYPE.get
-        return [None if v is None else text_of(type(v), canonical_value)(v)
-                for v in values]
+    def _text_column(self, attr: str) -> list | None:
+        """The canonical text of ``attr`` for every row, built on first use;
+        None for a ``derived.`` field no row has."""
+        column = self.texts.get(attr)
+        if column is None:
+            if attr.startswith("derived."):
+                largest = self.largest.get(attr)  # report the largest scalar
+                if largest is None:
+                    return None
+                column = list(map(_canonical, largest))
+            else:
+                value = _STATIC_VALUE[attr]
+                values = [value(*row) for row in self.rows]
+                column = (list(map(_canonical, values)) if STATIC_ATTRS[attr][0] == "real"
+                          else _canonical_texts(values))
+            self.texts[attr] = column
+        return column
 
     def select(self, kind: str, expr, attrs: tuple) -> Part:
         """The ids of the rows of ``kind`` matching ``expr``, sorted, and the
@@ -252,9 +285,12 @@ class _Columns:
         matched = np.flatnonzero(self.mask(expr))  # in image-id order
         _, first = np.unique(self.group[kind][matched], return_index=True)
         picked = matched[first].tolist()
-        at, table = _ROW_RECORD[kind], self.rows
-        return Part([str(table[r][at].id) for r in picked],
-                    {attr: self._texts(attr, picked) for attr in attrs})
+        fields = {}
+        for attr in attrs:
+            column = self._text_column(attr)
+            fields[attr] = ([None] * len(picked) if column is None
+                            else list(map(column.__getitem__, picked)))
+        return Part(list(map(self.ids[kind].__getitem__, picked)), fields)
 
 
 class SiteCatalog:
@@ -432,14 +468,16 @@ class SiteCatalog:
 
     # --- query execution -----------------------------------------------------------
 
-    def select(self, q: FormalQuery) -> Part:
+    def select(self, q: FormalQuery, fields: tuple | None = None) -> Part:
         """Evaluate a parsed query over this catalog: the matching row ids,
-        sorted, and one column per name in ``projection(q)``."""
+        sorted, and one column per name in ``fields``, by default those in
+        ``projection(q)``."""
         with self._lock:
             if self._columns is None:
                 self._columns = _Columns(self._image_rows(), self._derived_by_image)
             columns = self._columns
-        return columns.select(ROW_KIND[q.target], q.expr, projection(q))
+        return columns.select(ROW_KIND[q.target], q.expr,
+                              projection(q) if fields is None else fields)
 
     # --- bookkeeping -------------------------------------------------------------
 

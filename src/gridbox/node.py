@@ -82,7 +82,7 @@ from gridbox.records import (
 )
 from gridbox.registry import RegistryClient
 from gridbox.resultset import Part, ResultSet, merge
-from gridbox.wire import FramedServer, call, error_response, ok_response
+from gridbox.wire import FramedServer, call, error_response, ok_response, text_param
 
 _SHA_HEX = frozenset("0123456789abcdef")
 _TEXT_OR_NULL = frozenset({str, type(None)})  # the types a peer part's column may hold
@@ -354,8 +354,8 @@ class GridNode:
     # --- AUTH ------------------------------------------------------------------------
 
     def _op_auth(self, req_id, token, params, binary):
-        user = str(params.get("user", ""))
-        credential = str(params.get("credential", ""))
+        user = text_param(params, "user")
+        credential = text_param(params, "credential")
         if not user or ":" in user:
             raise AuthFailed("unsuccessful user authentication")
         if not self.registry.verify_user(user, credential):
@@ -657,7 +657,7 @@ class GridNode:
                                       record.version, record.id)
         derived = []
         try:
-            for image_id in self.catalog.select(q).ids:
+            for image_id in self.catalog.select(q, ()).ids:
                 image = self.catalog.require(image_id)
                 mgi = parse_mgi(self.blobs.get(image.file))
                 derived.append(DerivedRecord(

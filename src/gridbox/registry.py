@@ -27,16 +27,17 @@ import time
 from dataclasses import asdict, dataclass
 
 from gridbox import applog
-from gridbox.config import RegistryConfig
+from gridbox.config import RegistryConfig, parse_address
 from gridbox.errors import (
     AuthFailed,
     DuplicateSiteDifferentIdentity,
     GridError,
+    MalformedFile,
     ProtocolError,
     RegistryUnreachable,
 )
 from gridbox.ids import valid_site_code
-from gridbox.wire import FramedServer, call, error_response, ok_response
+from gridbox.wire import FramedServer, call, error_response, ok_response, text_param
 
 _USER_RE = re.compile(r"^[a-z0-9][a-z0-9_.\-]*$")
 
@@ -133,6 +134,10 @@ class VoRegistry:
             raise ProtocolError(f"bad site code {site!r}")
         if not identity:
             raise ProtocolError("missing identity material")
+        try:
+            parse_address(address)
+        except MalformedFile as e:
+            raise ProtocolError(f"bad node address: {e.message}") from e
         with self._lock:
             existing = self._nodes.get(site)
             if existing is not None and existing.identity != identity:
@@ -182,27 +187,27 @@ class VoRegistry:
             if not isinstance(params, dict):
                 raise ProtocolError("params must be an object")
             if op == "NODE_REG":
-                members = self.register_node(str(params.get("site", "")),
-                                             str(params.get("address", "")),
-                                             str(params.get("identity", "")))
+                members = self.register_node(text_param(params, "site"),
+                                             text_param(params, "address"),
+                                             text_param(params, "identity"))
                 return ok_response(req_id, {"membership": members,
                                             "vo_key": self.vo_key}), b""
             if op == "NODE_LIST":
                 return ok_response(req_id, {"membership": self.membership()}), b""
             if op == "USER_VERIFY":
-                ok = self.verify_user(str(params.get("user", "")),
-                                      str(params.get("credential", "")))
+                ok = self.verify_user(text_param(params, "user"),
+                                      text_param(params, "credential"))
                 return ok_response(req_id, {"ok": ok}), b""
             if op == "USER_ADD":
-                supplied = str(params.get("admin_token", ""))
+                supplied = text_param(params, "admin_token")
                 if not hmac.compare_digest(supplied, self.admin_token):
                     raise AuthFailed("bad admin token")
                 enabled = params.get("enabled", True)
                 if not isinstance(enabled, bool):
                     raise ProtocolError(f"enabled must be true or false, got {enabled!r}")
-                self.add_user(str(params.get("user", "")),
-                              str(params.get("credential", "")),
-                              str(params.get("home_site", "")), enabled)
+                self.add_user(text_param(params, "user"),
+                              text_param(params, "credential"),
+                              text_param(params, "home_site"), enabled)
                 return ok_response(req_id, {"ok": True}), b""
             return error_response(req_id, "ProtocolError",
                                   f"unknown registry op {op!r}"), b""

@@ -282,6 +282,16 @@ def error_response(req_id: str, code: str, message: str) -> dict:
             "result": {"message": message}, "warnings": []}
 
 
+def text_param(params: dict, name: str) -> str:
+    """Request param ``name``, "" when absent; a value that is present but
+    not a JSON string is a `ProtocolError`, never coerced with ``str()``.
+    The message names the value's type only, since it may be a secret."""
+    value = params.get(name, "")
+    if not isinstance(value, str):
+        raise ProtocolError(f"{name} must be a string, not {type(value).__name__}")
+    return value
+
+
 # --- server ----------------------------------------------------------------------
 
 @dataclass

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import re
+import sys
+import threading
 from collections.abc import Callable
 from datetime import date
 from pathlib import Path
@@ -596,3 +598,137 @@ def test_select_stays_exact_across_writes_and_reopen(tmp_path):
     reopened = SiteCatalog("CAM", tmp_path)
     for q in queries:
         assert reopened.select(q) == cat.select(q), q.source_text
+
+
+# --- text columns: built on first use, dropped with the table -------------------
+
+EVERY_FIELD = [parse_query(
+    f"select {target} where patient.sex = F or patient.age > 60 or study.date < 1998-01-01"
+    " or image.laterality = L or image.view = CC or image.dose_mgy > 1"
+    " or derived.density > 0.5 or derived.spots >= 2"
+    f" or image.id = {gid('image', scrambled(3))} or patient.id = {gid('patient', scrambled(1))}")
+    for target in ("images", "studies", "patients")]
+
+
+def check_every_field(cat):
+    for q in EVERY_FIELD:
+        assert cat.select(q).rows() == oracles.expected_rows(q, [cat]), q.source_text
+
+
+@settings(max_examples=40)
+@given(catalogs(), st.data())
+def test_text_columns_die_with_the_table(cat, data):
+    """Selects that project every kind of field, interleaved with ingests,
+    derived writes and patient changes, each checked against the oracle: a
+    text column built before a write never shows in an answer after it."""
+    numbers = (scrambled(k) for k in itertools.count(1000))
+
+    def derived_write(value=None):
+        images = data.draw(st.lists(st.sampled_from(cat.images()), min_size=1,
+                                    max_size=3, unique_by=lambda image: str(image.id)))
+        records = []
+        for image in images:
+            scalars = {"density": data.draw(densities) if value is None else value}
+            existing = cat.derived_for(image.id)
+            if existing:
+                records.append(dataclasses.replace(data.draw(st.sampled_from(existing)),
+                                                   scalars=scalars))
+            else:
+                records.append(DerivedRecord(gid("derived", next(numbers)), image.id,
+                                             gid("algorithm", 1), scalars))
+        cat.upsert_many(records)
+
+    def patient_write():
+        image = data.draw(st.sampled_from(cat.images()))
+        patient = cat.require(cat.require(cat.require(image.series).study).patient)
+        cat.upsert(dataclasses.replace(patient, sex=data.draw(sexes),
+                                       birth_year=data.draw(st.integers(1920, 1970))))
+
+    def ingest():
+        patients = sorted(cat._records["patient"].values(), key=lambda p: str(p.id))
+        patient = data.draw(st.one_of(st.sampled_from(patients), st.builds(
+            lambda sex, year: PatientRecord(gid("patient", n := next(numbers)),
+                                            f"ANON-{n:012x}", sex, year),
+            sexes, st.integers(1920, 1970))))
+        n = next(numbers)
+        study = StudyRecord(gid("study", n), patient.id,
+                            data.draw(st.dates(date(1995, 1, 1), date(2005, 12, 31))))
+        series = SeriesRecord(gid("series", n), study.id)
+        images = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            n = next(numbers)
+            images.append(ImageRecord(gid("image", n), series.id, data.draw(lateralities),
+                                      data.draw(views), 8, 8,
+                                      FileRef(gid("file", n), f"{n:064x}", 128, "CAM"),
+                                      data.draw(doses)))
+        cat.ingest_tree(patient, [study], [series], images)
+
+    derived_write()  # so that some row has a derived.density
+    check_every_field(cat)
+    assert "derived.density" in cat._columns.texts  # built before the write
+    derived_write(value=2.0)  # above every drawn density: the value changes
+    check_every_field(cat)
+    steps = {"derived": derived_write, "patient": patient_write, "ingest": ingest,
+             "select": lambda: check_every_field(cat)}
+    for name in data.draw(st.lists(st.sampled_from(sorted(steps)), max_size=6)):
+        steps[name]()
+    check_every_field(cat)
+
+
+@settings(max_examples=30)
+@given(catalogs(), st.sampled_from(QUERY_POOL))
+def test_a_select_that_projects_no_field_builds_no_text_column(cat, text):
+    q = parse_query(text)
+    part = cat.select(q, ())
+    assert part.fields == {}
+    assert set(cat._columns.texts) == {"image.id", "patient.id"}  # the id strings
+    assert part.ids == cat.select(q).ids
+
+
+def test_concurrent_first_selects_on_a_fresh_table_agree():
+    """Threads that make the first select on a fresh table race to build its
+    text columns; every one of them gets the oracle's answer."""
+    cat = SiteCatalog("CAM")
+    cat.upsert(algorithm_record())
+    for n in range(1, 201):
+        build_tree(cat, n, sex="FM"[n % 2], birth_year=1920 + n % 50,
+                   study_date=date(1995 + n % 11, 1 + n % 12, 1 + n % 28),
+                   laterality="LR"[n % 2], view=("CC", "MLO")[n % 3 % 2],
+                   dose=(None, 0.5, 1.5, 2.0)[n % 4])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(3):
+            cat.upsert_many([derived_record(n, (n * 7 + round_) % 10 / 10)
+                             for n in range(1, 201, 3)])
+            for q in EVERY_FIELD:
+                barrier, parts = threading.Barrier(8), [None] * 8
+
+                def first_select(i):
+                    barrier.wait(timeout=10)
+                    parts[i] = cat.select(q)
+
+                threads = [threading.Thread(target=first_select, args=(i,))
+                           for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert parts[0].rows() == oracles.expected_rows(q, [cat]), q.source_text
+                assert all(part == parts[0] for part in parts)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_value_with_no_canonical_form_fails_the_select_that_projects_it():
+    cat = SiteCatalog("CAM")
+    build_tree(cat, 1)
+    cat.upsert(algorithm_record())
+    cat.upsert(DerivedRecord(gid("derived", 1), gid("image", 1), gid("algorithm", 1),
+                             {"flag": True}))
+    q = parse_query("select images where derived.flag > 0")
+    for _ in range(2):  # a failed build leaves no column behind
+        with pytest.raises(TypeError):
+            cat.select(q)
+    assert cat.select(q, ()).ids == [str(gid("image", 1))]

@@ -461,6 +461,14 @@ def test_params_that_are_not_an_object_are_a_protocol_error(session_vo, capsys, 
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params", [{"user": "alice", "credential": None},
+                                    {"user": 5, "credential": "pw"}],
+                         ids=["null-credential", "number-user"])
+def test_auth_refuses_a_user_or_credential_that_is_not_a_string(session_vo, params):
+    response, _ = request(session_vo.nodes["CAM"].address, "AUTH", params)
+    assert response["error_code"] == "ProtocolError"
+
+
 # --- ADD_ALG -----------------------------------------------------------------------
 
 def test_algorithm_registration_and_gossip(make_vo):
@@ -680,6 +688,16 @@ def test_pass_cut_in_its_last_line_loses_only_that_record(make_vo, capsys):
         assert log.read_bytes() == whole
     finally:
         again.stop()
+
+
+def test_an_exec_pass_builds_no_text_column(make_vo):
+    """A pass reads only the ids of the images its selector picks; the
+    second pass writes nothing, so its select's table is still there."""
+    node = single_site_with_images(make_vo).nodes["CAM"]
+    q = parse_query("select images where patient.sex = F or study.date > 1900-01-01")
+    record = node.catalog.algorithm("smf-density")
+    assert [node._execute_local(record, q) for _ in range(2)] == [3, 0]
+    assert set(node.catalog._columns.texts) == {"image.id", "patient.id"}
 
 
 def test_corrupt_blob_keeps_the_records_of_earlier_images(make_vo):

@@ -118,6 +118,32 @@ def test_user_add_refuses_an_enabled_that_is_not_a_bool(registry, enabled):
     assert "mallory" not in registry._users
 
 
+USER_ADD = {"user": "mallory", "credential": "pw", "home_site": "CAM"}
+NODE_REG = {"site": "CAM", "address": "cam:7001", "identity": "id-cam"}
+
+
+@pytest.mark.parametrize("value", [None, 5, ["h", 1]], ids=["null", "number", "list"])
+@pytest.mark.parametrize("op,name", [("USER_ADD", n) for n in [*USER_ADD, "admin_token"]]
+                         + [("NODE_REG", n) for n in NODE_REG]
+                         + [("USER_VERIFY", "user"), ("USER_VERIFY", "credential")])
+def test_text_params_that_are_not_strings_are_a_protocol_error(registry, op, name, value):
+    """Before, ``str()`` coerced them: a null credential became the password
+    "None" and a list address registered "['h', 1]"."""
+    params = {**{"USER_ADD": USER_ADD, "NODE_REG": NODE_REG}.get(op, {}), name: value}
+    if op == "USER_ADD":
+        params.setdefault("admin_token", registry.admin_token)
+    response, _ = request(registry.address, op, params)
+    assert response["error_code"] == "ProtocolError"
+    assert "mallory" not in registry._users and registry.membership() == []
+
+
+@pytest.mark.parametrize("address", ["", "cam", "cam:port"])
+def test_node_reg_refuses_an_address_that_is_not_host_port(registry, address):
+    with pytest.raises(ProtocolError):
+        RegistryClient(registry.address).register_node("CAM", address, "id-cam")
+    assert registry.membership() == []
+
+
 def test_wire_errors_carry_types(registry):
     client = RegistryClient(registry.address)
     client.register_node("CAM", "a:1", "genuine")
