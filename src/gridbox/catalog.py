@@ -141,16 +141,6 @@ def _canonical(value) -> str | None:
     return _CANONICAL_OF_TYPE.get(type(value), canonical_value)(value)
 
 
-def _canonical_texts(values: list) -> list:
-    """`_canonical` of each of ``values``, each distinct value formatted once.
-    Values are told apart by type as well, so that ``1`` and ``True`` or a
-    date and a datetime are never mistaken for each other.  Not for float
-    columns: ``0.0 == -0.0`` would merge two texts."""
-    keys = list(zip(map(type, values), values))
-    text_of = {key: _canonical(key[1]) for key in set(keys)}
-    return list(map(text_of.__getitem__, keys))
-
-
 def _ranks(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
     """Each id's rank among the distinct ids, per row, and the rank of each
     id; ordering rows by rank orders them by id string."""
@@ -165,10 +155,11 @@ class _Columns:
     the table, and ``texts`` holds one canonical-text column per projected
     field, None where the value is absent.  ``image.id`` and ``patient.id``
     share the id strings; the first select that projects any other field
-    builds its column over all rows.  Apart from filling ``texts`` the
-    table never changes after it is built, so a select evaluates it
-    without the catalog lock; two selects that race to fill one column
-    both compute the same list."""
+    builds its column over all rows, so a value with no canonical form in
+    any row, matched or not, fails every select that projects its field.
+    Apart from filling ``texts`` the table never changes after it is built,
+    so a select evaluates it without the catalog lock; two selects that
+    race to fill one column both compute the same list."""
 
     def __init__(self, rows: list[tuple], derived_by_image: dict[str, list]):
         self.rows = rows
@@ -272,9 +263,7 @@ class _Columns:
                 column = list(map(_canonical, largest))
             else:
                 value = _STATIC_VALUE[attr]
-                values = [value(*row) for row in self.rows]
-                column = (list(map(_canonical, values)) if STATIC_ATTRS[attr][0] == "real"
-                          else _canonical_texts(values))
+                column = list(map(_canonical, (value(*row) for row in self.rows)))
             self.texts[attr] = column
         return column
 
