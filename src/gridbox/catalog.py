@@ -20,18 +20,23 @@ mask, and a rank per id that orders rows as their id strings do),
 ``(row, value)`` pairs for each ``derived.<name>`` scalar, and, as Python
 lists, the id string of each row's image, study and patient and the
 canonical text of each projected field, None where the value is absent.
-The id strings are made when the table is built and are also the texts of
-``image.id`` and ``patient.id``; the text column of any other field is
-built over all rows by the first select that projects it.  Any write that
-changes a record drops the table with all its columns, and the next
-`select` builds it again from the records, so a run of writes costs one
-build.  `select` evaluates the parsed query as boolean masks over the
-numpy columns, then gathers the ids and each projected field's texts of
-the matched rows from the lists: the numpy columns decide which rows match
-and never what a field says.  It returns them as a `Part`: the row ids
-plus one column per projected field.  No `Row` is built here:
-`resultset.merge` joins the sites' parts column by column, and the answer
-stays in columns until its XML is written.
+The id strings are also the texts of ``image.id`` and ``patient.id``; the
+text column of any other field is built over all rows by the first select
+that projects it.  A write leaves the table standing and notes what the
+next `select` must fold in: a new image joins a pending list, and a derived
+record marks its image's derived values stale.  New patient, study, series
+and algorithm records change no row.  A *changed* patient, study, series or
+image empties the table, and the next select takes every image.  That
+select builds a new table from the last one, making static values, id
+strings and texts for the pending rows only and merging them in by image id,
+and indexes the stale derived values again; its Python work grows with what
+was written since the last select, not with the site.  `select` evaluates
+the parsed query as boolean masks over the numpy columns, then gathers the
+ids and each projected field's texts of the matched rows from the lists:
+the numpy columns decide which rows match and never what a field says.  It
+returns them as a `Part`: the row ids plus one column per projected field.
+No `Row` is built here: `resultset.merge` joins the sites' parts column by
+column, and the answer stays in columns until its XML is written.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import operator
 import threading
 from datetime import date
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -141,73 +147,192 @@ def _canonical(value) -> str | None:
     return _CANONICAL_OF_TYPE.get(type(value), canonical_value)(value)
 
 
-def _ranks(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
-    """Each id's rank among the distinct ids, per row, and the rank of each
-    id; ordering rows by rank orders them by id string."""
-    rank_of = {text: rank for rank, text in enumerate(sorted(set(ids)))}
-    return np.array([rank_of[text] for text in ids], np.int64), rank_of
+# the numpy type of each static attribute's column, by the attribute's type
+_DTYPE = {"cat": np.int8, "int": np.int64, "date": np.int64, "real": np.float64,
+          "id": np.int64}
+_KINDS = ("image", "study", "patient")
+
+
+def _static_texts(attr: str, rows) -> list:
+    """The canonical text of static ``attr`` for each of ``rows``."""
+    value = _STATIC_VALUE[attr]
+    return list(map(_canonical, (value(*row) for row in rows)))
+
+
+def _merge_ranks(rank_of: dict, ranks: np.ndarray, new_ids: list):
+    """Ranks once ``new_ids`` join the ids that ``rank_of`` ranks, where
+    ``ranks`` holds an existing row's rank: the new rank of each distinct id,
+    in rank order, the existing rows' ranks renumbered, and the rank of each
+    of ``new_ids``.  Ordering rows by rank orders them by id string."""
+    fresh = set(new_ids).difference(rank_of)
+    if fresh:
+        merged = sorted([*rank_of, *sorted(fresh)])  # a merge of two sorted runs
+        merged_rank_of = dict(zip(merged, range(len(merged))))
+        ranks = np.fromiter(map(merged_rank_of.__getitem__, rank_of), np.int64,
+                            len(rank_of))[ranks]
+        rank_of = merged_rank_of
+    return rank_of, ranks, np.fromiter(map(rank_of.__getitem__, new_ids), np.int64,
+                                       len(new_ids))
+
+
+def _permuted(old: list, new: list, order: list | None) -> list:
+    """``old + new`` in ``order`` (None: as it stands), as a new list."""
+    return old + new if order is None else list(map((old + new).__getitem__, order))
+
+
+# the fields of an image table with no rows, which a first build extends
+_EMPTY = SimpleNamespace(
+    rows=[], n=0, texts={}, derived={}, largest={},
+    column={attr: np.empty(0, _DTYPE[typ]) for attr, (typ, _) in STATIC_ATTRS.items()},
+    present={attr: np.empty(0, bool) for attr, (typ, _) in STATIC_ATTRS.items()
+             if typ == "real"},
+    rank_of={kind: {} for kind in _KINDS}, ids={kind: [] for kind in _KINDS},
+    group={kind: np.empty(0, np.int64) for kind in _KINDS})
+_NO_PAIRS = (np.empty(0, np.int64), np.empty(0, np.float64))
 
 
 class _Columns:
     """The image table at one moment, from ``(image, study, patient)`` rows
     in image-id order, with everything a select projects ready to gather:
-    ``ids`` holds each row's image, study and patient id string, made with
-    the table, and ``texts`` holds one canonical-text column per projected
-    field, None where the value is absent.  ``image.id`` and ``patient.id``
-    share the id strings; the first select that projects any other field
-    builds its column over all rows, so a value with no canonical form in
-    any row, matched or not, fails every select that projects its field.
-    Apart from filling ``texts`` the table never changes after it is built,
-    so a select evaluates it without the catalog lock; two selects that
-    race to fill one column both compute the same list."""
+    ``ids`` holds each row's image, study and patient id string, and
+    ``texts`` holds one canonical-text column per projected field, None
+    where the value is absent.  ``image.id`` and ``patient.id`` share the id
+    strings; the first select that projects any other field builds its
+    column over all rows, so a value with no canonical form in any row,
+    matched or not, fails every select that projects its field.
 
-    def __init__(self, rows: list[tuple], derived_by_image: dict[str, list]):
-        self.rows = rows
-        self.n = len(rows)
+    A table is built as an earlier table, ``base`` (None: the empty table),
+    extended with the rows of new images and with the derived records of the
+    images in ``touched`` indexed again; the first build extends the empty
+    table.  The new rows' static values and id strings are made here, merged
+    into ``base``'s in image-id order, and every text column ``base`` has
+    built is extended with the new rows' texts only; ``base`` itself is left
+    as it was.  Apart from filling ``texts`` a table never changes after it
+    is built, so a select evaluates it without the catalog lock; two selects
+    that race to fill one column both compute the same list."""
+
+    def __init__(self, rows: list[tuple], derived_by_image: dict[str, list],
+                 base: _Columns | None = None, touched=()):
+        base = _EMPTY if base is None else base
+        texts = dict(base.texts)  # a copy: selects on base may still add to it
+        if rows:
+            order, where = self._merge_static(base, rows, texts)
+        else:
+            order, where = None, np.arange(base.n)
+            self.rows, self.n, self.column, self.present = (
+                base.rows, base.n, base.column, base.present)
+            self.rank_of, self.ids, self.group = base.rank_of, base.ids, base.group
+        self._index_derived(base, order, where, derived_by_image, touched, texts)
+        self.texts = texts
+
+    def _merge_static(self, base, rows: list[tuple], texts: dict):
+        """Merge ``rows`` into ``base``'s static columns, id strings and
+        static text columns.  Returns the order of ``base``'s rows followed
+        by ``rows`` that puts them in image-id order, and the row each of
+        them moves to."""
+        self.n = n = base.n + len(rows)
+        new_ids = {"image": [str(image.id) for image, _, _ in rows],
+                   "study": [str(study.id) for _, study, _ in rows],
+                   "patient": [str(patient.id) for _, _, patient in rows]}
+        every = base.ids["image"] + new_ids["image"]
+        order = sorted(range(n), key=every.__getitem__)
+        at = np.array(order, np.int64)
+        self.rows = _permuted(base.rows, rows, order)
+        self.ids = {kind: _permuted(base.ids[kind], new_ids[kind], order)
+                    for kind in _KINDS}
+        # an image's rank is its row; a study's or a patient's comes from
+        # merging the sorted distinct ids
+        self.rank_of = {"image": dict(zip(self.ids["image"], range(n)))}
+        self.group = {"image": np.arange(n, dtype=np.int64)}
+        for kind in ("study", "patient"):
+            self.rank_of[kind], old, new = _merge_ranks(
+                base.rank_of[kind], base.group[kind], new_ids[kind])
+            self.group[kind] = np.concatenate((old, new))[at]
         self.column: dict[str, np.ndarray] = {}
         self.present: dict[str, np.ndarray] = {}  # real attr -> value not absent
-        self.rank_of: dict[str, dict[str, int]] = {}  # id attr -> {id: rank}
-        self.texts: dict[str, list] = {}
         for attr, (typ, extra) in STATIC_ATTRS.items():
+            if typ == "id":
+                self.column[attr] = self.group[extra]
+                continue
             values = [_STATIC_VALUE[attr](*row) for row in rows]
             if typ == "cat":
                 codes = {v: code for code, v in enumerate(extra)}
-                self.column[attr] = np.array([codes[v] for v in values], np.int8)
-            elif typ == "int":
-                self.column[attr] = np.array(values, np.int64)
+                values = [codes[v] for v in values]
             elif typ == "date":
-                self.column[attr] = np.array([v.toordinal() for v in values], np.int64)
+                values = [v.toordinal() for v in values]
             elif typ == "real":
-                self.present[attr] = np.array([v is not None for v in values], bool)
-                self.column[attr] = np.array(
-                    [np.nan if v is None else v for v in values], np.float64)
-            else:  # id
-                self.texts[attr] = list(map(str, values))
-                self.column[attr], self.rank_of[attr] = _ranks(self.texts[attr])
-        study_ids = [str(study.id) for _, study, _ in rows]
-        self.ids = {"image": self.texts["image.id"], "study": study_ids,
-                    "patient": self.texts["patient.id"]}
-        self.group = {"image": self.column["image.id"], "study": _ranks(study_ids)[0],
-                      "patient": self.column["patient.id"]}
-        # "derived.<name>" -> (row of each value, the values) and the largest
-        # value of each row (None where the row has none), as max() picks it
+                self.present[attr] = np.concatenate((
+                    base.present[attr], np.array([v is not None for v in values], bool)))[at]
+                values = [np.nan if v is None else v for v in values]
+            self.column[attr] = np.concatenate((
+                base.column[attr], np.array(values, _DTYPE[typ])))[at]
+        for attr, column in texts.items():
+            if attr in STATIC_ATTRS and STATIC_ATTRS[attr][0] != "id":
+                texts[attr] = _permuted(column, _static_texts(attr, rows), order)
+        texts["image.id"], texts["patient.id"] = self.ids["image"], self.ids["patient"]
+        where = np.empty(n, np.int64)
+        where[at] = np.arange(n)
+        return order, where
+
+    def _index_derived(self, base, order: list | None, where: np.ndarray,
+                       derived_by_image: dict, touched, texts: dict) -> None:
+        """``base``'s ``derived.<name>`` pairs, largest values and text
+        columns, carried to this table's rows, with the rows of new images
+        and of ``touched`` images indexed again from ``derived_by_image``.
+        ``where`` holds the row each of ``base``'s rows moves to.  Pairs stay
+        in row order, and a row's pairs in the order of its records and their
+        scalars."""
+        image_rank = base.rank_of["image"]  # an image's rank is its row
+        again = np.union1d(
+            where[np.array([image_rank[key] for key in touched if key in image_rank],
+                           np.int64)],
+            where[base.n:])
+        rows, image_ids = again.tolist(), self.ids["image"]
         pairs: dict[str, tuple[list, list]] = {}
-        for row, image_id in enumerate(self.ids["image"]):
-            for record in derived_by_image.get(image_id, ()):
+        for row in rows:
+            for record in derived_by_image.get(image_ids[row], ()):
                 for name, value in record.scalars.items():
                     at_rows, values = pairs.setdefault(f"derived.{name}", ([], []))
                     at_rows.append(row)
                     values.append(value)
+        added = self.n - base.n
+        # "derived.<name>" -> (row of each value, the values) and the largest
+        # value of each row (None where the row has none), as max() picks it
         self.derived: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.largest: dict[str, list] = {}
-        for attr, (at_rows, values) in pairs.items():
-            self.derived[attr] = (np.array(at_rows, np.int64),
-                                  np.array(values, np.float64))
-            largest = [None] * self.n
-            for row, value in zip(at_rows, values):
+        for attr in sorted(base.derived.keys() | pairs.keys()):
+            old_rows, old_values = base.derived.get(attr, _NO_PAIRS)
+            old_rows = where[old_rows]
+            keep = ~np.isin(old_rows, again)
+            new_rows, new_values = pairs.get(attr, ([], []))
+            at_rows = np.concatenate((old_rows[keep], np.array(new_rows, np.int64)))
+            if not len(at_rows):
+                continue  # its last value was replaced
+            by_row = np.argsort(at_rows, kind="stable")
+            self.derived[attr] = (at_rows[by_row], np.concatenate((
+                old_values[keep], np.array(new_values, np.float64)))[by_row])
+            largest = _permuted(base.largest.get(attr, [None] * base.n),
+                                [None] * added, order)
+            for row in rows:
+                largest[row] = None
+            for row, value in zip(new_rows, new_values):
                 if largest[row] is None or value > largest[row]:
                     largest[row] = value
             self.largest[attr] = largest
+        for attr, column in list(texts.items()):
+            if not attr.startswith("derived."):
+                continue
+            del texts[attr]
+            largest = self.largest.get(attr)
+            if largest is None:
+                continue  # no row has it any more
+            column = _permuted(column, [None] * added, order)
+            try:
+                for row in rows:
+                    column[row] = _canonical(largest[row])
+            except TypeError:
+                continue  # the next select that projects it fails on it again
+            texts[attr] = column
 
     def _code(self, attr: str, value):
         """A query value in the units of ``attr``'s column."""
@@ -217,7 +342,7 @@ class _Columns:
         if typ == "date":
             return value.toordinal()
         if typ == "id":
-            return self.rank_of[attr].get(value, -1)
+            return self.rank_of[extra].get(value, -1)
         return value
 
     def _where(self, attr: str, test) -> np.ndarray:
@@ -262,8 +387,7 @@ class _Columns:
                     return None
                 column = list(map(_canonical, largest))
             else:
-                value = _STATIC_VALUE[attr]
-                column = list(map(_canonical, (value(*row) for row in self.rows)))
+                column = _static_texts(attr, self.rows)
             self.texts[attr] = column
         return column
 
@@ -292,7 +416,12 @@ class SiteCatalog:
         self._files: dict[str, object] = {}  # file gid -> FileRef
         self._derived_by_image: dict[str, list[DerivedRecord]] = {}
         self._algorithms: dict[str, dict[int, AlgorithmRecord]] = {}
-        self._columns: _Columns | None = None  # None: build at the next select
+        # the image table as of the last select (None: no rows), the ids of
+        # the images written since (None: every image, after a changed
+        # record reset the table) and the images whose derived records changed
+        self._columns: _Columns | None = None
+        self._pending: list[str] | None = None
+        self._touched: set[str] = set()
         self._log_path: Path | None = None
         if data_dir is not None:
             data_dir = Path(data_dir)
@@ -341,22 +470,31 @@ class SiteCatalog:
             return False
         self._records[kind][key] = record
         if kind == "derived":
-            bucket = self._derived_by_image.setdefault(str(record.image), [])
             if existing is not None:
-                bucket[:] = [r for r in bucket if str(r.id) != key]
-            bucket.append(record)
+                image = str(existing.image)
+                self._derived_by_image[image] = [
+                    r for r in self._derived_by_image[image] if str(r.id) != key]
+                self._touched.add(image)
+            image = str(record.image)
+            self._derived_by_image.setdefault(image, []).append(record)
+            self._touched.add(image)
+        elif kind == "algorithm":
+            self._algorithms.setdefault(record.name, {})[record.version] = record
+        elif existing is not None:  # a changed patient, study, series or image
+            self._columns = self._pending = None
+        elif kind == "image" and self._pending is not None:
+            self._pending.append(key)
         if kind == "image":
             self._files[str(record.file.id)] = record.file
-        if kind == "algorithm":
-            self._algorithms.setdefault(record.name, {})[record.version] = record
-        self._columns = None
         return True
 
-    def _image_rows(self) -> list[tuple[ImageRecord, StudyRecord, PatientRecord]]:
-        """Each image joined to its study and patient, in image-id order."""
-        series, studies = self._records["series"], self._records["study"]
-        patients, rows = self._records["patient"], []
-        for image in self.images():
+    def _image_rows(self, keys=None) -> list[tuple[ImageRecord, StudyRecord, PatientRecord]]:
+        """Each image of ``keys`` (None: every image) joined to its study and
+        patient, in image-id order."""
+        images, series = self._records["image"], self._records["series"]
+        studies, patients, rows = self._records["study"], self._records["patient"], []
+        for key in sorted(images if keys is None else keys):
+            image = images[key]
             study = studies[str(series[str(image.series)].study)]
             rows.append((image, study, patients[str(study.patient)]))
         return rows
@@ -462,8 +600,11 @@ class SiteCatalog:
         sorted, and one column per name in ``fields``, by default those in
         ``projection(q)``."""
         with self._lock:
-            if self._columns is None:
-                self._columns = _Columns(self._image_rows(), self._derived_by_image)
+            if self._pending is None or self._pending or self._touched:
+                self._columns = _Columns(self._image_rows(self._pending),
+                                         self._derived_by_image, self._columns,
+                                         self._touched)
+                self._pending, self._touched = [], set()
             columns = self._columns
         return columns.select(ROW_KIND[q.target], q.expr,
                               projection(q) if fields is None else fields)

@@ -82,7 +82,14 @@ from gridbox.records import (
 )
 from gridbox.registry import RegistryClient
 from gridbox.resultset import Part, ResultSet, merge
-from gridbox.wire import FramedServer, call, error_response, ok_response, text_param
+from gridbox.wire import (
+    FramedServer,
+    call,
+    error_response,
+    ok_response,
+    same_secret,
+    text_param,
+)
 
 _SHA_HEX = frozenset("0123456789abcdef")
 _TEXT_OR_NULL = frozenset({str, type(None)})  # the types a peer part's column may hold
@@ -115,7 +122,7 @@ def verify_token(vo_key: bytes, token: str, now: float | None = None) -> str:
         issued, ttl = int(issued_s), int(ttl_s)
     except ValueError:
         raise AuthFailed("malformed session token") from None
-    if not hmac.compare_digest(sig, sign_token(vo_key, user, issued, ttl, nonce)):
+    if not same_secret(sig, sign_token(vo_key, user, issued, ttl, nonce)):
         raise AuthFailed("forged or foreign session token")
     if (time.time() if now is None else now) > issued + ttl:
         raise AuthFailed("expired session token")
@@ -306,7 +313,7 @@ class GridNode:
         sig = str(params.get("peer_sig", ""))
         if not valid_site_code(site) or not sig:
             raise AuthFailed("missing peer credentials")
-        if not hmac.compare_digest(sig, peer_signature(self.vo_key, site, op, req_id)):
+        if not same_secret(sig, peer_signature(self.vo_key, site, op, req_id)):
             raise AuthFailed("bad peer signature")
         self._peer_address(site)  # UnknownPeer unless the site is a VO member
         return site

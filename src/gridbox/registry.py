@@ -37,7 +37,14 @@ from gridbox.errors import (
     RegistryUnreachable,
 )
 from gridbox.ids import valid_site_code
-from gridbox.wire import FramedServer, call, error_response, ok_response, text_param
+from gridbox.wire import (
+    FramedServer,
+    call,
+    error_response,
+    ok_response,
+    same_secret,
+    text_param,
+)
 
 _USER_RE = re.compile(r"^[a-z0-9][a-z0-9_.\-]*$")
 
@@ -200,7 +207,7 @@ class VoRegistry:
                 return ok_response(req_id, {"ok": ok}), b""
             if op == "USER_ADD":
                 supplied = text_param(params, "admin_token")
-                if not hmac.compare_digest(supplied, self.admin_token):
+                if not same_secret(supplied, self.admin_token):
                     raise AuthFailed("bad admin token")
                 enabled = params.get("enabled", True)
                 if not isinstance(enabled, bool):

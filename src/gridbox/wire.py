@@ -29,6 +29,7 @@ accepted and dialed socket, and the default implementation is a null cipher.
 
 from __future__ import annotations
 
+import hmac
 import json
 import secrets
 import select
@@ -290,6 +291,14 @@ def text_param(params: dict, name: str) -> str:
     if not isinstance(value, str):
         raise ProtocolError(f"{name} must be a string, not {type(value).__name__}")
     return value
+
+
+def same_secret(supplied: str, expected: str) -> bool:
+    """``supplied == expected`` in constant time, for any two strings: it
+    compares their UTF-8 bytes, since `hmac.compare_digest` raises on a str
+    that is not ASCII."""
+    return hmac.compare_digest(supplied.encode("utf-8", "surrogatepass"),
+                               expected.encode("utf-8", "surrogatepass"))
 
 
 # --- server ----------------------------------------------------------------------

@@ -2,20 +2,24 @@ import dataclasses
 import itertools
 import re
 import sys
+import tempfile
 import threading
+import time
 from collections.abc import Callable
 from datetime import date
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from gridbox import applog
+from gridbox import catalog as catalog_module
 from gridbox.anonymize import PseudonymTable
-from gridbox.catalog import SiteCatalog, canonical_value
+from gridbox.catalog import SiteCatalog, _Columns, canonical_value
 from gridbox.config import RegistryConfig
 from gridbox.errors import (
     AlgorithmConflict,
@@ -600,7 +604,7 @@ def test_select_stays_exact_across_writes_and_reopen(tmp_path):
         assert reopened.select(q) == cat.select(q), q.source_text
 
 
-# --- text columns: built on first use, dropped with the table -------------------
+# --- text columns: built on first use, extended by later builds ------------------
 
 EVERY_FIELD = [parse_query(
     f"select {target} where patient.sex = F or patient.age > 60 or study.date < 1998-01-01"
@@ -732,3 +736,241 @@ def test_a_value_with_no_canonical_form_fails_the_select_that_projects_it():
         with pytest.raises(TypeError):
             cat.select(q)
     assert cat.select(q, ()).ids == [str(gid("image", 1))]
+
+
+# --- the image table is extended in place ------------------------------------------
+
+def assert_table_is_fresh(cat):
+    """``cat``'s image table equals one built afresh from its records."""
+    table, fresh = cat._columns, _Columns(cat._image_rows(), cat._derived_by_image)
+    assert (table.n, table.rows, table.ids) == (fresh.n, fresh.rows, fresh.ids)
+    for name in ("column", "present", "group"):
+        got, want = getattr(table, name), getattr(fresh, name)
+        assert got.keys() == want.keys(), name
+        for key, array in want.items():
+            assert got[key].dtype == array.dtype, (name, key)
+            np.testing.assert_array_equal(got[key], array, err_msg=f"{name} {key}")
+    assert table.rank_of == fresh.rank_of
+    assert [list(ranks) for ranks in table.rank_of.values()] == \
+        [list(ranks) for ranks in fresh.rank_of.values()]  # in rank order
+    assert table.derived.keys() == fresh.derived.keys()
+    for attr, (at_rows, values) in fresh.derived.items():
+        got_rows, got_values = table.derived[attr]
+        assert (got_rows.dtype, got_values.dtype) == (at_rows.dtype, values.dtype), attr
+        assert (got_rows.tolist(), got_values.tolist()) == (at_rows.tolist(),
+                                                            values.tolist()), attr
+    assert table.largest == fresh.largest
+    for attr, column in table.texts.items():
+        assert column == fresh._text_column(attr), attr
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalogs(), st.data())
+def test_an_extended_table_equals_a_fresh_build(cat, data):
+    """Selects that project every field, interleaved with new trees, new
+    images in existing series, changed records, derived writes that add or
+    replace, algorithm registrations and reopens: after each select the
+    table equals one built from the catalog's records."""
+    numbers = (scrambled(k) for k in itertools.count(2000))
+    with tempfile.TemporaryDirectory() as data_dir:
+        drawn, cat = cat, SiteCatalog("CAM", data_dir)
+        for kind in ("algorithm", "patient", "study", "series", "image", "derived"):
+            cat.upsert_many(sorted(drawn._records[kind].values(), key=lambda r: str(r.id)))
+
+        def pick(kind):
+            return data.draw(st.sampled_from(
+                sorted(cat._records[kind].values(), key=lambda r: str(r.id))))
+
+        def new_image(series):
+            n = next(numbers)
+            return ImageRecord(gid("image", n), series, data.draw(lateralities),
+                               data.draw(views), 8, 8,
+                               FileRef(gid("file", n), f"{n:064x}", 128, "CAM"),
+                               data.draw(doses))
+
+        def new_tree():
+            if data.draw(st.booleans()):
+                patient = pick("patient")
+            else:
+                n = next(numbers)
+                patient = PatientRecord(gid("patient", n), f"ANON-{n:012x}",
+                                        data.draw(sexes), data.draw(st.integers(1920, 1970)))
+            n = next(numbers)
+            study = StudyRecord(gid("study", n), patient.id,
+                                data.draw(st.dates(date(1995, 1, 1), date(2005, 12, 31))))
+            series = SeriesRecord(gid("series", n), study.id)
+            images = [new_image(series.id) for _ in range(data.draw(st.integers(1, 3)))]
+            cat.ingest_tree(patient, [study], [series], images)
+
+        def image_in_existing_series():
+            cat.upsert(new_image(pick("series").id))
+
+        def change():
+            kind = data.draw(st.sampled_from(["patient", "study", "series", "image"]))
+            record = pick(kind)
+            if kind == "patient":
+                record = dataclasses.replace(record, sex=data.draw(sexes),
+                                             birth_year=data.draw(st.integers(1920, 1970)))
+            elif kind == "study":
+                record = dataclasses.replace(
+                    record, date=data.draw(st.dates(date(1995, 1, 1), date(2005, 12, 31))))
+            elif kind == "series":
+                record = dataclasses.replace(record, study=pick("study").id)
+            else:
+                record = dataclasses.replace(record, series=pick("series").id,
+                                             laterality=data.draw(lateralities),
+                                             dose_mgy=data.draw(doses))
+            cat.upsert(record)
+
+        def derived_write():
+            records = []
+            for _ in range(data.draw(st.integers(1, 3))):
+                scalars = {"density": data.draw(densities)}
+                if data.draw(st.booleans()):
+                    scalars["spots"] = float(data.draw(st.integers(0, 4)))
+                if cat._records["derived"] and data.draw(st.booleans()):
+                    records.append(dataclasses.replace(pick("derived"), scalars=scalars))
+                else:
+                    records.append(DerivedRecord(
+                        gid("derived", next(numbers)), pick("image").id,
+                        gid("algorithm", data.draw(st.sampled_from([1, 2]))), scalars))
+            cat.upsert_many(records)
+
+        def algorithm():
+            cat.add_algorithm_version("alg", lambda version: algorithm_record(
+                n=next(numbers), version=version, source=f"mean emit v{version}"))
+
+        def reopen():
+            nonlocal cat
+            cat = SiteCatalog("CAM", data_dir)
+
+        def select():
+            check_every_field(cat)
+            assert_table_is_fresh(cat)
+
+        steps = {"tree": new_tree, "image": image_in_existing_series, "change": change,
+                 "derived": derived_write, "algorithm": algorithm, "reopen": reopen,
+                 "select": select}
+        # a changed record or a reopen starts the table again, so they are rarer
+        weighted = [*steps, "tree", "image", "derived", "derived", "select", "select"]
+        select()
+        for name in data.draw(st.lists(st.sampled_from(weighted), min_size=3, max_size=12)):
+            steps[name]()
+        select()
+
+
+def count_joined_rows(cat, monkeypatch) -> list:
+    """The number of rows each join of ``cat`` makes from now on."""
+    joined, join = [], cat._image_rows
+
+    def counted(keys=None):
+        rows = join(keys)
+        joined.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(cat, "_image_rows", counted)
+    return joined
+
+
+def test_a_select_after_an_upload_joins_only_the_new_images(monkeypatch):
+    cat = SiteCatalog("CAM")
+    cat.upsert(algorithm_record())
+    for n in range(1, 41):
+        build_tree(cat, n, sex="FM"[n % 2], study_date=date(1995 + n % 11, 1, 1 + n % 28),
+                   dose=(None, 0.5, 1.5)[n % 3])
+    cat.upsert_many([derived_record(n, n / 40) for n in range(1, 41, 2)])
+    check_every_field(cat)  # builds the table and every text column
+    joined = count_joined_rows(cat, monkeypatch)
+    texts_of = []
+    static_texts = catalog_module._static_texts
+    monkeypatch.setattr(catalog_module, "_static_texts",
+                        lambda attr, rows: texts_of.append(len(rows)) or static_texts(attr, rows))
+    for n in range(41, 45):
+        build_tree(cat, n, laterality="R")
+    ref = FileRef(gid("file", 45), f"{45:064x}", 128, "CAM")  # into an existing series
+    cat.upsert(ImageRecord(gid("image", 45), gid("series", 7), "L", "MLO", 8, 8, ref, None))
+    check_every_field(cat)
+    assert joined == [5]
+    # each static text column built before the upload is extended with 5 texts
+    assert texts_of == [5] * 6  # sex, age, date, laterality, view and dose
+    assert_table_is_fresh(cat)
+
+
+def test_a_derived_write_keeps_the_static_columns(monkeypatch):
+    cat = SiteCatalog("CAM")
+    cat.upsert(algorithm_record())
+    for n in range(1, 21):
+        build_tree(cat, n, dose=(None, 2.0)[n % 2])
+    check_every_field(cat)
+    table = cat._columns
+    joined = count_joined_rows(cat, monkeypatch)
+    cat.upsert_many([derived_record(n, n / 20) for n in (3, 8, 13)])
+    check_every_field(cat)
+    assert joined == [0]
+    assert cat._columns is not table
+    for attr in ("study.date", "image.dose_mgy", "patient.id"):
+        assert cat._columns.column[attr] is table.column[attr]
+    assert cat._columns.present is table.present
+    assert cat._columns.ids is table.ids
+    assert cat._columns.texts["study.date"] is table.texts["study.date"]
+    assert_table_is_fresh(cat)
+
+
+def test_a_changed_record_makes_the_next_select_take_every_image(monkeypatch):
+    cat = SiteCatalog("CAM")
+    trees = [build_tree(cat, n) for n in range(1, 11)]
+    check_every_field(cat)
+    joined = count_joined_rows(cat, monkeypatch)
+    cat.upsert(algorithm_record())  # a new algorithm leaves the table alone
+    build_tree(cat, 11)
+    cat.upsert(dataclasses.replace(trees[4][1], date=date(1999, 9, 9)))
+    build_tree(cat, 12)
+    check_every_field(cat)
+    assert joined == [12]
+    assert_table_is_fresh(cat)
+
+
+def test_selects_on_an_old_table_race_the_build_of_the_next():
+    """Readers select every field while a writer uploads trees, whose ids
+    fall between the old ones, and writes derived records, so each new
+    table is built from one that other threads are still reading and
+    filling.  Every answer's texts belong to its own rows, and the last
+    table equals a fresh build."""
+    cat = SiteCatalog("CAM")
+    cat.upsert(algorithm_record())
+    numbers = [scrambled(k) for k in range(1, 161)]
+    for n in numbers[:60]:
+        build_tree(cat, n, sex="FM"[n % 2], dose=(None, 0.5, 1.5)[n % 3])
+    errors, done = [], threading.Event()
+
+    def read():
+        try:
+            while not done.is_set():
+                part = cat.select(EVERY_FIELD[0])  # images; no record here changes
+                assert part.ids == sorted(part.ids) == part.fields["image.id"]
+                assert part.fields["image.laterality"] == [
+                    cat.lookup(image).laterality for image in part.ids]
+        except Exception as e:  # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    try:
+        for thread in readers:
+            thread.start()
+        for i in range(60, 160):
+            build_tree(cat, numbers[i], laterality="LR"[i % 2])
+            cat.upsert_many([DerivedRecord(gid("derived", n), gid("image", n),
+                                           gid("algorithm", 1), {"density": i % 10 / 10})
+                             for n in numbers[i - 5:i + 1]])
+            time.sleep(0.005)  # for the readers to build a table and race on it
+    finally:
+        done.set()
+        for thread in readers:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert errors == []
+    check_every_field(cat)
+    assert_table_is_fresh(cat)

@@ -108,6 +108,14 @@ def test_ops_refuse_missing_or_garbage_tokens(session_vo):
         assert response["error_code"] == "AuthFailed"
 
 
+def test_a_token_signature_that_is_not_ascii_is_auth_failed(session_vo):
+    """Before, `hmac.compare_digest` raised TypeError on it: Internal."""
+    response, _ = request(session_vo.nodes["CAM"].address, "QUERY",
+                          {"text": "select images where true"},
+                          token=f"{USER}:1000:3600:aa:\u00e9")
+    assert response["error_code"] == "AuthFailed"
+
+
 # --- ADD ---------------------------------------------------------------------------
 
 def test_add_ingests_and_is_idempotent(make_vo):
@@ -259,6 +267,13 @@ def test_rquery_rejects_bad_signature(session_vo):
     cam = session_vo.nodes["CAM"]
     envelope = rquery_envelope(cam, "select images where true", hop=1,
                                sig="00" * 32)
+    response = exchange(cam.address, envelope)
+    assert response["error_code"] == "AuthFailed"
+
+
+def test_rquery_rejects_a_signature_that_is_not_ascii(session_vo):
+    cam = session_vo.nodes["CAM"]
+    envelope = rquery_envelope(cam, "select images where true", hop=1, sig="\u00e9")
     response = exchange(cam.address, envelope)
     assert response["error_code"] == "AuthFailed"
 

@@ -109,6 +109,14 @@ def test_user_add_needs_admin_token(registry):
     assert client.verify_user("alice", "wonderland") is False
 
 
+def test_an_admin_token_that_is_not_ascii_is_auth_failed(registry):
+    """Before, `hmac.compare_digest` raised TypeError on it: Internal."""
+    response, _ = request(registry.address, "USER_ADD",
+                          {**USER_ADD, "admin_token": "\u00e9"})
+    assert response["error_code"] == "AuthFailed"
+    assert "mallory" not in registry._users
+
+
 @pytest.mark.parametrize("enabled", ["false", 0, None], ids=["string", "number", "null"])
 def test_user_add_refuses_an_enabled_that_is_not_a_bool(registry, enabled):
     response, _ = request(registry.address, "USER_ADD", {
