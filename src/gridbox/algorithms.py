@@ -34,7 +34,7 @@ from gridbox.errors import (
 from gridbox.ids import GlobalId
 from gridbox.mgi import MgiFile
 
-_EMIT_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_EMIT_RE = re.compile(r"[a-z][a-z0-9_]*")
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.int8)
 
 VERBS = ("threshold", "fraction_above", "mean", "max", "count_components")
@@ -80,7 +80,7 @@ def _parse_threshold(word: str, line_no: int) -> int:
 def _parse_emit(words: list[str], line_no: int) -> str:
     if len(words) != 2 or words[0] != "emit":
         raise AlgorithmSyntaxError(f"line {line_no}: expected 'emit <name>'")
-    if not _EMIT_RE.match(words[1]):
+    if not _EMIT_RE.fullmatch(words[1]):
         raise AlgorithmSyntaxError(
             f"line {line_no}: emit name {words[1]!r} must be a lowercase identifier")
     return words[1]
@@ -127,7 +127,7 @@ def parse_algorithm(text: str, name: str = "", version: int = 0,
 
 def valid_name(name: str) -> bool:
     """Algorithm and emit names share one shape: lowercase identifiers."""
-    return bool(_EMIT_RE.match(name))
+    return bool(_EMIT_RE.fullmatch(name))
 
 
 def count_components(mask: np.ndarray) -> int:

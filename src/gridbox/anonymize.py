@@ -24,9 +24,9 @@ from gridbox.errors import MalformedFile
 from gridbox.ids import GlobalId, IdMinter, looks_like_global_id
 from gridbox.mgi import MgiFile
 
-_PSEUDONYM_RE = re.compile(r"^ANON-[0-9a-f]{12}$")
-_YEAR_RE = re.compile(r"^\d{4}$")
-_DATE_RE = re.compile(r"^(\d{4})-\d{2}-\d{2}$")
+_PSEUDONYM_RE = re.compile(r"ANON-[0-9a-f]{12}")
+_YEAR_RE = re.compile(r"\d{4}")
+_DATE_RE = re.compile(r"(\d{4})-\d{2}-\d{2}")
 
 
 def is_anonymized(f: MgiFile) -> bool:
@@ -35,15 +35,15 @@ def is_anonymized(f: MgiFile) -> bool:
     name = f.get("patient.name", "")
     pid = f.get("patient.id", "")
     birth = f.get("patient.birth_date", "")
-    return (bool(_PSEUDONYM_RE.match(name))
+    return (bool(_PSEUDONYM_RE.fullmatch(name))
             and looks_like_global_id(pid) and GlobalId.parse(pid).kind == "patient"
-            and bool(_YEAR_RE.match(birth)))
+            and bool(_YEAR_RE.fullmatch(birth)))
 
 
 def birth_year_of(birth_date: str) -> str:
-    if _YEAR_RE.match(birth_date):
+    if _YEAR_RE.fullmatch(birth_date):
         return birth_date
-    m = _DATE_RE.match(birth_date)
+    m = _DATE_RE.fullmatch(birth_date)
     if not m:
         raise MalformedFile(f"unusable patient.birth_date {birth_date!r}")
     return m.group(1)

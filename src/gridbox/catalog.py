@@ -550,7 +550,8 @@ class SiteCatalog:
 
     def lookup(self, gid: GlobalId | str):
         key = str(gid)
-        kind = key.split(":", 2)[1] if key.count(":") >= 2 else ""
+        kind = gid.kind if isinstance(gid, GlobalId) else (
+            key.split(":", 2)[1] if key.count(":") >= 2 else "")
         table = self._records.get(kind)
         if table is None:
             return None

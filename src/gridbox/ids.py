@@ -17,16 +17,16 @@ from __future__ import annotations
 import hmac
 import re
 from dataclasses import dataclass
-from hashlib import sha256
 
 KINDS = ("patient", "study", "series", "image", "file", "derived", "algorithm")
 
-_SITE_RE = re.compile(r"^[A-Z][A-Z0-9]{1,7}$")
-_HEX32_RE = re.compile(r"^[0-9a-f]{32}$")
+_SITE_RE = re.compile(r"[A-Z][A-Z0-9]{1,7}")
+_HEX32_RE = re.compile(r"[0-9a-f]{32}")
+_ID_RE = re.compile(rf"{_SITE_RE.pattern}:(?:{'|'.join(KINDS)}):{_HEX32_RE.pattern}")
 
 
 def valid_site_code(site: str) -> bool:
-    return bool(_SITE_RE.match(site))
+    return bool(_SITE_RE.fullmatch(site))
 
 
 @dataclass(frozen=True, order=True)
@@ -36,14 +36,19 @@ class GlobalId:
     local: str
 
     def __post_init__(self):
-        if not valid_site_code(self.site):
-            raise ValueError(f"bad site code {self.site!r}")
-        if self.kind not in KINDS:
-            raise ValueError(f"bad id kind {self.kind!r}")
-        if not _HEX32_RE.match(self.local):
-            raise ValueError(f"bad local part {self.local!r}")
+        try:
+            text = ":".join((self.site, self.kind, self.local))
+        except TypeError:  # a part that is not text; the checks below say which
+            text = ""
+        if not _ID_RE.fullmatch(text):
+            if not valid_site_code(self.site):
+                raise ValueError(f"bad site code {self.site!r}")
+            if self.kind not in KINDS:
+                raise ValueError(f"bad id kind {self.kind!r}")
+            if not _HEX32_RE.fullmatch(self.local):
+                raise ValueError(f"bad local part {self.local!r}")
         # rendered once: catalogs key every record by the rendered id
-        object.__setattr__(self, "_text", f"{self.site}:{self.kind}:{self.local}")
+        object.__setattr__(self, "_text", text)
 
     def __str__(self) -> str:
         return self._text
@@ -84,10 +89,11 @@ class IdMinter:
         self._secret = secret
 
     def mint_keyed(self, kind: str, key: str) -> GlobalId:
-        digest = hmac.new(self._secret, f"{kind}:{key}".encode(), sha256).hexdigest()
-        return GlobalId(self.site, kind, digest[:32])
+        digest = hmac.digest(self._secret, f"{kind}:{key}".encode(), "sha256")
+        return GlobalId(self.site, kind, digest.hex()[:32])
 
     def pseudonym(self, original_patient_id: str) -> str:
         """Stable opaque replacement for a patient name: ``ANON-<12 hex>``."""
-        digest = hmac.new(self._secret, b"pseudonym:" + original_patient_id.encode(), sha256)
-        return "ANON-" + digest.hexdigest()[:12]
+        digest = hmac.digest(self._secret, b"pseudonym:" + original_patient_id.encode(),
+                             "sha256")
+        return "ANON-" + digest.hex()[:12]

@@ -11,7 +11,10 @@ MGI is a deliberately small stand-in for DICOM: a text header plus a raw
 Header keys come from a controlled list; ``image.rows``, ``image.cols`` and
 ``image.bits`` are mandatory, ``image.bits`` is always 16, and the payload
 length must match the declared shape exactly.  ``write_mgi`` and
-``parse_mgi`` are mutual inverses on valid files, bit for bit.
+``parse_mgi`` are mutual inverses on valid files, bit for bit, so a node
+stores an already-anonymized upload as the bytes it received.  ``parse_mgi``
+reads in one pass: it decodes the header block once, checks its lines in
+order (the first bad one raises) and skips `MgiFile`'s checks, all made.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ HEADER_KEYS = (
     "image.dose_mgy",
     "site.id",
 )
+_KEYS = frozenset(HEADER_KEYS)
 
 _REQUIRED = ("image.rows", "image.cols", "image.bits")
 
@@ -77,7 +81,7 @@ class MgiFile:
     def __post_init__(self):
         self.header = dict(self.header)
         for key, value in self.header.items():
-            if key not in HEADER_KEYS:
+            if key not in _KEYS:
                 raise UnknownHeaderKey(f"unknown header key {key!r}")
             if not isinstance(value, str) or "\n" in value:
                 raise MgiFormatError(f"header value for {key!r} must be a single line")
@@ -115,32 +119,34 @@ def parse_mgi(data: bytes) -> MgiFile:
     newline = data.find(b"\n")
     if newline < 0 or data[:newline] != MAGIC:
         raise BadMagic("not an MGI file")
+    end = data.find(b"\n\n", newline)
+    # with no blank line, the lines that end are checked before that is said
+    block = data[newline + 1:end if end >= 0 else data.rfind(b"\n")]
+    undecodable = None
+    try:
+        lines = block.decode("utf-8").split("\n") if block else []
+    except UnicodeDecodeError as e:  # check the lines before the bad one first
+        lines, undecodable = block[:e.start].decode("utf-8").split("\n")[:-1], e
     header: dict[str, str] = {}
-    pos = newline + 1
-    while True:
-        newline = data.find(b"\n", pos)
-        if newline < 0:
-            raise MgiFormatError("header never ends (no blank line)")
-        line = data[pos:newline]
-        pos = newline + 1
-        if line == b"":
-            break
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise MgiFormatError(f"undecodable header line: {e}") from e
-        key, sep, value = text.partition(" = ")
+    for line in lines:
+        key, sep, value = line.partition(" = ")
         if not sep or not key:
-            raise MgiFormatError(f"malformed header line {text!r}")
-        if key not in HEADER_KEYS:
+            raise MgiFormatError(f"malformed header line {line!r}")
+        if key not in _KEYS:
             raise UnknownHeaderKey(f"unknown header key {key!r}")
         if key in header:
             raise MgiFormatError(f"duplicate header key {key!r}")
         header[key] = value
+    if undecodable is not None:
+        raise MgiFormatError(f"undecodable header line: {undecodable}") from undecodable
+    if end < 0:
+        raise MgiFormatError("header never ends (no blank line)")
     rows, cols = _declared_shape(header)
-    payload = data[pos:]
+    payload = data[end + 2:]
     if len(payload) != rows * cols * 2:
         raise PayloadSizeMismatch(
             f"payload is {len(payload)} bytes, header declares {rows * cols * 2}")
-    pixels = np.frombuffer(payload, dtype=">u2").reshape(rows, cols)
-    return MgiFile(header, pixels.astype(np.uint16))
+    f = object.__new__(MgiFile)  # every check of __post_init__ was made above
+    f.header = header
+    f.pixels = np.frombuffer(payload, dtype=">u2").reshape(rows, cols).astype(np.uint16)
+    return f

@@ -101,7 +101,7 @@ FAN_OUT_WORKERS = 32  # threads of a node's fan-out pool; see GridNode._fan_out
 
 def sign_token(vo_key: bytes, user: str, issued: int, ttl: int, nonce: str) -> str:
     msg = f"token:{user}:{issued}:{ttl}:{nonce}".encode("utf-8")
-    return hmac.new(vo_key, msg, sha256).hexdigest()
+    return hmac.digest(vo_key, msg, "sha256").hex()
 
 
 def mint_token(vo_key: bytes, user: str, ttl: int, now: int | None = None) -> str:
@@ -131,7 +131,7 @@ def verify_token(vo_key: bytes, token: str, now: float | None = None) -> str:
 
 def peer_signature(vo_key: bytes, peer_site: str, op: str, req_id: str) -> str:
     msg = f"peer:{peer_site}:{op}:{req_id}".encode("utf-8")
-    return hmac.new(vo_key, msg, sha256).hexdigest()
+    return hmac.digest(vo_key, msg, "sha256").hex()
 
 
 # --- the node ------------------------------------------------------------------------
@@ -309,8 +309,8 @@ class GridNode:
     def _require_peer(self, req_id: str, op: str, params: dict) -> str:
         if not self.vo_key:
             raise AuthFailed("node is not registered with the VO yet")
-        site = str(params.get("peer_site", ""))
-        sig = str(params.get("peer_sig", ""))
+        site = text_param(params, "peer_site")
+        sig = text_param(params, "peer_sig")
         if not valid_site_code(site) or not sig:
             raise AuthFailed("missing peer credentials")
         if not same_secret(sig, peer_signature(self.vo_key, site, op, req_id)):
@@ -381,11 +381,12 @@ class GridNode:
             mgi = parse_mgi(binary)
         except MgiFormatError as e:
             raise MalformedFile(f"bad MGI file: {e.message}") from e
-        mgi = anonymize_for_site(mgi, self.minter, self.pseudonyms)
-        data = write_mgi(mgi)
+        anonymized = anonymize_for_site(mgi, self.minter, self.pseudonyms)
+        # parse and write are inverses, so an unchanged file is the bytes sent
+        data = binary if anonymized is mgi else write_mgi(anonymized)
         ref = self.blobs.ref_for(data)
-        patient, study, series, image = self._records_from_header(mgi, ref)
-        self.blobs.put(data)
+        patient, study, series, image = self._records_from_header(anonymized, ref)
+        self.blobs.put(data, ref)
         changed = self.catalog.ingest_tree(patient, [study], [series], [image])
         return {"file": ref.to_json(), "image": str(image.id),
                 "changed": changed}, [], b""
@@ -463,7 +464,7 @@ class GridNode:
 
     def _op_retrieve(self, req_id, token, params, binary):
         self._require_user(token)
-        ident = str(params.get("id", ""))
+        ident = text_param(params, "id")
         warnings: list[str] = []
         if looks_like_global_id(ident):
             gid = GlobalId.parse(ident)
@@ -500,7 +501,7 @@ class GridNode:
 
     def _op_peer_fetch(self, req_id, token, params, binary):
         self._require_peer(req_id, "PEER_FETCH", params)
-        ident = str(params.get("id", ""))
+        ident = text_param(params, "id")
         if looks_like_global_id(ident) and GlobalId.parse(ident).site != self.site:
             raise NotFound(f"{ident} is not owned by {self.site}")
         data = self.blobs.get(self._resolve_local_sha(ident))
@@ -561,14 +562,14 @@ class GridNode:
 
     def _op_query(self, req_id, token, params, binary):
         self._require_user(token)
-        result, warnings = self.run_query(str(params.get("text", "")))
+        result, warnings = self.run_query(text_param(params, "text"))
         return {"xml": result.to_xml().decode("utf-8")}, warnings, b""
 
     def _op_rquery(self, req_id, token, params, binary):
         self._require_peer(req_id, "RQUERY", params)
         if params.get("hop") != 1:
             raise HopViolation(f"RQUERY must arrive with hop=1, got {params.get('hop')!r}")
-        q = parse_query(str(params.get("text", "")))
+        q = parse_query(text_param(params, "text"))
         part = self._local_resultset(q)
         return {"query": print_query(q), "ids": part.ids, "fields": part.fields}, [], b""
 
@@ -590,8 +591,8 @@ class GridNode:
             record = self._algorithm_from_params(params)
             return {"registered": self._register_algorithm(record)}, [], b""
         self._require_user(token)
-        name = str(params.get("name", ""))
-        source = str(params.get("source", ""))
+        name = text_param(params, "name")
+        source = text_param(params, "source")
         if not alg.valid_name(name):
             raise QuerySyntaxError(f"algorithm name {name!r} must be a lowercase "
                                    "identifier")
@@ -685,10 +686,10 @@ class GridNode:
             record = self._algorithm_from_params(params)
             self._register_algorithm(record)
             local_record = self.catalog.algorithm(record.name, record.version)
-            q = self._selector_query(str(params.get("selector", "")))
+            q = self._selector_query(text_param(params, "selector"))
             return {"written": self._execute_local(local_record, q)}, [], b""
         self._require_user(token)
-        name = str(params.get("name", ""))
+        name, selector = text_param(params, "name"), text_param(params, "selector")
         version = params.get("version")
         if version is not None and type(version) is not int:  # not a bool or float
             raise ProtocolError(f"bad algorithm version {version!r}")
@@ -696,7 +697,7 @@ class GridNode:
         if record is None:
             raise UnknownAlgorithm(f"no algorithm {name!r}"
                                    + (f" v{version}" if version is not None else ""))
-        q = self._selector_query(str(params.get("selector", "")))
+        q = self._selector_query(selector)
         remotes = decompose(q, sorted(self.membership()), self.site)
         per_site = {self.site: self._execute_local(record, q)}
         answers, warnings = self._fan_out(remotes, self._remote_exec, record,

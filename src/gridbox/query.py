@@ -50,7 +50,7 @@ STATIC_ATTRS: dict[str, tuple[str, tuple | str | None]] = {
     "image.dose_mgy": ("real", None),
 }
 
-_DERIVED_RE = re.compile(r"^derived\.[a-z][a-z0-9_]*$")
+_DERIVED_RE = re.compile(r"derived\.[a-z][a-z0-9_]*")
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 _ORDER_OPS = ("<", "<=", ">", ">=")
 
@@ -58,7 +58,7 @@ _ORDER_OPS = ("<", "<=", ">", ">=")
 def attr_type(attr: str) -> tuple[str, tuple | str | None]:
     if attr in STATIC_ATTRS:
         return STATIC_ATTRS[attr]
-    if _DERIVED_RE.match(attr):
+    if _DERIVED_RE.fullmatch(attr):
         return ("real", None)
     raise UnknownAttribute(f"unknown attribute {attr!r}")
 
@@ -131,9 +131,9 @@ class FormalQuery:
 # --- lexer -------------------------------------------------------------------
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_.:\-]+")
-_NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_ATTR_RE = re.compile(r"^(patient|study|image|derived)\.[A-Za-z_][A-Za-z0-9_]*$")
+_NUMBER_RE = re.compile(r"-?\d+(\.\d+)?")
+_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
+_ATTR_RE = re.compile(r"(patient|study|image|derived)\.[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = ("select", "where", "and", "or", "not", "in", "true", "false")
 _PUNCT = ("(", ")", "[", "]", ",")
 
@@ -257,7 +257,7 @@ class _Parser:
         if tok.kind == "word" and tok.text in ("true", "false"):
             self.advance()
             return BoolLit(tok.text == "true")
-        if tok.kind == "word" and _ATTR_RE.match(tok.text):
+        if tok.kind == "word" and _ATTR_RE.fullmatch(tok.text):
             return self.parse_predicate()
         raise QuerySyntaxError(
             f"got {tok.text!r}" if tok.kind != "end" else "query ends early",
@@ -296,9 +296,9 @@ class _Parser:
 
 
 def _classify_word(word: str) -> Value:
-    if _NUMBER_RE.match(word):
+    if _NUMBER_RE.fullmatch(word):
         return float(word) if "." in word else int(word)
-    if _DATE_RE.match(word):
+    if _DATE_RE.fullmatch(word):
         try:
             return date.fromisoformat(word)
         except ValueError as e:
@@ -373,15 +373,15 @@ def _print_value(value: Value) -> str:
         raise TypeError("boolean is not a predicate value")
     if isinstance(value, (int, float)):
         text = repr(value)
-        if not _NUMBER_RE.match(text):  # exponent notation would not re-lex
+        if not _NUMBER_RE.fullmatch(text):  # exponent notation would not re-lex
             text = format(Decimal(value), "f")
         return text
     if isinstance(value, date):
         return value.isoformat()
     # a bareword must survive re-lexing as the same plain word
     if _WORD_RE.fullmatch(value) and not (
-            _NUMBER_RE.match(value) or _DATE_RE.match(value)
-            or _ATTR_RE.match(value) or value in _KEYWORDS):
+            _NUMBER_RE.fullmatch(value) or _DATE_RE.fullmatch(value)
+            or _ATTR_RE.fullmatch(value) or value in _KEYWORDS):
         return value
     if '"' in value or "\n" in value:
         raise TypeMismatch(f"unprintable string value {value!r}")

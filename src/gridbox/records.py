@@ -7,6 +7,7 @@ log and the wire envelopes.  Ids are rendered strings in JSON; dates are ISO.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -16,6 +17,7 @@ SEXES = ("F", "M")
 LATERALITIES = ("L", "R")
 VIEWS = ("CC", "MLO")
 BIRTH_YEAR_FLOOR = 1900
+SHA256_RE = re.compile(r"[0-9a-f]{64}")  # a blob's content address
 
 
 def _require_kind(gid: GlobalId, kind: str) -> None:
@@ -34,7 +36,7 @@ class FileRef:
 
     def __post_init__(self):
         _require_kind(self.id, "file")
-        if len(self.sha256) != 64 or any(c not in "0123456789abcdef" for c in self.sha256):
+        if not SHA256_RE.fullmatch(self.sha256):
             raise ValueError(f"bad sha256 {self.sha256!r}")
         if self.size <= 0:
             raise ValueError("empty blobs are not stored")

@@ -46,7 +46,7 @@ from gridbox.wire import (
     text_param,
 )
 
-_USER_RE = re.compile(r"^[a-z0-9][a-z0-9_.\-]*$")
+_USER_RE = re.compile(r"[a-z0-9][a-z0-9_.\-]*")
 
 
 def credential_digest(salt: str, credential: str) -> str:
@@ -162,7 +162,7 @@ class VoRegistry:
 
     def add_user(self, user: str, credential: str, home_site: str = "",
                  enabled: bool = True) -> None:
-        if not _USER_RE.match(user):
+        if not _USER_RE.fullmatch(user):
             raise ProtocolError(f"bad user id {user!r}")
         salt = secrets.token_hex(8)
         entry = UserEntry(user, salt, credential_digest(salt, credential),

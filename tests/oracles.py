@@ -9,7 +9,11 @@ from __future__ import annotations
 from collections import deque
 from xml.sax.saxutils import escape
 
+import numpy as np
+
+from gridbox.errors import BadMagic, MgiFormatError, PayloadSizeMismatch, UnknownHeaderKey
 from gridbox.ids import id_kind
+from gridbox.mgi import HEADER_KEYS, MAGIC, MgiFile
 from gridbox.query import And, BoolLit, Comparison, FormalQuery, Not, Or, RangeTest
 from gridbox.resultset import Row
 
@@ -186,6 +190,57 @@ def reference_xml(rs) -> bytes:
     lines.append(f'  <summary images="{images}" patients="{len(patients)}"/>')
     lines.append("</resultset>")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# --- MGI files ----------------------------------------------------------------------
+
+def parse_mgi_reference(data: bytes) -> MgiFile:
+    """Read an MGI file one header line at a time, decoding and checking
+    each line as it comes, and build the file through `MgiFile`'s own
+    checks: the reader `gridbox.mgi.parse_mgi` replaced, kept to compare
+    with."""
+    newline = data.find(b"\n")
+    if newline < 0 or data[:newline] != MAGIC:
+        raise BadMagic("not an MGI file")
+    header: dict[str, str] = {}
+    pos = newline + 1
+    while True:
+        newline = data.find(b"\n", pos)
+        if newline < 0:
+            raise MgiFormatError("header never ends (no blank line)")
+        line = data[pos:newline]
+        pos = newline + 1
+        if line == b"":
+            break
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise MgiFormatError(f"undecodable header line: {e}") from e
+        key, sep, value = text.partition(" = ")
+        if not sep or not key:
+            raise MgiFormatError(f"malformed header line {text!r}")
+        if key not in HEADER_KEYS:
+            raise UnknownHeaderKey(f"unknown header key {key!r}")
+        if key in header:
+            raise MgiFormatError(f"duplicate header key {key!r}")
+        header[key] = value
+    for key in ("image.rows", "image.cols", "image.bits"):
+        if key not in header:
+            raise MgiFormatError(f"missing mandatory header key {key!r}")
+    if header["image.bits"] != "16":
+        raise MgiFormatError("image.bits must be 16")
+    try:
+        rows, cols = int(header["image.rows"]), int(header["image.cols"])
+    except ValueError as e:
+        raise MgiFormatError(f"non-integer image shape: {e}") from e
+    if rows <= 0 or cols <= 0:
+        raise MgiFormatError("image shape must be positive")
+    payload = data[pos:]
+    if len(payload) != rows * cols * 2:
+        raise PayloadSizeMismatch(
+            f"payload is {len(payload)} bytes, header declares {rows * cols * 2}")
+    pixels = np.frombuffer(payload, dtype=">u2").reshape(rows, cols)
+    return MgiFile(header, pixels.astype(np.uint16))
 
 
 # --- pixel pipeline -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import threading
 
 import pytest
@@ -97,3 +98,25 @@ def test_two_sites_mint_different_file_ids(tmp_path):
     udi = BlobStore(tmp_path / "b", IdMinter("UDI", b"\x02" * 16))
     assert cam.put(b"data").id != udi.put(b"data").id
     assert cam.put(b"data").sha256 == udi.put(b"data").sha256
+
+
+def two_blobs_of_one_fanout_directory() -> tuple[bytes, bytes]:
+    """Two contents whose digests share their first four hex digits."""
+    seen = {}
+    for n in itertools.count():
+        data = f"blob {n}".encode()
+        prefix = hashlib.sha256(data).hexdigest()[:4]
+        if prefix in seen:
+            return seen[prefix], data
+        seen[prefix] = data
+
+
+def test_put_makes_a_missing_fanout_directory_and_puts_into_it_again(store):
+    first, second = two_blobs_of_one_fanout_directory()
+    sha = hashlib.sha256(first).hexdigest()
+    directory = store.root / sha[:2] / sha[2:4]
+    assert not directory.exists()
+    assert store.get(store.put(first)) == first
+    assert store.get(store.put(second, store.ref_for(second))) == second
+    assert sorted(path.name for path in directory.iterdir()) == sorted(
+        hashlib.sha256(data).hexdigest() for data in (first, second))

@@ -37,6 +37,15 @@ def test_parse_refuses_what_is_not_text():
     assert not looks_like_global_id(7)
 
 
+@pytest.mark.parametrize("text", ["CAM:image:" + "0" * 32 + "\n",
+                                  "CAM\n:image:" + "0" * 32, "CAM:image\n:" + "0" * 32])
+def test_parse_refuses_a_trailing_newline(text):
+    """``re.match`` with ``$`` also matched before a final newline."""
+    with pytest.raises(ValueError):
+        GlobalId.parse(text)
+    assert not looks_like_global_id(text)
+
+
 def test_valid_site_code():
     assert valid_site_code("CAM")
     assert valid_site_code("UDI2")

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import header_for, make_image
+from oracles import parse_mgi_reference
 from gridbox.errors import BadMagic, MgiFormatError, PayloadSizeMismatch, UnknownHeaderKey
-from gridbox.mgi import HEADER_KEYS, MgiFile, parse_mgi, write_mgi
+from gridbox.mgi import HEADER_KEYS, MAGIC, MgiFile, parse_mgi, write_mgi
 
 shapes = st.tuples(st.integers(1, 24), st.integers(1, 24))
 header_values = st.text(
@@ -102,3 +103,88 @@ def test_missing_mandatory_key():
     del h["image.bits"]
     with pytest.raises(MgiFormatError):
         MgiFile(h, np.zeros((8, 8), np.uint16))
+
+
+# --- the one-pass reader against the line-by-line reference ------------------------
+
+_BAD_UTF8 = (b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf")
+
+
+MUTATIONS = ("flip", "insert", "delete", "duplicate", "bad-utf8", "no-blank-line",
+             "cut-in-header", "short-payload", "long-payload")
+
+
+def mutate(draw, data: bytes, kind: str) -> bytes:
+    """``data`` with one mutation of its header or its payload's length."""
+    if not data:
+        return data
+    end = data.find(b"\n\n")  # the blank line starts at end + 1
+    if end < 0:
+        end = max(len(data) - 2, 0)
+    header = st.integers(0, min(end + 1, len(data) - 1))  # a position before the payload
+    if kind == "flip":
+        i = draw(header)
+        return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]
+    if kind == "insert":
+        i = draw(header)
+        return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i:]
+    if kind == "delete":
+        i = draw(header)
+        return data[:i] + data[i + 1:]
+    if kind == "duplicate":
+        line = draw(st.sampled_from(data[len(MAGIC) + 1:end].split(b"\n")))
+        return data[:end] + b"\n" + line + data[end:]
+    if kind == "bad-utf8":
+        i = draw(st.integers(min(len(MAGIC) + 1, end), end))
+        return data[:i] + draw(st.sampled_from(_BAD_UTF8)) + data[i:]
+    if kind == "no-blank-line":
+        return data[:end] + data[end + 1:]
+    if kind == "cut-in-header":
+        return data[:draw(header)]
+    if kind == "short-payload":
+        return data[:len(data) - draw(st.integers(1, max(len(data) - end - 2, 1)))]
+    if kind == "long-payload":
+        return data + draw(st.binary(min_size=1, max_size=8))
+    return data
+
+
+@st.composite
+def mgi_bytes_and_mutations(draw):
+    """The bytes of a valid file, unchanged or with up to three mutations."""
+    data = write_mgi(draw(mgi_files()))
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        data = mutate(draw, data, kind)
+    return data
+
+
+@given(mgi_bytes_and_mutations())
+@settings(max_examples=300)
+def test_parse_agrees_with_the_line_by_line_reference(data):
+    try:
+        expected = parse_mgi_reference(data)
+    except MgiFormatError as e:
+        with pytest.raises(MgiFormatError) as raised:
+            parse_mgi(data)
+        assert type(raised.value) is type(e)
+        return
+    got = parse_mgi(data)
+    assert got == expected
+    assert list(got.header) == list(expected.header)
+    assert got.pixels.dtype == np.uint16 and got.pixels.flags.c_contiguous
+    assert write_mgi(got) == data
+
+
+@pytest.mark.parametrize("data,exc", [
+    (b"MGIMG 1\npatient.ssn = 1\n\xff\n", UnknownHeaderKey),  # the first bad line wins
+    (b"MGIMG 1\npatient.id = \xff\npatient.ssn = 1\n\n", MgiFormatError),
+    (b"MGIMG 1\npatient.ssn = 1\nimage.rows = 1", UnknownHeaderKey),
+    (b"MGIMG 1\nimage.rows = 1\nimage.rows", MgiFormatError),
+    (b"MGIMG 1\nimage.rows = 1\npatient.ssn = 2", MgiFormatError),  # never read
+    (b"MGIMG 1\n\n", MgiFormatError),
+])
+def test_the_first_bad_line_decides_the_error(data, exc):
+    with pytest.raises(MgiFormatError) as raised:
+        parse_mgi(data)
+    assert type(raised.value) is exc
+    with pytest.raises(exc):
+        parse_mgi_reference(data)

@@ -4,12 +4,14 @@ import sys
 import threading
 import time
 from hashlib import sha256
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import CREDENTIAL, USER, build_vo, make_image, make_image_bytes
 from gridbox import algorithms as alg
-from gridbox import applog
+from gridbox import applog, blobstore
+from gridbox import node as node_module
 from gridbox.anonymize import anonymize_for_site
 from gridbox.catalog import SiteCatalog
 from gridbox.cohort import spec_for_site, upload_site
@@ -184,6 +186,62 @@ def test_failed_add_leaves_no_trace(make_vo):
                                                               node.minter)))
     assert response["status"] == "error"
     assert node.catalog.stats() == before
+
+
+def add_as_sent(node, token, data):
+    """``node``'s answer to an ADD of exactly ``data``, sent as it is."""
+    response, _ = request(node.address, "ADD", {}, token=token, binary=data)
+    return response
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """The arguments of each call of ``module.name`` from now on."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_add_of_an_anonymized_file_stores_the_bytes_sent(make_vo, monkeypatch):
+    vo = make_vo(sites=("CAM",))
+    node = vo.nodes["CAM"]
+    sent = write_mgi(anonymize_for_site(make_image(), node.minter))
+    writes = count_calls(monkeypatch, node_module, "write_mgi")
+    response = add_as_sent(node, vo.client("CAM").token, sent)
+    assert node.blobs.get(response["result"]["file"]["sha256"]) == sent
+    assert writes == []  # the node wrote no file of its own
+
+
+def test_raw_upload_stores_the_anonymized_rewrite(make_vo, monkeypatch):
+    vo = make_vo(sites=("CAM",))
+    node = vo.nodes["CAM"]
+    raw = make_image_bytes()
+    writes = count_calls(monkeypatch, node_module, "write_mgi")
+    response = add_as_sent(node, vo.client("CAM").token, raw)
+    stored = node.blobs.get(response["result"]["file"]["sha256"])
+    assert stored == write_mgi(anonymize_for_site(parse_mgi(raw), node.minter))
+    assert stored != raw and len(writes) == 1
+
+
+def test_add_hashes_its_bytes_once(make_vo, monkeypatch):
+    vo = make_vo(sites=("CAM",))
+    node = vo.nodes["CAM"]
+    sent = write_mgi(anonymize_for_site(make_image(), node.minter))
+    hashed = []
+    real = blobstore.hashlib.sha256
+    monkeypatch.setattr(blobstore, "hashlib", SimpleNamespace(
+        sha256=lambda data: hashed.append(bytes(data)) or real(data)))
+    assert add_as_sent(node, vo.client("CAM").token, sent)["status"] == "ok"
+    assert hashed == [sent]
+
+
+@pytest.mark.parametrize("kw", [{"sex": "X"}, {"site_id": "UDI"}, {"view": "AP"}],
+                         ids=["bad-sex", "other-site", "bad-view"])
+def test_refused_add_stores_no_blob(make_vo, kw):
+    vo = make_vo(sites=("CAM",))
+    node = vo.nodes["CAM"]
+    sent = write_mgi(anonymize_for_site(make_image(**kw), node.minter))
+    assert add_as_sent(node, vo.client("CAM").token, sent)["status"] == "error"
+    assert [path for path in node.blobs.root.rglob("*") if path.is_file()] == []
 
 
 # --- RETRIEVE ----------------------------------------------------------------------
@@ -484,6 +542,39 @@ def test_auth_refuses_a_user_or_credential_that_is_not_a_string(session_vo, para
     assert response["error_code"] == "ProtocolError"
 
 
+TEXT_PARAMS = {
+    "QUERY": {"text": "select images where true"},
+    "RQUERY": {"text": "select images where true", "hop": 1},
+    "ADD_ALG": {"name": "typed", "source": "mean emit typed"},
+    "EXEC_ALG": {"name": "smf-density", "selector": "select images where true"},
+    "RETRIEVE": {"id": "f" * 64},
+    "PEER_FETCH": {"id": "f" * 64},
+}
+
+
+@pytest.mark.parametrize("value", [None, 12345, ["hidden"]], ids=["null", "number", "list"])
+@pytest.mark.parametrize("op,name", [
+    ("QUERY", "text"), ("RQUERY", "text"), ("ADD_ALG", "name"), ("ADD_ALG", "source"),
+    ("EXEC_ALG", "name"), ("EXEC_ALG", "selector"), ("RETRIEVE", "id"),
+    ("PEER_FETCH", "id"), ("RQUERY", "peer_site"), ("RQUERY", "peer_sig"),
+])
+def test_node_text_params_that_are_not_strings_are_a_protocol_error(session_vo, op, name,
+                                                                   value):
+    """Before, ``str()`` coerced them: a null query text was the query "None"."""
+    node = session_vo.nodes["CAM"]
+    req_id, token, params = pysecrets.token_hex(8), session_vo.client("CAM").token, {}
+    if op in ("RQUERY", "PEER_FETCH"):
+        token, params = "", {"peer_site": "UDI",
+                             "peer_sig": peer_signature(node.vo_key, "UDI", op, req_id)}
+    params.update(TEXT_PARAMS[op])
+    params[name] = value
+    response = exchange(node.address, {"id": req_id, "op": op, "token": token,
+                                       "params": params})
+    assert response["error_code"] == "ProtocolError"
+    assert response["result"]["message"] == (
+        f"{name} must be a string, not {type(value).__name__}")
+
+
 # --- ADD_ALG -----------------------------------------------------------------------
 
 def test_algorithm_registration_and_gossip(make_vo):
@@ -572,6 +663,13 @@ def test_algorithm_rejects_bad_source_and_name(session_vo):
         client.add_algorithm("bad", "fraction_above\nemit x")
     with pytest.raises(QuerySyntaxError):
         client.add_algorithm("Not-Valid", "mean emit m")
+
+
+def test_algorithm_name_with_a_trailing_newline_is_refused(session_vo):
+    """``re.match`` with ``$`` took "density\\n" for a lowercase identifier."""
+    with pytest.raises(QuerySyntaxError):
+        session_vo.client("CAM").add_algorithm("density\n", "mean emit m")
+    assert "density\n" not in session_vo.nodes["CAM"].catalog.algorithm_versions()
 
 
 def test_peer_algorithm_conflict(make_vo):

@@ -152,6 +152,20 @@ def test_node_reg_refuses_an_address_that_is_not_host_port(registry, address):
     assert registry.membership() == []
 
 
+def test_node_reg_refuses_a_site_code_with_a_trailing_newline(registry):
+    """``re.match`` with ``$`` let "CAM\\n" register as a site."""
+    response, _ = request(registry.address, "NODE_REG", {**NODE_REG, "site": "CAM\n"})
+    assert response["error_code"] == "ProtocolError"
+    assert registry.membership() == []
+
+
+def test_user_add_refuses_a_user_id_with_a_trailing_newline(registry):
+    response, _ = request(registry.address, "USER_ADD", {
+        **USER_ADD, "user": "bob\n", "admin_token": registry.admin_token})
+    assert response["error_code"] == "ProtocolError"
+    assert "bob\n" not in registry._users
+
+
 def test_wire_errors_carry_types(registry):
     client = RegistryClient(registry.address)
     client.register_node("CAM", "a:1", "genuine")
