@@ -67,7 +67,7 @@ class BlobStore:
     def get(self, ref: FileRef | str) -> bytes:
         sha = ref.sha256 if isinstance(ref, FileRef) else ref
         try:
-            with open(self._path(sha), "rb") as fh:
+            with open(self._path(sha), "rb", buffering=0) as fh:
                 data = fh.read()
         except FileNotFoundError:
             raise NotFound(f"no blob {sha}") from None

@@ -162,6 +162,13 @@ class ProtocolError(GridError):
     code = "ProtocolError"
 
 
+class AnswerTooLarge(GridError):
+    """A handler's answer does not fit in one frame (``wire.MAX_ENVELOPE``
+    or ``wire.MAX_BINARY``); the message names the op and the size."""
+
+    code = "AnswerTooLarge"
+
+
 _BY_CODE: dict[str, type[GridError]] = {}
 
 

@@ -45,6 +45,7 @@ from gridbox.catalog import SiteCatalog
 from gridbox.config import NodeConfig, parse_address
 from gridbox.errors import (
     AlgorithmConflict,
+    AnswerTooLarge,
     AuthFailed,
     ForeignSite,
     GridError,
@@ -339,9 +340,11 @@ class GridNode:
         before a new fan-out queues, far above the handful of concurrent
         queries a site serves.
 
-        Returns the answers by site, and a ``"<site> unreachable: …"``
-        warning for each site whose call raised a GridError.  Once `stop`
-        has shut the pool down, a fan-out raises NodeStopped.
+        Returns the answers by site, and a warning for each site whose call
+        raised a GridError: ``"<site> answer too large: …"`` when the site's
+        answer did not fit in a frame, ``"<site> unreachable: …"`` for any
+        other error.  Once `stop` has shut the pool down, a fan-out raises
+        NodeStopped.
         """
         answers, warnings = {}, []
         try:
@@ -352,6 +355,8 @@ class GridNode:
         for site, future in futures.items():
             try:
                 answers[site] = future.result()
+            except AnswerTooLarge as e:
+                warnings.append(f"{site} answer too large: {e.message}")
             except GridError as e:
                 warnings.append(f"{site} unreachable: {e.message}")
             except CancelledError:  # shut down before the call started

@@ -24,7 +24,10 @@ carrying different fields is a federation bug and raises
 :class:`ResultSet` holds the merged part.  ``to_xml`` escapes a column
 only when a substring test finds a character that needs it, and writes
 the rows as one interleaving of ids, columns and markup; ``ResultSet.rows``
-builds `Row` objects only when a caller asks.
+builds `Row` objects only when a caller asks.  Escaping and unescaping are
+``str.replace`` chains that make the replacements of ``xml.sax.saxutils``
+in the same order, without importing that module and the ``urllib`` and
+``email`` packages it loads.
 
 Reading has two paths that return the same result set.  The line reader
 takes the canonical form above: UTF-8, exactly these attributes in this
@@ -45,7 +48,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from operator import add, eq, gt, itemgetter
-from xml.sax.saxutils import escape, unescape
 
 from gridbox.errors import MalformedXml, SchemaViolation
 from gridbox.ids import id_kind
@@ -111,8 +113,17 @@ def _filled(fields: dict) -> dict:
 _QUOT = {'"': "&quot;"}
 
 
+def _escape(value: str, entities: dict) -> str:
+    """``value`` with ``&``, ``>`` and ``<`` escaped, then each key of
+    ``entities`` replaced by its value, as ``xml.sax.saxutils.escape`` does."""
+    value = value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    for key, entity in entities.items():
+        value = value.replace(key, entity)
+    return value
+
+
 def _attr(value: str) -> str:
-    return escape(value, _QUOT) if any(map(value.__contains__, '&<>"')) else value
+    return _escape(value, _QUOT) if any(map(value.__contains__, '&<>"')) else value
 
 
 def _escaped(values: list, entities: dict) -> list:
@@ -120,7 +131,7 @@ def _escaped(values: list, entities: dict) -> list:
     one substring test per character; the list itself when nothing needs it."""
     if not any(map("".join(filter(None, values)).__contains__, chain("&<>", entities))):
         return values
-    return [value and escape(value, entities) for value in values]
+    return [value and _escape(value, entities) for value in values]
 
 
 def _render_rows(ids: list, names: list, columns: list) -> str:
@@ -161,7 +172,12 @@ _PRINTABLE = bytes(range(0x20, 0x80)) + b"\t\n"
 
 
 def _unescape(value: str) -> str:
-    return unescape(value, {"&quot;": '"'}) if "&" in value else value
+    """``value`` with the four entities ``to_xml`` writes read back, ``&amp;``
+    last: ``xml.sax.saxutils.unescape(value, {"&quot;": '"'})``."""
+    if "&" not in value:
+        return value
+    return (value.replace("&lt;", "<").replace("&gt;", ">").replace("&quot;", '"')
+            .replace("&amp;", "&"))
 
 
 def _read_strided(lines: list) -> tuple | None:

@@ -38,7 +38,7 @@ import struct
 import threading
 from dataclasses import dataclass, field
 
-from gridbox.errors import GridError, ProtocolError, error_from_code
+from gridbox.errors import AnswerTooLarge, GridError, ProtocolError, error_from_code
 
 MAX_ENVELOPE = 8 * 1024 * 1024
 MAX_BINARY = 64 * 1024 * 1024
@@ -321,6 +321,9 @@ class FramedServer:
     directions.  The json bytes are those of the envelope on the wire, its
     ``binary_len`` key included, and a response is counted before it is
     sent, so a client that reads the counters after its answer sees it.
+    An answer too large for a frame is replaced by an ``AnswerTooLarge``
+    error envelope that names the op and the size, and the connection
+    stays open for the next request.
     """
 
     host: str
@@ -404,7 +407,14 @@ class FramedServer:
         self.accountant.record(op, json_bytes, len(binary))
         response, resp_binary = self.handler(envelope, binary)
         try:
-            frame, json_bytes = _frame(response, resp_binary)
+            try:
+                frame, json_bytes = _frame(response, resp_binary)
+            except ProtocolError as e:  # the answer does not fit in a frame
+                response = error_response(response.get("id", ""), AnswerTooLarge.code,
+                                          f"{op} answer: {e.message}")
+                resp_binary = b""
+                # still too large only when the request's own id or op nearly was
+                frame, json_bytes = _frame(response, resp_binary)
             self.accountant.record(op, json_bytes, len(resp_binary))
             _offer_to_taps(frame)
             conn.sendall(frame)

@@ -10,13 +10,14 @@ import pytest
 
 from conftest import CREDENTIAL, USER, build_vo, make_image, make_image_bytes
 from gridbox import algorithms as alg
-from gridbox import applog, blobstore
+from gridbox import applog, blobstore, wire
 from gridbox import node as node_module
 from gridbox.anonymize import anonymize_for_site
 from gridbox.catalog import SiteCatalog
 from gridbox.cohort import spec_for_site, upload_site
 from gridbox.errors import (
     AlgorithmSyntaxError,
+    AnswerTooLarge,
     AuthFailed,
     CorruptBlob,
     NodeStopped,
@@ -473,6 +474,67 @@ def test_dead_site_becomes_a_warning(make_vo):
     assert len(result.rows) == 1
     assert len(warnings) == 1
     assert warnings[0].startswith("UDI unreachable:")
+
+
+BROAD = "select images where patient.sex = F"  # every image make_image_bytes makes
+
+
+def dials_to(monkeypatch, address) -> list:
+    """The connections any thread opens to ``address`` from now on."""
+    seen = []
+    real = socket.create_connection
+
+    def counting(to, *args, **kwargs):
+        if tuple(to) == tuple(address):
+            seen.append(tuple(to))
+        return real(to, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return seen
+
+
+def upload_images(client, n: int) -> None:
+    for i in range(n):
+        client.add_bytes(make_image_bytes(image_id=f"IMG{i}", patient_id=f"P-{i}"))
+
+
+def test_a_query_answer_too_large_for_a_frame_is_answer_too_large(make_vo, monkeypatch):
+    """12 rows of XML pass 1 kB; the connection that carried the refusal
+    answers the next query."""
+    vo = make_vo()
+    upload_images(vo.client("CAM"), 12)
+    cam = vo.client("CAM")
+    cam.query(BROAD)  # the client's connection to CAM is now pooled
+    dials = dials_to(monkeypatch, vo.nodes["CAM"].address)
+    limit = wire.MAX_ENVELOPE
+    monkeypatch.setattr(wire, "MAX_ENVELOPE", 1024)
+    with pytest.raises(AnswerTooLarge, match=r"QUERY answer: envelope too large \(\d+ bytes\)"):
+        cam.query(BROAD)
+    monkeypatch.setattr(wire, "MAX_ENVELOPE", limit)
+    result, warnings = cam.query(BROAD)
+    assert len(result.rows) == 12 and warnings == []
+    assert dials == []
+
+
+def test_a_peer_answer_too_large_is_not_called_unreachable(make_vo, monkeypatch):
+    """CAM's RQUERY part of 12 rows passes 1 kB while UDI's own answer,
+    without it, fits: UDI answers with a warning that says why CAM is
+    missing, and its pooled connection to CAM answers the next RQUERY."""
+    vo = make_vo()
+    upload_images(vo.client("CAM"), 12)
+    udi = vo.client("UDI")
+    udi.query(BROAD)  # UDI's connection to CAM is now pooled
+    dials = dials_to(monkeypatch, vo.nodes["CAM"].address)
+    limit = wire.MAX_ENVELOPE
+    monkeypatch.setattr(wire, "MAX_ENVELOPE", 1024)
+    result, warnings = udi.query(BROAD)
+    assert len(result.rows) == 0
+    assert len(warnings) == 1
+    assert warnings[0].startswith("CAM answer too large: RQUERY answer: envelope too large (")
+    monkeypatch.setattr(wire, "MAX_ENVELOPE", limit)
+    result, warnings = udi.query(BROAD)
+    assert len(result.rows) == 12 and warnings == []
+    assert dials == []
 
 
 def threads_of(vo):

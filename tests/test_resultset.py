@@ -1,4 +1,5 @@
 import itertools
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,23 @@ def test_xml_roundtrip(rows):
     again = ResultSet.from_xml(rs.to_xml())
     assert again == rs
     assert again.to_xml() == rs.to_xml()
+
+
+# --- escaping ----------------------------------------------------------------------
+
+# text of any plane joined from pieces of entities, so that escapes of escapes
+# such as "&amp;lt;" and entities cut short turn up
+entity_pieces = st.sampled_from(['&', '<', '>', '"', ';', "amp", "lt", "gt", "quot",
+                                 "&amp;", "&lt;", "&gt;", "&quot;", "&amp;lt;", "&amp;quot;"])
+entity_texts = st.lists(st.one_of(entity_pieces, st.characters()), max_size=16).map("".join)
+
+
+@given(entity_texts)
+def test_escape_and_unescape_make_the_replacements_of_saxutils(text):
+    for entities in ({}, resultset._QUOT):
+        assert resultset._escape(text, entities) == saxutils.escape(text, entities)
+    assert resultset._unescape(text) == saxutils.unescape(text, {"&quot;": '"'})
+    assert resultset._unescape(resultset._escape(text, resultset._QUOT)) == text
 
 
 # --- the canonical reader against the ElementTree reader ---------------------------

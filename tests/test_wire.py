@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridbox import wire
-from gridbox.errors import GridError, PeerUnreachable, ProtocolError
+from gridbox.errors import AnswerTooLarge, GridError, PeerUnreachable, ProtocolError
 from gridbox.wire import (
     FramedServer,
     TrafficAccountant,
@@ -490,6 +490,56 @@ def test_the_pool_holds_at_most_its_bound(dials, monkeypatch):
     finally:
         server.stop()
         drain_pool()
+
+
+def sized_handler(envelope, binary):
+    """An answer of ``n`` characters of result and ``n`` bytes of binary."""
+    n = envelope["params"]["n"]
+    return ok_response(envelope["id"], {"text": "x" * n}), b"\x00" * n
+
+
+@pytest.mark.parametrize("limit,section", [("MAX_ENVELOPE", "envelope"),
+                                           ("MAX_BINARY", "binary section")])
+def test_an_answer_too_large_for_a_frame_is_answer_too_large(dials, monkeypatch,
+                                                            limit, section):
+    """The server answers an error naming the op and the size, and the
+    connection that carried it is pooled and answers the next request."""
+    monkeypatch.setattr(wire, limit, 1024)
+    server = FramedServer("127.0.0.1", 0, sized_handler)
+    server.start()
+    try:
+        with pytest.raises(AnswerTooLarge,
+                           match=rf"^BIG answer: {section} too large \(\d+ bytes\)$"):
+            call(server.address, "BIG", {"n": 2000}, unreachable=PeerUnreachable,
+                 timeout=5)
+        assert idle_to(server.address) == 1
+        got = call(server.address, "SMALL", {"n": 10}, unreachable=PeerUnreachable,
+                   timeout=5)
+    finally:
+        server.stop()
+    assert got == ({"text": "x" * 10}, [], b"\x00" * 10)
+    assert dials == [server.address]
+    assert server.accountant.snapshot()["BIG"]["binary_bytes"] == 0
+
+
+def test_a_refusal_too_large_for_a_frame_closes_the_connection(monkeypatch):
+    """A request id that nearly fills a frame leaves no room for the error
+    either: the server closes the connection, and its thread ends cleanly."""
+    monkeypatch.setattr(wire, "MAX_ENVELOPE", 1024)
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    server = FramedServer("127.0.0.1", 0, echo_handler)
+    server.start()
+    try:
+        with pytest.raises(PeerUnreachable, match="without answering"):
+            call(server.address, "PING", {}, unreachable=PeerUnreachable,
+                 req_id="i" * 960, timeout=5)
+    finally:
+        server.stop()
+    for thread in threading.enumerate():
+        if thread.name == f"conn-{server.address[1]}":
+            thread.join(timeout=5)
+    assert raised == []
 
 
 def test_stop_ends_open_connections():
