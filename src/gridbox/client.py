@@ -6,6 +6,12 @@ types the node reports as error codes.  When constructed with a
 they leave the workstation, so identifying fields never cross the wire even
 inside ADD requests; nodes re-run the transform as a guard, which is a
 no-op on anonymized input.
+
+A node answers QUERY with the merged answer by column, as a peer answers
+RQUERY: ``{"query", "origin", "ids", "fields"}``.  ``query_xml`` checks
+that answer as a whole (`resultset.checked_part`) and renders the canonical
+XML from it here, so the XML is never escaped into the JSON envelope;
+``query`` parses those bytes back into a `ResultSet`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from gridbox.config import SiteKey, parse_address
 from gridbox.errors import CorruptBlob, PeerUnreachable
 from gridbox.ids import IdMinter
 from gridbox.mgi import parse_mgi, write_mgi
-from gridbox.resultset import ResultSet
+from gridbox.query import parse_query, print_query
+from gridbox.resultset import ResultSet, checked_part
 from gridbox.wire import call
 
 
@@ -61,8 +68,14 @@ class NodeClient:
         return data
 
     def query_xml(self, text: str) -> tuple[bytes, list]:
+        """The answer to ``text`` as canonical XML, rendered here from the
+        columns the node sends, and the node's warnings.  SchemaViolation
+        when the answer fails `checked_part`, such as one to another query."""
         result, warnings, _ = self._call("QUERY", {"text": text})
-        return result["xml"].encode("utf-8"), warnings
+        q = parse_query(text)
+        canonical = print_query(q)
+        part = checked_part(result, q, canonical)
+        return ResultSet(canonical, result["origin"], part).to_xml(), warnings
 
     def query(self, text: str) -> tuple[ResultSet, list]:
         xml, warnings = self.query_xml(text)

@@ -12,7 +12,9 @@ that cannot be reached, or whose answer fails validation, costs a warning
 instead of failing the whole request.  A site's part of a query is a
 `Part`, its row ids plus one column per projected field; a peer sends it
 as such in its RQUERY answer, the origin checks it as a whole, and the
-merge joins the parts column by column into the answer.  Each site writes the derived
+merge joins the parts column by column into the answer.  The QUERY answer
+is the merged part in the same form plus its origin sites; the client
+checks it and renders the XML.  Each site writes the derived
 records of its part of an algorithm run in one catalog write at the end of
 that part, so a concurrent query sees none of them or all of them.  A peer
 ADD_ALG or EXEC_ALG carries the algorithm as one ``algorithm`` value, the
@@ -64,14 +66,7 @@ from gridbox.errors import (
 )
 from gridbox.ids import GlobalId, IdMinter, looks_like_global_id, valid_site_code
 from gridbox.mgi import MgiFile, parse_mgi, write_mgi
-from gridbox.query import (
-    ROW_KIND,
-    FormalQuery,
-    decompose,
-    parse_query,
-    print_query,
-    projection,
-)
+from gridbox.query import FormalQuery, decompose, parse_query, print_query
 from gridbox.records import (
     SEXES,
     AlgorithmRecord,
@@ -82,7 +77,7 @@ from gridbox.records import (
     StudyRecord,
 )
 from gridbox.registry import RegistryClient
-from gridbox.resultset import Part, ResultSet, merge
+from gridbox.resultset import Part, ResultSet, checked_part, merge
 from gridbox.wire import (
     FramedServer,
     call,
@@ -93,7 +88,6 @@ from gridbox.wire import (
 )
 
 _SHA_HEX = frozenset("0123456789abcdef")
-_TEXT_OR_NULL = frozenset({str, type(None)})  # the types a peer part's column may hold
 
 FAN_OUT_WORKERS = 32  # threads of a node's fan-out pool; see GridNode._fan_out
 
@@ -341,10 +335,12 @@ class GridNode:
         queries a site serves.
 
         Returns the answers by site, and a warning for each site whose call
-        raised a GridError: ``"<site> answer too large: …"`` when the site's
-        answer did not fit in a frame, ``"<site> unreachable: …"`` for any
-        other error.  Once `stop` has shut the pool down, a fan-out raises
-        NodeStopped.
+        raised a GridError: ``"<site> unreachable: …"`` when the site could
+        not be reached or was stopped, ``"<site> answer too large: …"`` when
+        its answer did not fit in a frame, and ``"<site> refused: <code>: …"``
+        for any other error, such as a part that failed the origin's checks
+        or an error the site answered.  Once `stop` has shut the pool down, a
+        fan-out raises NodeStopped.
         """
         answers, warnings = {}, []
         try:
@@ -355,10 +351,12 @@ class GridNode:
         for site, future in futures.items():
             try:
                 answers[site] = future.result()
+            except (PeerUnreachable, NodeStopped) as e:
+                warnings.append(f"{site} unreachable: {e.message}")
             except AnswerTooLarge as e:
                 warnings.append(f"{site} answer too large: {e.message}")
             except GridError as e:
-                warnings.append(f"{site} unreachable: {e.message}")
+                warnings.append(f"{site} refused: {e.code}: {e.message}")
             except CancelledError:  # shut down before the call started
                 raise NodeStopped(f"node {self.site} is stopped") from None
         return answers, sorted(warnings)
@@ -533,42 +531,17 @@ class GridNode:
 
     def _remote_query(self, site: str, q: FormalQuery, canonical: str,
                       timeout: float) -> Part:
-        """One peer's part, checked as a whole; the fan-out drops a part that
-        answers another query, whose ids are not the peer's own of the query's
-        kind in strictly increasing order, or whose columns are not exactly
-        the projection's, each a list of texts or nulls as long as the ids."""
+        """One peer's part, checked as a whole by `checked_part`; the fan-out
+        drops a part that fails a check."""
         result, _ = self._peer_request(site, "RQUERY",
                                        {"text": canonical, "hop": 1}, timeout)
-        try:
-            text, ids, fields = result["query"], result["ids"], result["fields"]
-        except (KeyError, TypeError) as e:
-            raise SchemaViolation(f"{site} sent no query part: {e!r}") from None
-        if text != canonical:
-            raise SchemaViolation(f"{site} answered {text!r}, not {canonical!r}")
-        if not isinstance(ids, list):
-            raise SchemaViolation(f"{site} sent ids that are not a list")
-        kind = ROW_KIND[q.target]
-        prefix, prior = f"{site}:{kind}:", ""
-        for row_id in ids:
-            if not (isinstance(row_id, str) and row_id.startswith(prefix)):
-                raise SchemaViolation(f"{site} returned row {row_id!r}, not a {kind} "
-                                      "it minted")
-            if row_id <= prior:
-                raise SchemaViolation(f"{site} returned row {row_id} twice or out of order")
-            prior = row_id
-        if not (isinstance(fields, dict) and fields.keys() == set(projection(q))):
-            raise SchemaViolation(f"{site} sent columns other than the projection's")
-        for name, column in fields.items():
-            if not (isinstance(column, list) and len(column) == len(ids)
-                    and set(map(type, column)) <= _TEXT_OR_NULL):
-                raise SchemaViolation(f"{site} sent a column {name} that is not "
-                                      f"{len(ids)} texts or nulls")
-        return Part(ids, fields)
+        return checked_part(result, q, canonical, site)
 
     def _op_query(self, req_id, token, params, binary):
         self._require_user(token)
         result, warnings = self.run_query(text_param(params, "text"))
-        return {"xml": result.to_xml().decode("utf-8")}, warnings, b""
+        return {"query": result.query_text, "origin": sorted(result.origin_sites),
+                "ids": result.part.ids, "fields": result.part.fields}, warnings, b""
 
     def _op_rquery(self, req_id, token, params, binary):
         self._require_peer(req_id, "RQUERY", params)

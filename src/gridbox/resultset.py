@@ -17,7 +17,10 @@ byte-for-byte.
 
 An answer stays in columns from the merge to its bytes and back.  A site's
 answer to a query travels as a :class:`Part`: its row ids plus one column
-of texts per projected field.  :func:`merge` joins the parts column by
+of texts per projected field.  The merged answer travels to the client the
+same way, with its origin sites, and the client renders the XML.
+:func:`checked_part` checks a peer's part at the origin and the merged
+answer at the client, both as a whole.  :func:`merge` joins the parts column by
 column with one sort of the ids, deduplicated on global id; the same id
 carrying different fields is a federation bug and raises
 ``SchemaViolation`` rather than silently preferring one site's copy.  A
@@ -45,12 +48,14 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from operator import add, eq, gt, itemgetter
+from operator import add, eq, ge, gt, itemgetter
 
 from gridbox.errors import MalformedXml, SchemaViolation
-from gridbox.ids import id_kind
+from gridbox.ids import id_kind, valid_site_code
+from gridbox.query import ROW_KIND, FormalQuery, projection
 
 
 @dataclass(frozen=True)
@@ -388,14 +393,68 @@ class ResultSet:
         return result
 
 
+_TEXT = frozenset({str})
+_TEXT_OR_NULL = frozenset({str, type(None)})  # the types a column may hold
+
+
+def checked_part(answer, q: FormalQuery, canonical: str, site: str | None = None) -> Part:
+    """The `Part` in ``answer``, a decoded JSON value that answers ``q``,
+    whose canonical text is ``canonical``, checked as a whole.
+
+    With ``site``, ``answer`` is that peer's RQUERY part,
+    ``{"query", "ids", "fields"}``.  Without, it is an origin's QUERY answer,
+    which also carries ``"origin"``, the list of the site codes that returned
+    rows.  Any failed check raises SchemaViolation:
+
+    - it carries those keys and answers ``canonical``;
+    - the ids are strings in strictly increasing order, each minted for the
+      query's target kind by the peer, or by a site of the origin list;
+    - the columns are exactly ``projection(q)``, each a list as long as the
+      ids that holds only strings or nulls.
+
+    Every check runs over whole lists, so a large answer costs no
+    per-row Python code."""
+    try:
+        text, ids, fields = answer["query"], answer["ids"], answer["fields"]
+        sites = [site] if site is not None else answer["origin"]
+    except (KeyError, TypeError) as e:
+        raise SchemaViolation(f"the answer carries no part: {e!r}") from None
+    if text != canonical:
+        raise SchemaViolation(f"the answer is to {text!r}, not {canonical!r}")
+    if not (isinstance(sites, list) and set(map(type, sites)) <= _TEXT
+            and all(map(valid_site_code, sites))):
+        raise SchemaViolation("the answer's origin is not a list of site codes")
+    if not (isinstance(ids, list) and set(map(type, ids)) <= _TEXT):
+        raise SchemaViolation("the answer's ids are not a list of strings")
+    if any(map(ge, ids, islice(ids, 1, None))):
+        row_id = next(b for a, b in zip(ids, ids[1:]) if a >= b)
+        raise SchemaViolation(f"row {row_id} comes twice or out of order")
+    # The sorted ids that start with "SITE:kind:" are one run, from that
+    # prefix up to the prefix with its last ':' raised to ';'.
+    prefixes = {f"{s}:{ROW_KIND[q.target]}:" for s in sites}
+    if sum(bisect_left(ids, p[:-1] + ";") - bisect_left(ids, p) for p in prefixes) != len(ids):
+        row_id = next(i for i in ids if not i.startswith(tuple(prefixes)))
+        raise SchemaViolation(f"row {row_id!r} is not minted for {q.target} by "
+                              f"{' or '.join(sites) or 'a site of the origin'}")
+    if not (isinstance(fields, dict) and fields.keys() == set(projection(q))):
+        raise SchemaViolation("the answer's columns are not the projection's")
+    for name, column in fields.items():
+        if not (isinstance(column, list) and len(column) == len(ids)
+                and set(map(type, column)) <= _TEXT_OR_NULL):
+            raise SchemaViolation(f"column {name} is not {len(ids)} texts or nulls")
+    return Part(ids, fields)
+
+
 def merge(query_text: str, parts: dict[str, Part]) -> ResultSet:
     """The answer to ``query_text`` from ``parts``, site → its `Part`, joined
     column by column.  The origin is the sites with rows, whichever node
     merges; rows may come in any order, identical rows collapse, and the
     ids are sorted once, which takes one pass over parts that are each in
-    order and hold other sites' rows."""
+    order and hold other sites' rows.  The answer has a column for every
+    name of any part, also a part with no rows, so an empty answer keeps
+    the projection's columns."""
     filled = sorted((part for part in parts.values() if part), key=lambda p: p.ids[0])
-    names = dict.fromkeys(name for part in filled for name in part.fields)
+    names = dict.fromkeys(name for part in parts.values() for name in part.fields)
     ids, fields, repeats = _in_id_order(
         list(chain.from_iterable(part.ids for part in filled)),
         {name: list(chain.from_iterable(

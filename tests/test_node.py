@@ -24,8 +24,10 @@ from gridbox.errors import (
     NotFound,
     PeerUnreachable,
     QuerySyntaxError,
+    SchemaViolation,
     UnknownAlgorithm,
 )
+from gridbox.client import NodeClient
 from gridbox.mgi import parse_mgi, write_mgi
 from gridbox.query import parse_query
 from gridbox.records import AlgorithmRecord, DerivedRecord
@@ -93,8 +95,6 @@ def test_peer_signature_binds_site_op_and_request():
 # --- AUTH over the wire ------------------------------------------------------------
 
 def test_auth_rejects_bad_credentials(session_vo):
-    from gridbox.client import NodeClient
-
     client = NodeClient(session_vo.nodes["CAM"].address)
     with pytest.raises(AuthFailed):
         client.auth(USER, "not-the-password")
@@ -447,7 +447,7 @@ def test_bad_peer_part_is_dropped_with_a_warning(make_vo, tamper):
     result, warnings = vo.client("CAM").query("select images where true")
     assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
     assert result.origin_sites == frozenset({"CAM"})
-    assert len(warnings) == 1 and warnings[0].startswith("UDI unreachable:")
+    assert len(warnings) == 1 and warnings[0].startswith("UDI refused: SchemaViolation:")
 
 
 @pytest.mark.parametrize("answer", [
@@ -462,7 +462,96 @@ def test_malformed_peer_query_answer_is_dropped_with_a_warning(make_vo, answer):
         lambda req_id, token, params, binary: (answer(params), [], b""))
     result, warnings = vo.client("CAM").query("select images where true")
     assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
-    assert len(warnings) == 1 and warnings[0].startswith("UDI unreachable:")
+    assert len(warnings) == 1 and warnings[0].startswith("UDI refused: SchemaViolation:")
+
+
+def test_a_peer_error_is_worded_with_its_code(make_vo):
+    vo = make_vo()
+    vo.client("CAM").add_bytes(make_image_bytes())
+
+    def refuse(req_id, token, params, binary):
+        raise AuthFailed("bad peer signature")
+
+    vo.nodes["UDI"]._ops["RQUERY"] = refuse
+    result, warnings = vo.client("CAM").query("select images where true")
+    assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
+    assert warnings == ["UDI refused: AuthFailed: bad peer signature"]
+
+
+def assert_the_client_refuses(vo, capfd):
+    """CAM's client raises SchemaViolation from both of its query calls, and
+    nothing prints a traceback."""
+    client = vo.client("CAM")
+    with pytest.raises(SchemaViolation):
+        client.query_xml("select images where true")
+    with pytest.raises(SchemaViolation):
+        client.query("select images where true")
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def vo_with_two_udi_images(make_vo):
+    vo = make_vo()
+    for image_id in ("IMG1", "IMG2"):
+        vo.client("UDI").add_bytes(make_image_bytes(image_id=image_id))
+    return vo
+
+
+@pytest.mark.parametrize("tamper", [forge_a_row, answer_another_query,
+                                    add_an_unprojected_field, add_a_study_row,
+                                    repeat_a_row, swap_the_rows, shorten_a_column,
+                                    put_a_number_in_a_column, drop_the_projected_column,
+                                    send_ids_as_an_object, send_fields_as_pairs])
+def test_the_client_refuses_a_tampered_query_answer(make_vo, capfd, tamper):
+    """The RQUERY tampers, applied to CAM's QUERY answer of UDI's two images."""
+    vo = vo_with_two_udi_images(make_vo)
+    cam = vo.nodes["CAM"]
+    honest = cam._ops["QUERY"]
+
+    def tampered(req_id, token, params, binary):
+        answer, warnings, data = honest(req_id, token, params, binary)
+        return tamper(answer), warnings, data
+
+    cam._ops["QUERY"] = tampered
+    assert_the_client_refuses(vo, capfd)
+
+
+def test_the_client_refuses_the_answer_to_another_query(make_vo, capfd):
+    vo = vo_with_two_udi_images(make_vo)
+    cam = vo.nodes["CAM"]
+    honest = cam._ops["QUERY"]
+    cam._ops["QUERY"] = lambda req_id, token, params, binary: honest(
+        req_id, token, dict(params, text="select images where image.laterality = L"),
+        binary)
+    assert_the_client_refuses(vo, capfd)
+
+
+def test_a_query_answer_renders_the_origins_bytes(session_vo):
+    """The client renders the XML from the columns it receives, and it is the
+    document the origin's own merged answer renders, at every origin."""
+    for site, node in session_vo.nodes.items():
+        for entry in session_vo.manifest["queries"]:
+            xml, _ = session_vo.client(site).query_xml(entry["text"])
+            assert xml == node.run_query(entry["text"])[0].to_xml()
+
+
+def test_query_goes_through_query_xml(session_vo):
+    """A subclass that overrides query_xml sees every query call, which is
+    how a caller can keep the bytes of each answer."""
+    seen = []
+
+    class Recording(NodeClient):
+        def query_xml(self, text):
+            xml, warnings = super().query_xml(text)
+            seen.append((text, xml))
+            return xml, warnings
+
+    base = session_vo.client("CAM")
+    client = Recording(base.address, token=base.token)
+    texts = [entry["text"] for entry in session_vo.manifest["queries"]]
+    for text in texts:
+        result, _ = client.query(text)
+        assert result.to_xml() == seen[-1][1]
+    assert [text for text, _ in seen] == texts
 
 
 def test_dead_site_becomes_a_warning(make_vo):
@@ -897,7 +986,7 @@ def test_malformed_peer_exec_answer_is_dropped_with_a_warning(seeded_vo, answer)
     got, warnings = seeded_vo.client("CAM").exec_algorithm(
         "smf-density", "select images where image.laterality = L")
     assert got == {"written": 2, "per_site": {"CAM": 2}}
-    assert len(warnings) == 1 and warnings[0].startswith("UDI unreachable:")
+    assert len(warnings) == 1 and warnings[0].startswith("UDI refused: SchemaViolation:")
 
 
 def test_exec_alg_version_pinning(seeded_vo):

@@ -17,6 +17,7 @@ from gridbox.resultset import (
     compute_summary,
     merge,
 )
+from gridbox.query import parse_query
 
 Q = "select images where patient.sex = F"
 
@@ -444,3 +445,50 @@ def test_merge_builds_the_rows_a_part_holds(data):
     assert len(part) == len(ids)
     assert merged.rows == by_hand
     assert merged.origin_sites == ({"CAM"} if ids else set())
+
+
+def test_an_empty_merge_keeps_the_projections_columns():
+    merged = merge(Q, {"CAM": Part([], {"patient.id": [], "patient.sex": []})})
+    assert merged.part.fields == {"patient.id": [], "patient.sex": []}
+    assert merged.to_xml() == answer(Q, frozenset(), ()).to_xml()
+
+
+# --- the check of a part or an answer ---------------------------------------------
+
+def answer_of(rs: ResultSet) -> dict:
+    """The QUERY answer an origin sends for ``rs``."""
+    return {"query": rs.query_text, "origin": sorted(rs.origin_sites),
+            "ids": rs.part.ids, "fields": rs.part.fields}
+
+
+TWO_SITES = merge(Q, {"CAM": part_of([image_row(1, "CAM", **{"patient.sex": "F"})]),
+                      "UDI": part_of([image_row(2, "UDI", **{"patient.sex": "F"})])})
+
+
+def test_a_checked_answer_renders_the_merged_bytes():
+    got = resultset.checked_part(answer_of(TWO_SITES), parse_query(Q), Q)
+    assert ResultSet(Q, ["CAM", "UDI"], got).to_xml() == TWO_SITES.to_xml()
+
+
+def test_a_peer_part_holds_only_its_own_rows():
+    honest = {"query": Q, "ids": TWO_SITES.part.ids, "fields": TWO_SITES.part.fields}
+    with pytest.raises(SchemaViolation, match="not minted for images by UDI"):
+        resultset.checked_part(honest, parse_query(Q), Q, "UDI")
+
+
+@pytest.mark.parametrize("bad", [
+    None, [], "text", 7,
+    {"query": Q, "ids": [], "fields": {"patient.id": [], "patient.sex": []}},
+    dict(answer_of(TWO_SITES), origin="CAM,UDI"),
+    dict(answer_of(TWO_SITES), origin=["CAM", 7]),
+    dict(answer_of(TWO_SITES), origin=["CAM", "udi"]),
+    dict(answer_of(TWO_SITES), origin=["CAM", "UDI", "X,Y"]),
+    dict(answer_of(TWO_SITES), origin=["CAM"]),
+    dict(answer_of(TWO_SITES), ids=[7, 8]),
+    dict(answer_of(TWO_SITES), fields=None),
+    dict(answer_of(TWO_SITES), fields={"patient.id": None, "patient.sex": ["F", "F"]}),
+], ids=["null", "list", "text", "number", "no-origin", "origin-text", "origin-number",
+        "origin-lowercase", "origin-comma", "origin-short", "number-ids", "null-fields", "null-column"])
+def test_a_bad_answer_is_a_schema_violation(bad):
+    with pytest.raises(SchemaViolation):
+        resultset.checked_part(bad, parse_query(Q), Q)
