@@ -43,6 +43,7 @@ from gridbox.errors import (
     UnknownAlgorithm,
     UnknownAttribute,
 )
+from gridbox.resultset import ResultSet
 from gridbox.scenario import run_scenario
 
 EXIT_OK = 0
@@ -133,15 +134,14 @@ def cmd_retrieve(args) -> int:
 
 def cmd_query(args) -> int:
     client = _client(args)
-    result, warnings = client.query(args.text)
-    xml = result.to_xml()
+    xml, warnings = client.query_xml(args.text)
     if args.out:
         Path(args.out).write_bytes(xml)
     else:
         sys.stdout.buffer.write(xml)
         sys.stdout.buffer.flush()
     _warn(warnings)
-    num_images, num_patients = result.summary
+    num_images, num_patients = ResultSet.from_xml(xml).summary
     print(f"images={num_images} patients={num_patients}")
     return EXIT_OK
 

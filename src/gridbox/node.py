@@ -25,16 +25,16 @@ with the VO key the registry hands out at node registration, so a token
 minted by any node is honored VO-wide and every node can check expiry and
 integrity without a session table.  Peer-to-peer requests are authenticated
 by an HMAC over (site, op, request id) under the same key.
+A handler takes ``(params, binary)`` and never checks its caller: that is
+decided once per request, in `GridNode._serve`.
 """
 
 from __future__ import annotations
 
 import hmac
 import secrets
-import sys
 import threading
 import time
-import traceback
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
@@ -78,14 +78,7 @@ from gridbox.records import (
 )
 from gridbox.registry import RegistryClient
 from gridbox.resultset import Part, ResultSet, checked_part, merge
-from gridbox.wire import (
-    FramedServer,
-    call,
-    error_response,
-    ok_response,
-    same_secret,
-    text_param,
-)
+from gridbox.wire import FramedServer, answer, call, same_secret, text_param
 
 _SHA_HEX = frozenset("0123456789abcdef")
 
@@ -129,6 +122,13 @@ def peer_signature(vo_key: bytes, peer_site: str, op: str, req_id: str) -> str:
     return hmac.digest(vo_key, msg, "sha256").hex()
 
 
+def _check_hop(params: dict, what: str) -> None:
+    """HopViolation unless ``hop`` is the JSON integer 1, not true or 1.0."""
+    hop = params.get("hop")
+    if type(hop) is not int or hop != 1:
+        raise HopViolation(f"{what} must arrive with hop=1, got {hop!r}")
+
+
 # --- the node ------------------------------------------------------------------------
 
 @dataclass
@@ -159,16 +159,16 @@ class GridNode:
         self._stopping = None
         self._identity = self._load_identity()
         self._register_builtin()
-        self._ops = {
-            "AUTH": self._op_auth,
-            "ADD": self._op_add,
-            "RETRIEVE": self._op_retrieve,
-            "QUERY": self._op_query,
-            "ADD_ALG": self._op_add_alg,
-            "EXEC_ALG": self._op_exec_alg,
-            "RQUERY": self._op_rquery,
-            "PEER_FETCH": self._op_peer_fetch,
-            "STATS": self._op_stats,
+        self._ops = {  # op -> (user handler, peer handler); `_serve` picks one
+            "AUTH": (self._op_auth, None),
+            "ADD": (self._op_add, None),
+            "RETRIEVE": (self._op_retrieve, None),
+            "QUERY": (self._op_query, None),
+            "ADD_ALG": (self._op_add_alg, self._peer_add_alg),
+            "EXEC_ALG": (self._op_exec_alg, self._peer_exec_alg),
+            "RQUERY": (None, self._peer_rquery),
+            "PEER_FETCH": (None, self._peer_fetch),
+            "STATS": (self._op_stats, None),
         }
 
     # --- lifecycle -------------------------------------------------------------
@@ -278,32 +278,23 @@ class GridNode:
     # --- op plumbing ------------------------------------------------------------------
 
     def _handle(self, envelope: dict, binary: bytes) -> tuple[dict, bytes]:
-        req_id = str(envelope.get("id", ""))
-        op = envelope.get("op")
-        token = str(envelope.get("token") or "")
-        params = envelope.get("params") or {}
-        fn = self._ops.get(op)
-        try:
-            if fn is None:
-                raise ProtocolError(f"unknown op {op!r}")
-            if not isinstance(params, dict):
-                raise ProtocolError("params must be an object")
-            result, warnings, resp_binary = fn(req_id, token, params, binary)
-            return ok_response(req_id, result, warnings), resp_binary
-        except GridError as e:
-            return error_response(req_id, e.code, e.message), b""
-        except Exception as e:  # defensive: a handler must answer, not raise
-            traceback.print_exc(file=sys.stderr)
-            return error_response(req_id, "Internal", f"{type(e).__name__}: {e}"), b""
+        return answer(envelope, binary, self._serve)
 
-    def _require_user(self, token: str) -> str:
+    def _serve(self, req_id, op, token, params, binary):
+        """Check the caller and run ``op``'s handler: the peer handler, which
+        wants a VO member's signature, when the op has no user handler or the
+        request carries ``peer_sig``; else the user handler, which wants a
+        session token, except for AUTH, which is how a user gets one."""
+        if not isinstance(op, str) or op not in self._ops:
+            raise ProtocolError(f"unknown op {op!r}")
+        user, peer = self._ops[op]
+        if op == "AUTH":
+            return user(params, binary)
         if not self.vo_key:
             raise AuthFailed("node is not registered with the VO yet")
-        return verify_token(self.vo_key, token)
-
-    def _require_peer(self, req_id: str, op: str, params: dict) -> str:
-        if not self.vo_key:
-            raise AuthFailed("node is not registered with the VO yet")
+        if peer is None or (user is not None and "peer_sig" not in params):
+            verify_token(self.vo_key, token)
+            return user(params, binary)
         site = text_param(params, "peer_site")
         sig = text_param(params, "peer_sig")
         if not valid_site_code(site) or not sig:
@@ -311,7 +302,7 @@ class GridNode:
         if not same_secret(sig, peer_signature(self.vo_key, site, op, req_id)):
             raise AuthFailed("bad peer signature")
         self._peer_address(site)  # UnknownPeer unless the site is a VO member
-        return site
+        return peer(params, binary)
 
     def _peer_request(self, site: str, op: str, extra: dict,
                       timeout: float) -> tuple[dict, bytes]:
@@ -363,7 +354,7 @@ class GridNode:
 
     # --- AUTH ------------------------------------------------------------------------
 
-    def _op_auth(self, req_id, token, params, binary):
+    def _op_auth(self, params, binary):
         user = text_param(params, "user")
         credential = text_param(params, "credential")
         if not user or ":" in user:
@@ -376,8 +367,7 @@ class GridNode:
 
     # --- ADD -------------------------------------------------------------------------
 
-    def _op_add(self, req_id, token, params, binary):
-        self._require_user(token)
+    def _op_add(self, params, binary):
         if not binary:
             raise MalformedFile("ADD carries no file bytes")
         try:
@@ -465,8 +455,7 @@ class GridNode:
             return ident
         raise NotFound(f"{ident!r} is neither a global id nor a sha256 digest")
 
-    def _op_retrieve(self, req_id, token, params, binary):
-        self._require_user(token)
+    def _op_retrieve(self, params, binary):
         ident = text_param(params, "id")
         warnings: list[str] = []
         if looks_like_global_id(ident):
@@ -502,8 +491,7 @@ class GridNode:
                 warnings.append(f"{site}: {e.message}")
         raise NotFound(f"no VO member stores blob {sha}")
 
-    def _op_peer_fetch(self, req_id, token, params, binary):
-        self._require_peer(req_id, "PEER_FETCH", params)
+    def _peer_fetch(self, params, binary):
         ident = text_param(params, "id")
         if looks_like_global_id(ident) and GlobalId.parse(ident).site != self.site:
             raise NotFound(f"{ident} is not owned by {self.site}")
@@ -537,16 +525,13 @@ class GridNode:
                                        {"text": canonical, "hop": 1}, timeout)
         return checked_part(result, q, canonical, site)
 
-    def _op_query(self, req_id, token, params, binary):
-        self._require_user(token)
+    def _op_query(self, params, binary):
         result, warnings = self.run_query(text_param(params, "text"))
         return {"query": result.query_text, "origin": sorted(result.origin_sites),
                 "ids": result.part.ids, "fields": result.part.fields}, warnings, b""
 
-    def _op_rquery(self, req_id, token, params, binary):
-        self._require_peer(req_id, "RQUERY", params)
-        if params.get("hop") != 1:
-            raise HopViolation(f"RQUERY must arrive with hop=1, got {params.get('hop')!r}")
+    def _peer_rquery(self, params, binary):
+        _check_hop(params, "RQUERY")
         q = parse_query(text_param(params, "text"))
         part = self._local_resultset(q)
         return {"query": print_query(q), "ids": part.ids, "fields": part.fields}, [], b""
@@ -563,12 +548,7 @@ class GridNode:
             return False
         return self.catalog.upsert(record)
 
-    def _op_add_alg(self, req_id, token, params, binary):
-        if "peer_sig" in params:
-            self._require_peer(req_id, "ADD_ALG", params)
-            record = self._algorithm_from_params(params)
-            return {"registered": self._register_algorithm(record)}, [], b""
-        self._require_user(token)
+    def _op_add_alg(self, params, binary):
         name = text_param(params, "name")
         source = text_param(params, "source")
         if not alg.valid_name(name):
@@ -581,6 +561,10 @@ class GridNode:
                 name=name, version=version, source=source, origin_site=self.site))
         warnings = self._gossip_algorithm(record)
         return {"id": str(record.id), "version": record.version}, warnings, b""
+
+    def _peer_add_alg(self, params, binary):
+        record = self._algorithm_from_params(params)
+        return {"registered": self._register_algorithm(record)}, [], b""
 
     def _algorithm_from_params(self, params: dict) -> AlgorithmRecord:
         """The record a peer sent under ``algorithm``, in its
@@ -655,18 +639,7 @@ class GridNode:
             written = self.catalog.upsert_many(derived)
         return written
 
-    def _op_exec_alg(self, req_id, token, params, binary):
-        if "peer_sig" in params:
-            self._require_peer(req_id, "EXEC_ALG", params)
-            if params.get("hop") != 1:
-                raise HopViolation(
-                    f"peer EXEC_ALG must arrive with hop=1, got {params.get('hop')!r}")
-            record = self._algorithm_from_params(params)
-            self._register_algorithm(record)
-            local_record = self.catalog.algorithm(record.name, record.version)
-            q = self._selector_query(text_param(params, "selector"))
-            return {"written": self._execute_local(local_record, q)}, [], b""
-        self._require_user(token)
+    def _op_exec_alg(self, params, binary):
         name, selector = text_param(params, "name"), text_param(params, "selector")
         version = params.get("version")
         if version is not None and type(version) is not int:  # not a bool or float
@@ -684,6 +657,14 @@ class GridNode:
         return {"written": sum(per_site.values()),
                 "per_site": per_site}, warnings, b""
 
+    def _peer_exec_alg(self, params, binary):
+        _check_hop(params, "peer EXEC_ALG")
+        record = self._algorithm_from_params(params)
+        self._register_algorithm(record)
+        local_record = self.catalog.algorithm(record.name, record.version)
+        q = self._selector_query(text_param(params, "selector"))
+        return {"written": self._execute_local(local_record, q)}, [], b""
+
     def _remote_exec(self, site: str, record: AlgorithmRecord, selector: str,
                      timeout: float) -> int:
         result, _ = self._peer_request(site, "EXEC_ALG", {
@@ -697,8 +678,7 @@ class GridNode:
 
     # --- STATS -------------------------------------------------------------------------
 
-    def _op_stats(self, req_id, token, params, binary):
-        self._require_user(token)
+    def _op_stats(self, params, binary):
         return {
             "site": self.site,
             "catalog": self.catalog.stats(),

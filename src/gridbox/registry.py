@@ -31,20 +31,12 @@ from gridbox.config import RegistryConfig, parse_address
 from gridbox.errors import (
     AuthFailed,
     DuplicateSiteDifferentIdentity,
-    GridError,
     MalformedFile,
     ProtocolError,
     RegistryUnreachable,
 )
 from gridbox.ids import valid_site_code
-from gridbox.wire import (
-    FramedServer,
-    call,
-    error_response,
-    ok_response,
-    same_secret,
-    text_param,
-)
+from gridbox.wire import FramedServer, answer, call, same_secret, text_param
 
 _USER_RE = re.compile(r"[a-z0-9][a-z0-9_.\-]*")
 
@@ -187,41 +179,32 @@ class VoRegistry:
     # --- wire handler ---------------------------------------------------------------
 
     def _handle(self, envelope: dict, binary: bytes) -> tuple[dict, bytes]:
-        req_id = str(envelope.get("id", ""))
-        op = envelope.get("op")
-        params = envelope.get("params") or {}
-        try:
-            if not isinstance(params, dict):
-                raise ProtocolError("params must be an object")
-            if op == "NODE_REG":
-                members = self.register_node(text_param(params, "site"),
-                                             text_param(params, "address"),
-                                             text_param(params, "identity"))
-                return ok_response(req_id, {"membership": members,
-                                            "vo_key": self.vo_key}), b""
-            if op == "NODE_LIST":
-                return ok_response(req_id, {"membership": self.membership()}), b""
-            if op == "USER_VERIFY":
-                ok = self.verify_user(text_param(params, "user"),
-                                      text_param(params, "credential"))
-                return ok_response(req_id, {"ok": ok}), b""
-            if op == "USER_ADD":
-                supplied = text_param(params, "admin_token")
-                if not same_secret(supplied, self.admin_token):
-                    raise AuthFailed("bad admin token")
-                enabled = params.get("enabled", True)
-                if not isinstance(enabled, bool):
-                    raise ProtocolError(f"enabled must be true or false, got {enabled!r}")
-                self.add_user(text_param(params, "user"),
-                              text_param(params, "credential"),
-                              text_param(params, "home_site"), enabled)
-                return ok_response(req_id, {"ok": True}), b""
-            return error_response(req_id, "ProtocolError",
-                                  f"unknown registry op {op!r}"), b""
-        except GridError as e:
-            return error_response(req_id, e.code, e.message), b""
-        except Exception as e:  # defensive: a handler must answer, not raise
-            return error_response(req_id, "Internal", f"{type(e).__name__}: {e}"), b""
+        return answer(envelope, binary, self._serve)
+
+    def _serve(self, req_id, op, token, params, binary):
+        if op == "NODE_REG":
+            members = self.register_node(text_param(params, "site"),
+                                         text_param(params, "address"),
+                                         text_param(params, "identity"))
+            return {"membership": members, "vo_key": self.vo_key}, [], b""
+        if op == "NODE_LIST":
+            return {"membership": self.membership()}, [], b""
+        if op == "USER_VERIFY":
+            ok = self.verify_user(text_param(params, "user"),
+                                  text_param(params, "credential"))
+            return {"ok": ok}, [], b""
+        if op == "USER_ADD":
+            supplied = text_param(params, "admin_token")
+            if not same_secret(supplied, self.admin_token):
+                raise AuthFailed("bad admin token")
+            enabled = params.get("enabled", True)
+            if not isinstance(enabled, bool):
+                raise ProtocolError(f"enabled must be true or false, got {enabled!r}")
+            self.add_user(text_param(params, "user"),
+                          text_param(params, "credential"),
+                          text_param(params, "home_site"), enabled)
+            return {"ok": True}, [], b""
+        raise ProtocolError(f"unknown registry op {op!r}")
 
 
 class RegistryClient:

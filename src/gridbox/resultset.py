@@ -409,6 +409,7 @@ def checked_part(answer, q: FormalQuery, canonical: str, site: str | None = None
     - it carries those keys and answers ``canonical``;
     - the ids are strings in strictly increasing order, each minted for the
       query's target kind by the peer, or by a site of the origin list;
+    - the origin list names no site twice, and none that minted no row;
     - the columns are exactly ``projection(q)``, each a list as long as the
       ids that holds only strings or nulls.
 
@@ -431,11 +432,16 @@ def checked_part(answer, q: FormalQuery, canonical: str, site: str | None = None
         raise SchemaViolation(f"row {row_id} comes twice or out of order")
     # The sorted ids that start with "SITE:kind:" are one run, from that
     # prefix up to the prefix with its last ':' raised to ';'.
-    prefixes = {f"{s}:{ROW_KIND[q.target]}:" for s in sites}
-    if sum(bisect_left(ids, p[:-1] + ";") - bisect_left(ids, p) for p in prefixes) != len(ids):
-        row_id = next(i for i in ids if not i.startswith(tuple(prefixes)))
+    kind = ROW_KIND[q.target]
+    runs = {s: bisect_left(ids, f"{s}:{kind};") - bisect_left(ids, f"{s}:{kind}:")
+            for s in sites}
+    if sum(runs.values()) != len(ids):
+        row_id = next(i for i in ids if not i.startswith(tuple(f"{s}:{kind}:" for s in runs)))
         raise SchemaViolation(f"row {row_id!r} is not minted for {q.target} by "
                               f"{' or '.join(sites) or 'a site of the origin'}")
+    if site is None and (len(runs) != len(sites) or not all(runs.values())):
+        raise SchemaViolation(f"the answer's origin {sites} is not the sites "
+                              "that returned rows, each once")
     if not (isinstance(fields, dict) and fields.keys() == set(projection(q))):
         raise SchemaViolation("the answer's columns are not the projection's")
     for name, column in fields.items():

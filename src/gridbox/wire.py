@@ -35,7 +35,9 @@ import secrets
 import select
 import socket
 import struct
+import sys
 import threading
+import traceback
 from dataclasses import dataclass, field
 
 from gridbox.errors import AnswerTooLarge, GridError, ProtocolError, error_from_code
@@ -281,6 +283,29 @@ def ok_response(req_id: str, result: dict, warnings: list | None = None) -> dict
 def error_response(req_id: str, code: str, message: str) -> dict:
     return {"id": req_id, "status": "error", "error_code": code,
             "result": {"message": message}, "warnings": []}
+
+
+def answer(envelope: dict, binary: bytes, serve) -> tuple[dict, bytes]:
+    """The response to one request, the one answer path of every server
+    handler.  ``serve(req_id, op, token, params, binary)`` returns
+    ``(result, warnings, binary)``.  A ``params`` that is not a JSON object
+    is a ProtocolError before ``serve`` runs; a GridError answers under its
+    own code, and any other exception is ``Internal``, with its traceback on
+    stderr, since a handler must answer, not raise."""
+    req_id = str(envelope.get("id", ""))
+    params = envelope.get("params") or {}
+    try:
+        if not isinstance(params, dict):
+            raise ProtocolError("params must be an object")
+        result, warnings, resp_binary = serve(req_id, envelope.get("op"),
+                                              str(envelope.get("token") or ""),
+                                              params, binary)
+        return ok_response(req_id, result, warnings), resp_binary
+    except GridError as e:
+        return error_response(req_id, e.code, e.message), b""
+    except Exception as e:
+        traceback.print_exc(file=sys.stderr)
+        return error_response(req_id, "Internal", f"{type(e).__name__}: {e}"), b""
 
 
 def text_param(params: dict, name: str) -> str:

@@ -119,6 +119,65 @@ def test_a_token_signature_that_is_not_ascii_is_auth_failed(session_vo):
     assert response["error_code"] == "AuthFailed"
 
 
+# --- who may call each op ----------------------------------------------------------
+
+# op -> its outcome with no credentials, a user token, a peer signature, both,
+# and a user token with a forged peer signature: the error code, or the keys
+# of the answer, which tell the user and the peer ADD_ALG and EXEC_ALG apart
+CALLER_ROLES = {
+    "AUTH": ("token,ttl,user",) * 5,
+    "ADD": ("AuthFailed", "changed,file,image", "AuthFailed", "changed,file,image",
+            "changed,file,image"),
+    "RETRIEVE": ("AuthFailed", "sha256,size", "AuthFailed", "sha256,size", "sha256,size"),
+    "QUERY": ("AuthFailed", "fields,ids,origin,query", "AuthFailed",
+              "fields,ids,origin,query", "fields,ids,origin,query"),
+    "ADD_ALG": ("AuthFailed", "id,version", "registered", "registered", "AuthFailed"),
+    "EXEC_ALG": ("AuthFailed", "per_site,written", "written", "written", "AuthFailed"),
+    "RQUERY": ("AuthFailed", "AuthFailed", "fields,ids,query", "fields,ids,query",
+               "AuthFailed"),
+    "PEER_FETCH": ("AuthFailed", "AuthFailed", "sha256,size", "sha256,size", "AuthFailed"),
+    "STATS": ("AuthFailed", "algorithms,catalog,membership,site,traffic", "AuthFailed",
+              "algorithms,catalog,membership,site,traffic",
+              "algorithms,catalog,membership,site,traffic"),
+}
+
+
+def test_each_op_answers_the_callers_of_its_role(make_vo):
+    """User ops want a token, peer ops a peer signature; ADD_ALG and EXEC_ALG
+    take either, and a peer signature, good or forged, selects peer mode."""
+    vo = make_vo()
+    vo.client("CAM").add_bytes(make_image_bytes())
+    cam = vo.nodes["CAM"]
+    [image_id] = cam.catalog.select(parse_query("select images where true")).ids
+    params = {
+        "AUTH": {"user": USER, "credential": CREDENTIAL},
+        "ADD": {}, "RETRIEVE": {"id": image_id}, "STATS": {},
+        "QUERY": {"text": "select images where true"},
+        "ADD_ALG": {"name": "nodemean", "source": "mean emit nm", "algorithm": ALGORITHM},
+        "EXEC_ALG": {"name": "smf-density", "selector": "select images where true",
+                     "algorithm": ALGORITHM, "hop": 1},
+        "RQUERY": {"text": "select images where true", "hop": 1},
+        "PEER_FETCH": {"id": image_id},
+    }
+
+    def outcome(op, token, sig):
+        req_id = pysecrets.token_hex(8)
+        signed = dict(params[op])
+        if sig is not None:
+            signed.update(peer_site="UDI",
+                          peer_sig=sig or peer_signature(cam.vo_key, "UDI", op, req_id))
+        response, _ = request(cam.address, op, signed, req_id=req_id,
+                              token=vo.client("CAM").token if token else "",
+                              binary=make_image_bytes() if op == "ADD" else b"")
+        return response["error_code"] or ",".join(sorted(response["result"]))
+
+    got = {op: tuple(outcome(op, token, sig) for token, sig in
+                     [(False, None), (True, None), (False, ""), (True, ""),
+                      (True, "00" * 32)])
+           for op in CALLER_ROLES}
+    assert got == CALLER_ROLES
+
+
 # --- ADD ---------------------------------------------------------------------------
 
 def test_add_ingests_and_is_idempotent(make_vo):
@@ -315,9 +374,11 @@ def exchange(address, envelope):
     return response
 
 
-def test_rquery_rejects_multi_hop(session_vo):
+@pytest.mark.parametrize("hop", [2, True, 1.0, "1", None])
+def test_rquery_rejects_multi_hop(session_vo, hop):
+    """Only the JSON integer 1 is one hop; ``!= 1`` let true and 1.0 through."""
     cam = session_vo.nodes["CAM"]
-    envelope = rquery_envelope(cam, "select images where true", hop=2)
+    envelope = rquery_envelope(cam, "select images where true", hop=hop)
     response = exchange(cam.address, envelope)
     assert response["error_code"] == "HopViolation"
 
@@ -426,6 +487,14 @@ def send_fields_as_pairs(answer):
     return dict(answer, fields=list(answer["fields"].items()))
 
 
+def name_an_origin_with_no_rows(answer):
+    return dict(answer, origin=sorted(answer["origin"] + ["CAM"]))
+
+
+def name_an_origin_twice(answer):
+    return dict(answer, origin=answer["origin"] * 2)
+
+
 @pytest.mark.parametrize("tamper", [forge_a_row, answer_another_query,
                                     add_an_unprojected_field, add_a_study_row,
                                     repeat_a_row, swap_the_rows, shorten_a_column,
@@ -437,13 +506,13 @@ def test_bad_peer_part_is_dropped_with_a_warning(make_vo, tamper):
     for image_id in ("IMG1", "IMG2"):
         vo.client("UDI").add_bytes(make_image_bytes(image_id=image_id))
     udi = vo.nodes["UDI"]
-    honest = udi._ops["RQUERY"]
+    _, honest = udi._ops["RQUERY"]
 
-    def tampered(req_id, token, params, binary):
-        answer, warnings, data = honest(req_id, token, params, binary)
+    def tampered(params, binary):
+        answer, warnings, data = honest(params, binary)
         return tamper(answer), warnings, data
 
-    udi._ops["RQUERY"] = tampered
+    udi._ops["RQUERY"] = (None, tampered)
     result, warnings = vo.client("CAM").query("select images where true")
     assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
     assert result.origin_sites == frozenset({"CAM"})
@@ -458,8 +527,8 @@ def test_malformed_peer_query_answer_is_dropped_with_a_warning(make_vo, answer):
     vo = make_vo()
     for site in vo.nodes:
         vo.client(site).add_bytes(make_image_bytes())
-    vo.nodes["UDI"]._ops["RQUERY"] = (
-        lambda req_id, token, params, binary: (answer(params), [], b""))
+    vo.nodes["UDI"]._ops["RQUERY"] = (None,
+                                      lambda params, binary: (answer(params), [], b""))
     result, warnings = vo.client("CAM").query("select images where true")
     assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
     assert len(warnings) == 1 and warnings[0].startswith("UDI refused: SchemaViolation:")
@@ -469,10 +538,10 @@ def test_a_peer_error_is_worded_with_its_code(make_vo):
     vo = make_vo()
     vo.client("CAM").add_bytes(make_image_bytes())
 
-    def refuse(req_id, token, params, binary):
+    def refuse(params, binary):
         raise AuthFailed("bad peer signature")
 
-    vo.nodes["UDI"]._ops["RQUERY"] = refuse
+    vo.nodes["UDI"]._ops["RQUERY"] = (None, refuse)
     result, warnings = vo.client("CAM").query("select images where true")
     assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
     assert warnings == ["UDI refused: AuthFailed: bad peer signature"]
@@ -500,28 +569,29 @@ def vo_with_two_udi_images(make_vo):
                                     add_an_unprojected_field, add_a_study_row,
                                     repeat_a_row, swap_the_rows, shorten_a_column,
                                     put_a_number_in_a_column, drop_the_projected_column,
-                                    send_ids_as_an_object, send_fields_as_pairs])
+                                    send_ids_as_an_object, send_fields_as_pairs,
+                                    name_an_origin_with_no_rows, name_an_origin_twice])
 def test_the_client_refuses_a_tampered_query_answer(make_vo, capfd, tamper):
-    """The RQUERY tampers, applied to CAM's QUERY answer of UDI's two images."""
+    """The RQUERY tampers, applied to CAM's QUERY answer of UDI's two images,
+    and two to its origin list, which the client renders into the XML."""
     vo = vo_with_two_udi_images(make_vo)
     cam = vo.nodes["CAM"]
-    honest = cam._ops["QUERY"]
+    honest, _ = cam._ops["QUERY"]
 
-    def tampered(req_id, token, params, binary):
-        answer, warnings, data = honest(req_id, token, params, binary)
+    def tampered(params, binary):
+        answer, warnings, data = honest(params, binary)
         return tamper(answer), warnings, data
 
-    cam._ops["QUERY"] = tampered
+    cam._ops["QUERY"] = (tampered, None)
     assert_the_client_refuses(vo, capfd)
 
 
 def test_the_client_refuses_the_answer_to_another_query(make_vo, capfd):
     vo = vo_with_two_udi_images(make_vo)
     cam = vo.nodes["CAM"]
-    honest = cam._ops["QUERY"]
-    cam._ops["QUERY"] = lambda req_id, token, params, binary: honest(
-        req_id, token, dict(params, text="select images where image.laterality = L"),
-        binary)
+    honest, _ = cam._ops["QUERY"]
+    cam._ops["QUERY"] = (lambda params, binary: honest(
+        dict(params, text="select images where image.laterality = L"), binary), None)
     assert_the_client_refuses(vo, capfd)
 
 
@@ -671,6 +741,15 @@ def test_stopped_node_refuses_to_fan_out_with_a_typed_error(make_vo, capsys):
     response, _ = node._handle(envelope, b"")
     assert response["error_code"] == "NodeStopped"
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", [["QUERY"], {"op": "QUERY"}], ids=["list", "object"])
+def test_an_op_that_is_not_a_known_name_is_a_protocol_error(session_vo, op):
+    """Before, an op that is a JSON list or object raised out of the node's
+    handler, and the connection closed without an answer."""
+    response, _ = request(session_vo.nodes["CAM"].address, op, {},
+                          token=session_vo.client("CAM").token)
+    assert response["error_code"] == "ProtocolError"
 
 
 @pytest.mark.parametrize("params", [[1], "x", 5], ids=["list", "string", "number"])
@@ -981,8 +1060,9 @@ def test_corrupt_blob_keeps_the_records_of_earlier_images(make_vo):
 
 @pytest.mark.parametrize("answer", [{}, {"written": "many"}], ids=["empty", "text"])
 def test_malformed_peer_exec_answer_is_dropped_with_a_warning(seeded_vo, answer):
-    seeded_vo.nodes["UDI"]._ops["EXEC_ALG"] = (
-        lambda req_id, token, params, binary: (answer, [], b""))
+    udi = seeded_vo.nodes["UDI"]
+    user, _ = udi._ops["EXEC_ALG"]
+    udi._ops["EXEC_ALG"] = (user, lambda params, binary: (answer, [], b""))
     got, warnings = seeded_vo.client("CAM").exec_algorithm(
         "smf-density", "select images where image.laterality = L")
     assert got == {"written": 2, "per_site": {"CAM": 2}}
@@ -1032,9 +1112,16 @@ def peer_algorithm_request(node, op, **params):
     """``node``'s answer to a peer-mode ``op`` from UDI with ``params``."""
     req_id = pysecrets.token_hex(8)
     if op == "EXEC_ALG":
-        params.update(hop=1, selector="select images where true")
+        params = {"hop": 1, "selector": "select images where true", **params}
     return exchange(node.address, {"id": req_id, "op": op, "token": "", "params": dict(
         params, peer_site="UDI", peer_sig=peer_signature(node.vo_key, "UDI", op, req_id))})
+
+
+@pytest.mark.parametrize("hop", [2, True, 1.0, "1", None])
+def test_peer_exec_alg_rejects_multi_hop(session_vo, hop):
+    response = peer_algorithm_request(session_vo.nodes["CAM"], "EXEC_ALG",
+                                      algorithm=ALGORITHM, hop=hop)
+    assert response["error_code"] == "HopViolation"
 
 
 @pytest.mark.parametrize("params", [
