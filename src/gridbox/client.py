@@ -10,8 +10,9 @@ no-op on anonymized input.
 A node answers QUERY with the merged answer by column, as a peer answers
 RQUERY: ``{"query", "origin", "ids", "fields"}``.  ``query_xml`` checks
 that answer as a whole (`resultset.checked_part`) and renders the canonical
-XML from it here, so the XML is never escaped into the JSON envelope;
-``query`` parses those bytes back into a `ResultSet`.
+XML from it here, so the XML is never escaped into the JSON envelope.
+``query`` returns the `ResultSet` that ``query_xml`` rendered, without
+parsing the bytes back, when ``query_xml`` returned those very bytes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from gridbox.wire import call
 
 
 class NodeClient:
+    _last_answer: tuple = (None, None)  # query_xml's last (bytes, ResultSet)
+
     def __init__(self, address: str | tuple[str, int], token: str = "",
                  site_key: SiteKey | None = None, timeout: float = 30.0):
         self.address = parse_address(address) if isinstance(address, str) else address
@@ -70,16 +73,26 @@ class NodeClient:
     def query_xml(self, text: str) -> tuple[bytes, list]:
         """The answer to ``text`` as canonical XML, rendered here from the
         columns the node sends, and the node's warnings.  SchemaViolation
-        when the answer fails `checked_part`, such as one to another query."""
+        when the answer fails `checked_part`, such as one to another query.
+        The bytes and the `ResultSet` they render are kept until the next
+        query, so that `query` can return it without a parse."""
         result, warnings, _ = self._call("QUERY", {"text": text})
         q = parse_query(text)
         canonical = print_query(q)
-        part = checked_part(result, q, canonical)
-        return ResultSet(canonical, result["origin"], part).to_xml(), warnings
+        rs = ResultSet(canonical, result["origin"], checked_part(result, q, canonical))
+        xml = rs.to_xml()
+        self._last_answer = (xml, rs)
+        return xml, warnings
 
     def query(self, text: str) -> tuple[ResultSet, list]:
+        """The answer to ``text`` as the `ResultSet` that the bytes of
+        ``query_xml`` mean, and the node's warnings.  When those bytes are the
+        ones ``query_xml`` rendered, the result set it rendered them from is
+        returned; other bytes, as an override or another thread may leave,
+        are parsed.  Either way the client keeps no answer afterwards."""
         xml, warnings = self.query_xml(text)
-        return ResultSet.from_xml(xml), warnings
+        (rendered, rs), self._last_answer = self._last_answer, (None, None)
+        return (rs if xml is rendered else ResultSet.from_xml(xml)), warnings
 
     def add_algorithm(self, name: str, source: str) -> tuple[dict, list]:
         result, warnings, _ = self._call("ADD_ALG", {"name": name, "source": source})

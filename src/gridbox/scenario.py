@@ -340,7 +340,7 @@ class ScenarioRunner:
         if entry is None:
             raise ScenarioError(f"manifest records no truth for {canonical!r}")
         rs = ResultSet.from_xml(last["xml"])
-        got_rows = sorted(r.id for r in rs.rows)
+        got_rows = rs.part.ids  # in id order
         if rs.summary != (entry["images"], entry["patients"]):
             raise ScenarioError(f"summary {rs.summary} != manifest "
                                 f"({entry['images']}, {entry['patients']})")

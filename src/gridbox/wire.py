@@ -215,6 +215,22 @@ def _checkin(key: tuple[str, int], sock: socket.socket) -> None:
         evicted.close()
 
 
+def _check_response(response: dict) -> None:
+    """ProtocolError unless ``response``, of a known status, has the shape
+    `call` reads: ``result`` an object, ``warnings`` absent or a list of
+    strings, and on an error envelope a string ``error_code`` and a string
+    ``message`` in ``result`` when it has one."""
+    result, warnings = response.get("result"), response.get("warnings", [])
+    if not isinstance(result, dict):
+        raise ProtocolError(f"response result is a {type(result).__name__}, not an object")
+    if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+        raise ProtocolError("response warnings are not a list of strings")
+    if response["status"] == "error" and not (
+            isinstance(response.get("error_code"), str)
+            and isinstance(result.get("message", ""), str)):
+        raise ProtocolError("error response carries no string code and message")
+
+
 def request(address: tuple[str, int], op: str, params: dict, *,
             token: str = "", binary: bytes = b"", req_id: str = "",
             timeout: float = 10.0) -> tuple[dict, bytes]:
@@ -225,9 +241,10 @@ def request(address: tuple[str, int], op: str, params: dict, *,
     Returns the raw response envelope and its binary section; error-status
     envelopes are returned, not raised (:func:`call` raises them).  A caller
     that signs the request id passes it as ``req_id``.  The connection goes
-    back to the pool only after an answer whose id and status check out;
-    on any failure it is closed.  A request is written once: a failure after
-    it is sent raises, and is never retried on another connection.
+    back to the pool only after an answer whose id, status and shape check
+    out (:func:`_check_response`); on any failure it is closed.  A request
+    is written once: a failure after it is sent raises, and is never retried
+    on another connection.
     """
     req_id = req_id or secrets.token_hex(8)
     envelope = {"id": req_id, "op": op, "token": token, "params": params}
@@ -247,6 +264,7 @@ def request(address: tuple[str, int], op: str, params: dict, *,
             raise ProtocolError("response id does not match request id")
         if response.get("status") not in ("ok", "error"):
             raise ProtocolError(f"bad response status {response.get('status')!r}")
+        _check_response(response)
     except BaseException:
         sock.close()
         raise

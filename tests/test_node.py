@@ -1,8 +1,10 @@
+import gc
 import secrets as pysecrets
 import socket
 import sys
 import threading
 import time
+import weakref
 from hashlib import sha256
 from types import SimpleNamespace
 
@@ -534,6 +536,28 @@ def test_malformed_peer_query_answer_is_dropped_with_a_warning(make_vo, answer):
     assert len(warnings) == 1 and warnings[0].startswith("UDI refused: SchemaViolation:")
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda r: {k: v for k, v in r.items() if k != "result"},
+    lambda r: dict(r, status="error", error_code="NotFound", result=["no"]),
+    lambda r: dict(r, warnings=5),
+], ids=["ok-without-result", "error-result-a-list", "warnings-a-number"])
+def test_a_malformed_peer_envelope_is_one_unreachable_warning(make_vo, mangle):
+    vo = make_vo()
+    for site in vo.nodes:
+        vo.client(site).add_bytes(make_image_bytes())
+    server = vo.nodes["UDI"]._server
+    serve = server.handler
+
+    def mangled(envelope, binary):
+        response, data = serve(envelope, binary)
+        return (mangle(response) if envelope.get("op") == "RQUERY" else response), data
+
+    server.handler = mangled
+    result, warnings = vo.client("CAM").query("select images where true")
+    assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
+    assert len(warnings) == 1 and warnings[0].startswith("UDI unreachable: RQUERY to ")
+
+
 def test_a_peer_error_is_worded_with_its_code(make_vo):
     vo = make_vo()
     vo.client("CAM").add_bytes(make_image_bytes())
@@ -604,9 +628,9 @@ def test_a_query_answer_renders_the_origins_bytes(session_vo):
             assert xml == node.run_query(entry["text"])[0].to_xml()
 
 
-def test_query_goes_through_query_xml(session_vo):
-    """A subclass that overrides query_xml sees every query call, which is
-    how a caller can keep the bytes of each answer."""
+def recording_client(base: NodeClient):
+    """A client with ``base``'s address and token, and the list of the
+    (text, bytes) of each of its query_xml calls."""
     seen = []
 
     class Recording(NodeClient):
@@ -615,13 +639,125 @@ def test_query_goes_through_query_xml(session_vo):
             seen.append((text, xml))
             return xml, warnings
 
-    base = session_vo.client("CAM")
-    client = Recording(base.address, token=base.token)
+    return Recording(base.address, token=base.token), seen
+
+
+def refuse_to_parse(monkeypatch):
+    def refuse(cls, data):
+        raise AssertionError("ResultSet.from_xml was called")
+
+    monkeypatch.setattr(ResultSet, "from_xml", classmethod(refuse))
+
+
+def test_query_goes_through_query_xml(session_vo):
+    """A subclass that overrides query_xml sees every query call, which is
+    how a caller can keep the bytes of each answer."""
+    client, seen = recording_client(session_vo.client("CAM"))
     texts = [entry["text"] for entry in session_vo.manifest["queries"]]
     for text in texts:
         result, _ = client.query(text)
         assert result.to_xml() == seen[-1][1]
     assert [text for text, _ in seen] == texts
+
+
+# projects derived.nm, which no image of the session's cohort holds
+NO_ROW_HOLDS = "select images where patient.sex = F or derived.nm >= 0"
+
+
+def test_query_returns_the_answer_it_rendered_without_a_parse(session_vo, monkeypatch):
+    """At every origin, query() answers each text of the battery with the
+    result set its query_xml bytes mean, and does so without parsing them."""
+    texts = [entry["text"] for entry in session_vo.manifest["queries"]] + [NO_ROW_HOLDS]
+    clients = {}
+    for site in session_vo.nodes:
+        clients[site], seen = recording_client(session_vo.client(site))
+        got = [clients[site].query(text)[0] for text in texts]
+        assert got == [ResultSet.from_xml(xml) for _, xml in seen]
+        # the null column the XML leaves out, which equality ignores
+        assert got[-1].part.fields["derived.nm"] == [None] * len(got[-1].part)
+        assert "derived.nm" not in ResultSet.from_xml(seen[-1][1]).part.fields
+    refuse_to_parse(monkeypatch)
+    for client in clients.values():
+        for text in texts:
+            client.query(text)
+
+
+def test_query_of_a_derived_field_some_rows_lack(seeded_vo, monkeypatch):
+    client = seeded_vo.client("CAM")
+    client.add_algorithm("nodemean", "mean emit nm")
+    client.exec_algorithm("nodemean", "select images where image.laterality = L")
+    text = "select images where derived.nm >= 0 or image.laterality = R"
+    answers = {}
+    for site in seeded_vo.nodes:
+        recording, seen = recording_client(seeded_vo.client(site))
+        answers[site], _ = recording.query(text)
+        assert answers[site] == ResultSet.from_xml(seen[-1][1])
+        column = answers[site].part.fields["derived.nm"]
+        assert column.count(None) == 2 and len(column) == 5  # the R images
+    refuse_to_parse(monkeypatch)
+    assert seeded_vo.client("UDI").query(text)[0] == answers["UDI"]
+
+
+def test_query_parses_bytes_that_query_xml_did_not_render(session_vo):
+    """An override that returns the bytes of another answer, or a copy of
+    the bytes rendered, gets the parse of what it returned."""
+    texts = [entry["text"] for entry in session_vo.manifest["queries"]]
+    other = "select images where patient.sex = F"
+
+    class Other(NodeClient):
+        def query_xml(self, text):
+            xml, _ = super().query_xml(other)
+            _, warnings = super().query_xml(text)  # rendered last, so kept
+            return xml, warnings
+
+    class Copy(NodeClient):
+        def query_xml(self, text):
+            xml, warnings = super().query_xml(text)
+            return bytes(bytearray(xml)), warnings
+
+    base = session_vo.client("CAM")
+    want, _ = base.query(other)
+    for text in texts:
+        assert Other(base.address, token=base.token).query(text)[0] == want
+        got, _ = Copy(base.address, token=base.token).query(text)
+        assert got == base.query(text)[0] and got.query_text == text
+    assert want != base.query(texts[0])[0]
+
+
+def test_threads_sharing_a_client_each_get_their_own_answers(session_vo):
+    """More threads than cores share one client, each asking its own text,
+    with frequent switches between them: every answer is its own text's."""
+    client = session_vo.client("UDI")
+    want = {entry["text"]: ResultSet.from_xml(client.query_xml(entry["text"])[0])
+            for entry in session_vo.manifest["queries"]}
+    got = {text: [] for text in want}
+
+    def ask(text):
+        for _ in range(50):
+            got[text].append(client.query(text)[0])
+
+    threads = [threading.Thread(target=ask, args=(text,)) for text in want]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for text, answers in got.items():
+        assert len(answers) == 50 and all(rs == want[text] for rs in answers)
+
+
+def test_the_client_keeps_no_answer_after_query(session_vo):
+    rs, _ = session_vo.client("CAM").query("select images where true")
+    assert len(rs.part) > 0
+    ref = weakref.ref(rs)
+    del rs
+    gc.collect()
+    assert ref() is None
 
 
 def test_dead_site_becomes_a_warning(make_vo):

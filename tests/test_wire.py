@@ -287,6 +287,34 @@ def test_call_raises_the_far_sides_own_error(code, raised):
     assert type(info.value) is raised and info.value.code == code
 
 
+MALFORMED_REPLIES = {
+    "ok-without-result": lambda r: {k: v for k, v in r.items() if k != "result"},
+    "ok-result-not-an-object": lambda r: dict(r, result=[1]),
+    "error-result-a-list": lambda r: dict(r, status="error", error_code="NotFound",
+                                          result=["no"]),
+    "error-without-code": lambda r: {k: v for k, v in dict(r, status="error").items()
+                                     if k != "error_code"},
+    "error-message-not-a-string": lambda r: dict(r, status="error", error_code="NotFound",
+                                                 result={"message": 5}),
+    "warnings-a-number": lambda r: dict(r, warnings=5),
+    "warnings-not-strings": lambda r: dict(r, warnings=["late", 1]),
+}
+
+
+@pytest.mark.parametrize("mangle", MALFORMED_REPLIES.values(), ids=MALFORMED_REPLIES.keys())
+def test_a_malformed_reply_raises_the_callers_class(mangle):
+    def answer(envelope, binary):
+        return mangle(ok_response(envelope["id"], {"n": 1}, ["late"])), b""
+
+    server = FramedServer("127.0.0.1", 0, answer)
+    server.start()
+    try:
+        with pytest.raises(PeerUnreachable, match="PING to 127.0.0.1"):
+            call(server.address, "PING", {}, unreachable=PeerUnreachable, timeout=5)
+    finally:
+        server.stop()
+
+
 def test_call_maps_transport_failures_to_the_callers_class():
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
