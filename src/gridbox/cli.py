@@ -43,7 +43,6 @@ from gridbox.errors import (
     UnknownAlgorithm,
     UnknownAttribute,
 )
-from gridbox.resultset import ResultSet
 from gridbox.scenario import run_scenario
 
 EXIT_OK = 0
@@ -134,14 +133,15 @@ def cmd_retrieve(args) -> int:
 
 def cmd_query(args) -> int:
     client = _client(args)
-    xml, warnings = client.query_xml(args.text)
+    rs, warnings = client.query(args.text)
+    xml = rs.to_xml()
     if args.out:
         Path(args.out).write_bytes(xml)
     else:
         sys.stdout.buffer.write(xml)
         sys.stdout.buffer.flush()
     _warn(warnings)
-    num_images, num_patients = ResultSet.from_xml(xml).summary
+    num_images, num_patients = rs.summary
     print(f"images={num_images} patients={num_patients}")
     return EXIT_OK
 

@@ -12,7 +12,10 @@ RQUERY: ``{"query", "origin", "ids", "fields"}``.  ``query_xml`` checks
 that answer as a whole (`resultset.checked_part`) and renders the canonical
 XML from it here, so the XML is never escaped into the JSON envelope.
 ``query`` returns the `ResultSet` that ``query_xml`` rendered, without
-parsing the bytes back, when ``query_xml`` returned those very bytes.
+parsing the bytes back, when ``query_xml`` returned those very bytes.  The
+CLI and the scenario runner call ``query`` and render the `ResultSet` it
+returns, so ``ResultSet.from_xml`` runs only on bytes that ``query_xml``
+did not render.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ class NodeClient:
     def query_xml(self, text: str) -> tuple[bytes, list]:
         """The answer to ``text`` as canonical XML, rendered here from the
         columns the node sends, and the node's warnings.  SchemaViolation
-        when the answer fails `checked_part`, such as one to another query.
+        when the answer fails `checked_part`, such as one to another query
+        or one holding a text that XML cannot carry.
         The bytes and the `ResultSet` they render are kept until the next
         query, so that `query` can return it without a parse."""
         result, warnings, _ = self._call("QUERY", {"text": text})

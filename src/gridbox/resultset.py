@@ -27,21 +27,11 @@ carrying different fields is a federation bug and raises
 :class:`ResultSet` holds the merged part.  ``to_xml`` escapes a column
 only when a substring test finds a character that needs it, and writes
 the rows as one interleaving of ids, columns and markup; ``ResultSet.rows``
-builds `Row` objects only when a caller asks.  Escaping and unescaping are
-``str.replace`` chains that make the replacements of ``xml.sax.saxutils``
+builds `Row` objects only when a caller asks.  Escaping is a
+``str.replace`` chain that makes the replacements of ``xml.sax.saxutils``
 in the same order, without importing that module and the ``urllib`` and
-``email`` packages it loads.
-
-Reading has two paths that return the same result set.  The line reader
-takes the canonical form above: UTF-8, exactly these attributes in this
-order, this indentation, and texts that hold only the four entities
-``to_xml`` writes and no character an XML parser would reject or
-normalise.  It cuts ids and texts out of the body's lines with slices, or
-out of its pieces between tags when the rows differ, and keeps the read
-only if writing it back gives the body.  Anything else goes to the
-ElementTree path, which accepts every well-formed document of the schema
-and is the reference for what a document means and for every error.  Both
-paths then sort the rows by id, refuse duplicate ids and check the summary.
+``email`` packages it loads.  :func:`ResultSet.from_xml` reads any
+well-formed document of the schema through ElementTree.
 """
 
 from __future__ import annotations
@@ -50,7 +40,7 @@ import re
 import xml.etree.ElementTree as ET
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, eq, ge, gt, itemgetter
 
 from gridbox.errors import MalformedXml, SchemaViolation
@@ -139,6 +129,11 @@ def _escaped(values: list, entities: dict) -> list:
     return [value and _escape(value, entities) for value in values]
 
 
+# the markup to_xml writes at the start of a row and of a field, and at
+# the end of a row that holds fields
+_OPEN, _FIELD, _CLOSE = '  <row id="', '    <field name="', "  </row>"
+
+
 def _render_rows(ids: list, names: list, columns: list) -> str:
     """The ``<row>`` elements of rows ``ids`` whose field ``names[j]`` holds
     ``columns[j]``, all escaped, fields in ``names`` order: one interleaving
@@ -160,105 +155,6 @@ def _render_rows(ids: list, names: list, columns: list) -> str:
     closed = {len(columns): '"/>\n'}.get  # the end of a row with no field, else ""
     streams += (map(bare, nones, repeat(_CLOSE + "\n")), map(closed, nones, repeat("")))
     return "".join(chain.from_iterable(zip(*streams)))
-
-
-# The canonical form as to_xml writes it.  A text holds no character that
-# XML rejects or normalises (\r, other controls, U+FFFE/U+FFFF, and the
-# surrogates a str may carry; in an attribute also \t and \n), no raw '<'
-# or '>', and '&' only as one of the entities to_xml writes.
-_OPEN, _FIELD, _CLOSE = '  <row id="', '    <field name="', "  </row>"
-_ATTR = r'[^"<>\x00-\x1f\ud800-\udfff\ufffe\uffff]*'
-_HEAD = re.compile(rf'<resultset query="({_ATTR})" origin="({_ATTR})">\n')
-_COUNT = r'(0|[1-9][0-9]{0,17})'  # a longer count goes to ElementTree
-_TAIL = re.compile(rf'  <summary images="{_COUNT}" patients="{_COUNT}"/>\n</resultset>\n')
-_BAD_AMP = re.compile(r'&(?!(?:amp|lt|gt|quot);)')
-_BAD_TEXT = re.compile(r'[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]')
-_PRINTABLE = bytes(range(0x20, 0x80)) + b"\t\n"
-
-
-def _unescape(value: str) -> str:
-    """``value`` with the four entities ``to_xml`` writes read back, ``&amp;``
-    last: ``xml.sax.saxutils.unescape(value, {"&quot;": '"'})``."""
-    if "&" not in value:
-        return value
-    return (value.replace("&lt;", "<").replace("&gt;", ">").replace("&quot;", '"')
-            .replace("&amp;", "&"))
-
-
-def _read_strided(lines: list) -> tuple | None:
-    """``(ids, names, columns)`` of body ``lines`` as rows that each hold the
-    fields of the first: line j of the first row gives the offsets of the
-    texts on every ``period``-th line from j, and each text is cut out by one
-    slice.  None when the rows cannot all be as long as the first."""
-    closes = lines.count(_CLOSE)
-    period = lines.index(_CLOSE) + 1 if closes else 1
-    if closes * period not in (0, len(lines)):
-        return None
-    ids = list(map(itemgetter(slice(11, -2 if closes else -3)), lines[::period]))
-    names = [lines[j][17:].partition('">')[0] for j in range(1, period - 1)]
-    return ids, names, [list(map(itemgetter(slice(19 + len(name), -8)), lines[j::period]))
-                        for j, name in enumerate(names, 1)]
-
-
-def _read_rows(body: str) -> tuple:
-    """``(ids, names, columns)`` of a body whose rows differ, from one split
-    at each row's opening tag and one at each field's.  The names are sorted
-    as ``to_xml`` sorts them."""
-    rows = body.split(_OPEN)[1:]
-    ids = list(map(itemgetter(0), map(str.partition, rows, repeat('"'))))
-    row_of = chain.from_iterable(map(repeat, count(1), map(str.count, rows, repeat(_FIELD))))
-    names, _, rests = tuple(zip(*map(str.partition, body.split(_FIELD)[1:], repeat('">')))) \
-        or ((), (), ())
-    values = map(itemgetter(0), map(str.partition, rests, repeat("</field>")))
-    cells = dict(zip(zip(row_of, names), values))  # (row number from 1, name) -> value
-    names = sorted(set(names), key=_unescape)
-    return ids, names, [list(map(cells.get, zip(count(1), repeat(name, len(ids)))))
-                        for name in names]
-
-
-def _read_canonical(data) -> tuple | None:
-    """``(query, origin, ids, columns, declared summary)`` of a document in
-    the canonical form, the rows in document order, or None if the input is
-    anything else.
-
-    The body between the header and the summary is read by `_read_strided`,
-    or by `_read_rows` when its rows differ.  The read stands if
-    `_render_rows` writes the body back from it exactly and its texts hold
-    no '<' or '>', no character XML rejects or normalises, no quote, tab or
-    newline in an id or field name and no repeated name: bulk tests of the
-    joined texts, a byte deletion when they are ASCII."""
-    try:
-        text = data if isinstance(data, str) else str(data, "utf-8")
-    except UnicodeDecodeError:
-        return None
-    if "&" in text and _BAD_AMP.search(text):
-        return None
-    head = _HEAD.match(text)
-    if head is None:
-        return None
-    start, end = head.end(), text.rfind("  <summary ")
-    tail = _TAIL.fullmatch(text, end) if end >= start else None
-    if tail is None:
-        return None
-    body = text[start:end]
-    read = _read_strided(body.split("\n")[:-1])  # "" follows the last newline
-    if read is None or _render_rows(*read) != body:
-        read = _read_rows(body)
-        if _render_rows(*read) != body:
-            return None
-    ids, names, columns = read
-    attrs = "".join(chain(ids, names))
-    texts = "".join(filter(None, chain(ids, names, *columns)))
-    if (any(map(attrs.__contains__, '"\t\n')) or "<" in texts or ">" in texts
-            or len(set(names)) < len(names)
-            or (texts.encode().translate(None, _PRINTABLE) if texts.isascii()
-                else _BAD_TEXT.search(texts))):
-        return None
-    if "&" in body:
-        ids, names = list(map(_unescape, ids)), list(map(_unescape, names))
-        columns = [[value and _unescape(value) for value in column] for column in columns]
-    return (_unescape(head[1]), _unescape(head[2]), ids, dict(zip(names, columns)),
-            (int(tail[1]), int(tail[2])))
 
 
 def _read_tree(data) -> tuple:
@@ -379,7 +275,10 @@ class ResultSet:
 
     @classmethod
     def from_xml(cls, data: bytes) -> "ResultSet":
-        query, origin, ids, fields, declared = _read_canonical(data) or _read_tree(data)
+        """The answer in ``data``, any well-formed document of the schema.
+        MalformedXml when it is not well-formed; SchemaViolation when it
+        breaks the schema, repeats a row id or misstates its summary."""
+        query, origin, ids, fields, declared = _read_tree(data)
         ids, fields, repeats = _in_id_order(ids, fields)
         if repeats:
             raise SchemaViolation(f"duplicate row id {ids[repeats[0]]}")
@@ -396,6 +295,13 @@ class ResultSet:
 _TEXT = frozenset({str})
 _TEXT_OR_NULL = frozenset({str, type(None)})  # the types a column may hold
 
+# The characters XML rejects or normalises in a text (\r, the other controls
+# but \t and \n, U+FFFE/U+FFFF and the surrogates a str may carry), and in an
+# attribute also \t and \n; each with the ASCII bytes that XML carries as they are.
+_PRINTABLE = bytes(range(0x20, 0x80))
+_UNFIT_TEXT = re.compile(r'[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]'), _PRINTABLE + b"\t\n"
+_UNFIT_ATTR = re.compile(r'[\x00-\x1f\ud800-\udfff\ufffe\uffff]'), _PRINTABLE
+
 
 def checked_part(answer, q: FormalQuery, canonical: str, site: str | None = None) -> Part:
     """The `Part` in ``answer``, a decoded JSON value that answers ``q``,
@@ -411,7 +317,9 @@ def checked_part(answer, q: FormalQuery, canonical: str, site: str | None = None
       query's target kind by the peer, or by a site of the origin list;
     - the origin list names no site twice, and none that minted no row;
     - the columns are exactly ``projection(q)``, each a list as long as the
-      ids that holds only strings or nulls.
+      ids that holds only strings or nulls;
+    - no id or text holds a character XML rejects or normalises, so the
+      answer renders to a document that reads back as the same answer.
 
     Every check runs over whole lists, so a large answer costs no
     per-row Python code."""
@@ -448,6 +356,14 @@ def checked_part(answer, q: FormalQuery, canonical: str, site: str | None = None
         if not (isinstance(column, list) and len(column) == len(ids)
                 and set(map(type, column)) <= _TEXT_OR_NULL):
             raise SchemaViolation(f"column {name} is not {len(ids)} texts or nulls")
+    # one test over all ids joined and one over all texts, a byte deletion
+    # when they are ASCII; an id is an attribute
+    texts = "".join(filter(None, chain.from_iterable(fields.values())))
+    for joined, (unfit, fit) in (("".join(ids), _UNFIT_ATTR), (texts, _UNFIT_TEXT)):
+        if (joined.encode().translate(None, fit) if joined.isascii()
+                else unfit.search(joined)):
+            raise SchemaViolation("an id or text of the answer holds a character "
+                                  "that XML cannot carry")
     return Part(ids, fields)
 
 

@@ -45,7 +45,6 @@ from gridbox.config import SiteKey, parse_address
 from gridbox.errors import GridError
 from gridbox.query import parse_query, print_query
 from gridbox.registry import RegistryClient
-from gridbox.resultset import ResultSet
 
 SITE_POOL = ("CAM", "UDI", "LEE", "OXF")
 _USER, _CREDENTIAL = "alice", "wonderland"
@@ -286,9 +285,9 @@ class ScenarioRunner:
         if len(args) != 1 or tail is None:
             raise ScenarioError("usage: query-at SITE :: QUERY")
         text = self._resolve_query(tail.strip())
-        xml, warnings = self._client(args[0]).query_xml(text)
+        rs, warnings = self._client(args[0]).query(text)
         self.results.append({"kind": "query", "site": args[0], "text": text,
-                             "xml": xml, "warnings": warnings})
+                             "rs": rs, "xml": rs.to_xml(), "warnings": warnings})
 
     def _step_exec_at(self, args: list[str], tail) -> None:
         if len(args) != 2 or tail is None:
@@ -339,7 +338,7 @@ class ScenarioRunner:
                       if e["text"] == canonical), None)
         if entry is None:
             raise ScenarioError(f"manifest records no truth for {canonical!r}")
-        rs = ResultSet.from_xml(last["xml"])
+        rs = last["rs"]
         got_rows = rs.part.ids  # in id order
         if rs.summary != (entry["images"], entry["patients"]):
             raise ScenarioError(f"summary {rs.summary} != manifest "

@@ -12,6 +12,7 @@ from gridbox.config import NodeConfig, RegistryConfig, SiteKey
 from gridbox.mgi import MgiFile, write_mgi
 from gridbox.node import GridNode
 from gridbox.registry import RegistryClient, VoRegistry
+from gridbox.resultset import ResultSet
 
 settings.register_profile("grid", deadline=None)
 settings.load_profile("grid")
@@ -117,6 +118,14 @@ def build_vo(root: Path, sites=("CAM", "UDI"), refresh_interval_s=0.5) -> LiveVo
         client.auth(USER, CREDENTIAL)
         vo.clients[site] = client
     return vo
+
+
+def refuse_to_parse(monkeypatch):
+    """Make every ResultSet.from_xml call fail the test."""
+    def refuse(cls, data):
+        raise AssertionError("ResultSet.from_xml was called")
+
+    monkeypatch.setattr(ResultSet, "from_xml", classmethod(refuse))
 
 
 @pytest.fixture

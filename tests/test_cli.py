@@ -3,7 +3,7 @@ from hashlib import sha256
 
 import pytest
 
-from conftest import CREDENTIAL, USER, make_image_bytes
+from conftest import CREDENTIAL, USER, make_image_bytes, refuse_to_parse
 from gridbox.cli import exit_code_for, main
 from gridbox.errors import (
     AuthFailed,
@@ -118,6 +118,19 @@ def test_query_prints_xml_and_summary(session_vo, tmp_path, capsys):
     entry = next(q for q in session_vo.manifest["queries"]
                  if q["label"] == "all-female")
     assert images == entry["images"]
+
+
+def test_query_parses_no_xml_it_rendered(session_vo, tmp_path, capsys, monkeypatch):
+    """The --out file holds the bytes query_xml renders, and the summary
+    line is the one they declare, with no parse of them."""
+    text = "select images where patient.sex = F"
+    want, _ = session_vo.client("CAM").query_xml(text)
+    images, patients = ResultSet.from_xml(want).summary
+    refuse_to_parse(monkeypatch)
+    out = tmp_path / "result.xml"
+    assert main(["query", *creds(session_vo), text, "--out", str(out)]) == 0
+    assert out.read_bytes() == want
+    assert capsys.readouterr().out.strip() == f"images={images} patients={patients}"
 
 
 def test_query_syntax_error_exits_5(session_vo, capsys):

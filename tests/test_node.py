@@ -10,7 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import CREDENTIAL, USER, build_vo, make_image, make_image_bytes
+from conftest import (CREDENTIAL, USER, build_vo, make_image, make_image_bytes,
+                      refuse_to_parse)
 from gridbox import algorithms as alg
 from gridbox import applog, blobstore, wire
 from gridbox import node as node_module
@@ -497,11 +498,44 @@ def name_an_origin_twice(answer):
     return dict(answer, origin=answer["origin"] * 2)
 
 
+# texts that XML rejects, or normalises where they stand
+
+def end_the_last_text_with(answer, char):
+    column = answer["fields"]["patient.id"]
+    return dict(answer, fields={"patient.id": column[:-1] + [column[-1] + char]})
+
+
+def put_a_control_character_in_a_text(answer):
+    return end_the_last_text_with(answer, "\x01")
+
+
+def put_a_carriage_return_in_a_text(answer):
+    return end_the_last_text_with(answer, "\r")
+
+
+def put_a_noncharacter_in_a_text(answer):
+    return end_the_last_text_with(answer, "\ufffe")
+
+
+def put_a_lone_surrogate_in_a_text(answer):
+    return end_the_last_text_with(answer, "\ud800")
+
+
+def put_a_tab_in_an_id(answer):
+    return dict(answer, ids=answer["ids"][:-1] + [answer["ids"][-1] + "\t"])
+
+
+UNCARRIED = [put_a_control_character_in_a_text, put_a_carriage_return_in_a_text,
+             put_a_noncharacter_in_a_text, put_a_lone_surrogate_in_a_text,
+             put_a_tab_in_an_id]
+
+
 @pytest.mark.parametrize("tamper", [forge_a_row, answer_another_query,
                                     add_an_unprojected_field, add_a_study_row,
                                     repeat_a_row, swap_the_rows, shorten_a_column,
                                     put_a_number_in_a_column, drop_the_projected_column,
-                                    send_ids_as_an_object, send_fields_as_pairs])
+                                    send_ids_as_an_object, send_fields_as_pairs,
+                                    *UNCARRIED])
 def test_bad_peer_part_is_dropped_with_a_warning(make_vo, tamper):
     vo = make_vo()
     vo.client("CAM").add_bytes(make_image_bytes())
@@ -594,10 +628,13 @@ def vo_with_two_udi_images(make_vo):
                                     repeat_a_row, swap_the_rows, shorten_a_column,
                                     put_a_number_in_a_column, drop_the_projected_column,
                                     send_ids_as_an_object, send_fields_as_pairs,
-                                    name_an_origin_with_no_rows, name_an_origin_twice])
+                                    name_an_origin_with_no_rows, name_an_origin_twice,
+                                    *UNCARRIED])
 def test_the_client_refuses_a_tampered_query_answer(make_vo, capfd, tamper):
     """The RQUERY tampers, applied to CAM's QUERY answer of UDI's two images,
-    and two to its origin list, which the client renders into the XML."""
+    and two to its origin list, which the client renders into the XML.  A
+    text that XML cannot carry is refused, so query_xml never renders bytes
+    that are not well-formed."""
     vo = vo_with_two_udi_images(make_vo)
     cam = vo.nodes["CAM"]
     honest, _ = cam._ops["QUERY"]
@@ -640,13 +677,6 @@ def recording_client(base: NodeClient):
             return xml, warnings
 
     return Recording(base.address, token=base.token), seen
-
-
-def refuse_to_parse(monkeypatch):
-    def refuse(cls, data):
-        raise AssertionError("ResultSet.from_xml was called")
-
-    monkeypatch.setattr(ResultSet, "from_xml", classmethod(refuse))
 
 
 def test_query_goes_through_query_xml(session_vo):

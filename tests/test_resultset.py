@@ -12,12 +12,11 @@ from gridbox.resultset import (
     Part,
     ResultSet,
     Row,
-    _read_canonical,
-    _read_tree,
+    checked_part,
     compute_summary,
     merge,
 )
-from gridbox.query import parse_query
+from gridbox.query import parse_query, projection
 
 Q = "select images where patient.sex = F"
 
@@ -83,7 +82,8 @@ def test_quotes_in_query_text_escape():
 
 
 def test_duplicate_row_ids_rejected():
-    """Both readers refuse a document that holds one row id twice."""
+    """from_xml refuses a document that holds one row id twice, in the
+    canonical form and in another."""
     xml = answer(Q, {"CAM"}, [image_row(1), image_row(2)]).to_xml()
     twice = xml.replace(f"{2:032x}".encode(), f"{1:032x}".encode())
     for doc in (twice, twice.replace(b"\n", b"\r\n")):
@@ -138,14 +138,14 @@ entity_texts = st.lists(st.one_of(entity_pieces, st.characters()), max_size=16).
 
 
 @given(entity_texts)
-def test_escape_and_unescape_make_the_replacements_of_saxutils(text):
+def test_escape_makes_the_replacements_of_saxutils(text):
     for entities in ({}, resultset._QUOT):
         assert resultset._escape(text, entities) == saxutils.escape(text, entities)
-    assert resultset._unescape(text) == saxutils.unescape(text, {"&quot;": '"'})
-    assert resultset._unescape(resultset._escape(text, resultset._QUOT)) == text
+    # which saxutils.unescape undoes
+    assert saxutils.unescape(resultset._escape(text, resultset._QUOT), {"&quot;": '"'}) == text
 
 
-# --- the canonical reader against the ElementTree reader ---------------------------
+# --- characters that XML cannot carry -----------------------------------------------
 
 # characters of any plane bar those XML rejects; ones that need escaping or
 # that XML keeps although they look special; ones it normalises or rejects
@@ -163,52 +163,64 @@ def texts(draw):
     return st.text(st.one_of(plain_chars, st.sampled_from(SPECIAL + extra)), max_size=10)
 
 
-@st.composite
-def result_sets(draw):
-    """Answers with fieldless rows and empty ones, whose attribute values
-    and field texts draw on alphabets of their own."""
-    attr, text = texts(draw), texts(draw)
-    rows = draw(st.lists(st.builds(Row, attr, st.dictionaries(attr, text, max_size=3)),
-                         max_size=6, unique_by=lambda r: r.id))
-    return answer(draw(attr), draw(st.frozensets(attr, max_size=3)), rows)
-
-
-def assert_reader_agrees(xml: bytes):
-    """The fast path returns what the ElementTree path returns, or declines."""
-    fast = _read_canonical(xml)
-    try:
-        slow = _read_tree(xml)
-    except GridError:
-        slow = None
-    assert fast is None or fast == slow
-
-
-@settings(max_examples=200)
-@given(result_sets())
-def test_canonical_reader_returns_what_elementtree_returns_or_declines(rs):
-    assert_reader_agrees(rs.to_xml())
-
-
 special = st.text(st.one_of(plain_chars, st.sampled_from(SPECIAL)), max_size=12)
 
 
 @given(st.lists(st.builds(Row, special, st.dictionaries(special, special, max_size=3)),
                 max_size=6, unique_by=lambda r: r.id), special)
 def test_canonical_reader_reads_what_to_xml_writes(rows, query):
-    """Escaped characters and text of any plane stay on the fast path."""
+    """Escaped characters and text of any plane read back as they were written."""
     rs = answer(query, {"CAM"}, rows)
-    assert _read_canonical(rs.to_xml()) == _read_tree(rs.to_xml())
+    assert ResultSet.from_xml(rs.to_xml()) == rs
 
 
 @pytest.mark.parametrize("char", list(SPECIAL + NORMALISED + REJECTED))
 @pytest.mark.parametrize("where", ["query", "id", "name", "text"])
 def test_canonical_reader_on_each_awkward_character(char, where):
+    """A document that holds ``char`` reads back as the answer written
+    unless XML rejects the character or normalises it where it stands: the
+    query text, an id and a field name are attributes, where XML turns \\t,
+    \\n and \\r into a space; in a text it turns \\r into \\n."""
     value = {"query": Q, "id": "CAM:image:x", "name": "image.view", "text": "CC"}
     value[where] += char
     rs = answer(value["query"], {"CAM"}, (Row(value["id"], {value["name"]: value["text"]}),))
-    assert_reader_agrees(rs.to_xml())
-    if char in SPECIAL:
-        assert _read_canonical(rs.to_xml()) is not None
+    try:
+        read = ResultSet.from_xml(rs.to_xml())
+    except MalformedXml:
+        read = None
+    assert (read == rs) == (char not in REJECTED + ("\r" if where == "text" else NORMALISED))
+
+
+@st.composite
+def query_answers(draw):
+    """QUERY answers to Q as an origin sends them, checked or not, whose id
+    tails and column texts draw on alphabets of their own."""
+    tail, text = texts(draw), texts(draw)
+    ids = sorted({f"{site}:image:{t}" for site, t in draw(st.lists(
+        st.tuples(st.sampled_from(["CAM", "UDI"]), tail), max_size=6))})
+    fields = {name: draw(st.lists(st.none() | text, min_size=len(ids), max_size=len(ids)))
+              for name in projection(parse_query(Q))}
+    return {"query": Q, "origin": sorted({i.split(":")[0] for i in ids}),
+            "ids": ids, "fields": fields}
+
+
+@settings(max_examples=300)
+@given(query_answers())
+def test_a_checked_answer_reads_back_from_its_xml(answer):
+    """checked_part refuses an answer exactly when an id holds a character
+    XML rejects or normalises in an attribute, or a text one it rejects or
+    normalises in a text; any answer it lets pass reads back from its XML."""
+    column_texts = filter(None, itertools.chain.from_iterable(answer["fields"].values()))
+    carried = not (set("".join(answer["ids"])) & set(NORMALISED + REJECTED)
+                   or set("".join(column_texts)) & set("\r" + REJECTED))
+    try:
+        part = checked_part(answer, parse_query(Q), Q)
+    except SchemaViolation:
+        assert not carried
+        return
+    assert carried
+    rs = ResultSet(Q, answer["origin"], part)
+    assert ResultSet.from_xml(rs.to_xml()) == rs
 
 
 PID = f"CAM:patient:{7:032x}"
@@ -238,13 +250,12 @@ CANONICAL = EXPECTED.to_xml().decode()
         "cdata", "raw-gt-in-attribute", "comment", "leading-zero", "hex-char-ref",
         "space-in-tag"])
 def test_valid_non_canonical_documents_parse_through_the_fallback(xml):
-    assert _read_canonical(xml.encode()) is None
+    """Any well-formed document of the schema means what its canonical form does."""
     assert ResultSet.from_xml(xml.encode()) == EXPECTED
 
 
 def test_a_repeated_field_name_is_declined():
     xml = CANONICAL.replace('"image.view"', '"patient.id"').encode()
-    assert _read_canonical(xml) is None
     with pytest.raises(SchemaViolation, match="duplicate field"):
         ResultSet.from_xml(xml)
 
@@ -255,7 +266,6 @@ def test_empty_field_forms_parse_alike():
     assert ResultSet.from_xml(not_self_closed) == fieldless
     empty = answer(Q, {"CAM"}, (image_row(1, **{"image.view": ""}),))
     self_closed = empty.to_xml().replace(b'"image.view"></field>', b'"image.view"/>')
-    assert _read_canonical(self_closed) is None
     assert ResultSet.from_xml(self_closed) == empty == ResultSet.from_xml(empty.to_xml())
 
 
@@ -286,11 +296,9 @@ def test_from_xml_enforces_schema(xml):
 
 @pytest.mark.parametrize("digits", [19, 5000])
 def test_overlong_summary_count_is_a_schema_violation(digits):
-    """The canonical reader declines counts longer than 18 digits; the
-    ElementTree reader reports them as a bad summary, or one that the rows
+    """A count is reported as a bad summary, or one that the rows
     contradict, even past the length ``int`` accepts from a string."""
     xml = CANONICAL.replace('images="1"', f'images="{"9" * digits}"').encode()
-    assert _read_canonical(xml) is None
     with pytest.raises(SchemaViolation):
         ResultSet.from_xml(xml)
 
@@ -328,20 +336,6 @@ def columnar_answers(draw):
 def test_to_xml_writes_the_reference_bytes(rs):
     assert rs.to_xml() == oracles.reference_xml(rs)
     assert ResultSet.from_xml(rs.to_xml()) == rs
-    assert _read_canonical(rs.to_xml()) is not None  # whatever the rows' shape
-
-
-# --- the canonical reader under one-character edits ---------------------------------
-
-@st.composite
-def uniform_answers(draw):
-    """Answers whose rows all hold the same fields, which the reader cuts
-    from every n-th line."""
-    ids = sorted(draw(st.sets(special, min_size=1, max_size=5)))
-    names = draw(st.sets(special, max_size=3))
-    return ResultSet(draw(special), {"CAM"}, Part(ids, {
-        name: draw(st.lists(special, min_size=len(ids), max_size=len(ids)))
-        for name in names}))
 
 
 edit_chars = (st.sampled_from('<>"&\n\t\r')
@@ -350,34 +344,18 @@ edit_chars = (st.sampled_from('<>"&\n\t\r')
               | st.characters(whitelist_categories=("Lu", "Ll"), max_codepoint=0x7f))
 
 
-@settings(max_examples=150)
-@given(st.one_of(result_sets(), uniform_answers()), edit_chars,
-       st.sampled_from(["delete", "insert", "replace"]))
-def test_canonical_reader_agrees_after_one_edit(rs, char, edit):
+@settings(max_examples=100)
+@given(columnar_answers(), edit_chars, st.sampled_from(["delete", "insert", "replace"]))
+def test_from_xml_reads_or_refuses_a_document_after_one_edit(rs, char, edit):
     """A canonical document with one character deleted, inserted or
-    replaced is read as ElementTree reads it, or declined; the drawn edit
-    is tried at every offset of the document."""
+    replaced, at every offset, is read or refused with a GridError."""
     xml = rs.to_xml().decode()
     for at in range(len(xml) + 1):
         kept = xml[at + (edit != "insert"):]
-        assert_reader_agrees((xml[:at] + ("" if edit == "delete" else char) + kept).encode())
-
-
-NULLS = ResultSet(Q, {"CAM", "UDI"}, Part(
-    [IID, f"CAM:image:{2:032x}", f"CAM:image:{3:032x}", f"UDI:image:{4:032x}"],
-    {"image.view": ["CC", None, None, "MLO"], "patient.id": [PID, PID, None, None]}))
-FIELDLESS = answer(Q, {"CAM"}, (Row(IID, {}), image_row(2), image_row(3, **{"image.view": "CC"})))
-ALL_FIELDLESS = answer(Q, {"CAM"}, (Row(IID, {}), Row(f"CAM:image:{2:032x}", {})))
-
-
-@pytest.mark.parametrize("rs", [NULLS, FIELDLESS, ALL_FIELDLESS],
-                         ids=["null-cells", "fieldless-rows", "all-fieldless"])
-def test_rows_of_any_shape_are_read_without_elementtree(rs, monkeypatch):
-    def refuse(data):
-        raise AssertionError("read through ElementTree")
-
-    monkeypatch.setattr(resultset, "_read_tree", refuse)
-    assert ResultSet.from_xml(rs.to_xml()) == rs
+        try:
+            ResultSet.from_xml((xml[:at] + ("" if edit == "delete" else char) + kept).encode())
+        except GridError:
+            pass
 
 
 # --- merge -------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import refuse_to_parse
 from gridbox.scenario import ScenarioRunner, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -22,6 +23,14 @@ def test_bundled_scenarios_pass(name):
     assert failed == 0, text
     assert re.search(r"^\d+ steps, 0 failed$", text.strip().splitlines()[-1])
     assert "FAIL" not in text
+
+
+def test_table2_parses_no_xml_it_rendered(monkeypatch):
+    """assert-manifest reads the answer the query step kept, not its bytes."""
+    refuse_to_parse(monkeypatch)
+    failed, text = run_to_buffer(SCENARIOS / "table2.scn")
+    assert failed == 0, text
+    assert len(re.findall(r"^ok +\[ *\d+\] assert-manifest$", text, re.M)) == 4
 
 
 def test_step_order_is_enforced(tmp_path):
