@@ -4,8 +4,11 @@ One frame = 4-byte big-endian length, then that many bytes of UTF-8 JSON
 (the envelope), then exactly ``envelope["binary_len"]`` raw bytes.  Requests
 carry ``{id, op, token, params, binary_len}``; responses carry
 ``{id, status, error_code, result, warnings, binary_len}`` with status
-``ok`` or ``error``.  JSON is canonical (sorted keys, no spaces) so envelope
-bytes are deterministic.
+``ok`` or ``error``.  JSON is canonical, so envelope bytes are deterministic:
+they are exactly ``json.dumps(envelope, sort_keys=True, separators=(",",
+":"))``.  :func:`encode_envelope` writes a list of two or more strings that
+need no escaping (answer columns, mostly) with one ``str.join``, and hands
+everything else to the standard library's encoder.
 
 The module also hosts two observation points used by the test harness and
 the ``stats`` service:
@@ -102,8 +105,46 @@ class TrafficAccountant:
             return self._per_op.get(op, {}).get("binary_bytes", 0)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# the ASCII bytes JSON writes as they are: printable, bar '"' and '\\'
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"").replace(b"\\", b"")
+
+
+def _write(value, out: list) -> None:
+    """Append to ``out`` the pieces of ``value``'s canonical JSON text.
+
+    A dict with only str keys is written key by key in sorted order.  A
+    list of two or more strings is joined in one call when the joined text
+    holds nothing JSON escapes, which one byte-deletion test decides: once
+    the plain bytes are deleted, only the separators' quotes may remain.
+    Anything else (a scalar, a list holding a non-str or a text to escape,
+    a dict with a non-str key) is written by ``_ENCODER``."""
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        out.append("{")
+        for i, (key, item) in enumerate(sorted(value.items())):
+            out.append(("," if i else "") + _ENCODER.encode(key) + ":")
+            _write(item, out)
+        out.append("}")
+        return
+    if isinstance(value, list) and len(value) > 1:
+        try:
+            joined = '","'.join(value)
+        except TypeError:  # an item that is not a str
+            pass
+        else:
+            if (joined.isascii() and len(joined.encode().translate(None, _PLAIN))
+                    == 2 * (len(value) - 1)):
+                out += ('["', joined, '"]')
+                return
+    out.append(_ENCODER.encode(value))
+
+
 def encode_envelope(envelope: dict) -> bytes:
-    return json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """The bytes of ``json.dumps(envelope, sort_keys=True, separators=(",",
+    ":"))``, written as one list of pieces joined once."""
+    out: list = []
+    _write(envelope, out)
+    return "".join(out).encode("utf-8")
 
 
 def _frame(envelope: dict, binary: bytes) -> tuple[bytes, int]:
@@ -116,7 +157,7 @@ def _frame(envelope: dict, binary: bytes) -> tuple[bytes, int]:
         raise ProtocolError(f"envelope too large ({len(payload)} bytes)")
     if len(binary) > MAX_BINARY:
         raise ProtocolError(f"binary section too large ({len(binary)} bytes)")
-    return struct.pack(">I", len(payload)) + payload + binary, len(payload)
+    return b"".join((struct.pack(">I", len(payload)), payload, binary)), len(payload)
 
 
 def send_frame(sock: socket.socket, envelope: dict, binary: bytes = b"") -> None:
@@ -153,7 +194,8 @@ def recv_frame(sock: socket.socket) -> tuple[dict, bytes, int] | None:
         raise ProtocolError(f"envelope too large ({length} bytes)")
     try:
         envelope = json.loads(_recv_exact(sock, length).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: arrays or objects nested deeper than the decoder goes
         raise ProtocolError(f"bad envelope: {e}") from e
     if not isinstance(envelope, dict):
         raise ProtocolError("envelope is not an object")

@@ -7,7 +7,6 @@ no shared code with the engine beyond the parsed ASTs and record types.
 from __future__ import annotations
 
 from collections import deque
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -162,6 +161,16 @@ def expected_rows(q: FormalQuery, catalogs) -> list[Row]:
 
 
 # --- result set bytes --------------------------------------------------------------
+
+def escape(data: str, entities: dict | None = None) -> str:
+    """``xml.sax.saxutils.escape``, written out so that importing this module
+    does not load ``xml.sax`` (and through it ``urllib.request``, ``ssl`` and
+    ``email``): ``&``, then ``>``, then ``<``, then each of ``entities``."""
+    data = data.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    for chars, entity in (entities or {}).items():
+        data = data.replace(chars, entity)
+    return data
+
 
 def reference_xml(rs) -> bytes:
     """The bytes of result set ``rs`` written one row at a time from its

@@ -63,6 +63,15 @@ def test_a_node_process_loads_no_module_it_never_runs():
     assert loaded == []
 
 
+def test_the_oracles_load_no_module_a_node_never_runs():
+    """The benchmark imports the oracles, so what they load is counted in its
+    memory."""
+    loaded = run_fresh(f"import sys\nsys.path.insert(0, {str(ROOT / 'tests')!r})\n"
+                       "import oracles\n"
+                       f"print(*[m for m in {NEVER_RUN!r} if m in sys.modules])\n")
+    assert loaded == []
+
+
 EVERY_OTHER_VERB = "fraction_above 5 emit f\nmean emit m\nmax emit x\nthreshold 5\nmean emit t"
 
 

@@ -1,6 +1,8 @@
 import gc
+import json
 import secrets as pysecrets
 import socket
+import struct
 import sys
 import threading
 import time
@@ -362,6 +364,32 @@ def test_query_reports_no_warnings_when_all_sites_answer(session_vo):
     assert warnings == []
 
 
+def test_every_frame_is_the_standard_librarys_json(session_vo):
+    """Over the manifest battery at every origin, every frame sent is its
+    length, the bytes ``json.dumps`` writes for its envelope, then its
+    binary section."""
+    ops, wrong = [], []
+
+    def check(frame):
+        (length,) = struct.unpack(">I", frame[:4])
+        envelope, binary = json.loads(frame[4:4 + length]), frame[4 + length:]
+        payload = json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode()
+        ops.append(envelope.get("op", "answer"))
+        if (frame != struct.pack(">I", len(payload)) + payload + binary
+                or envelope["binary_len"] != len(binary)):
+            wrong.append(frame[:4 + length])
+
+    wire.add_capture_tap(check)
+    try:
+        for site in session_vo.nodes:
+            for entry in session_vo.manifest["queries"]:
+                session_vo.client(site).query_xml(entry["text"])
+    finally:
+        wire.remove_capture_tap(check)
+    assert wrong == []
+    assert {"QUERY", "RQUERY", "answer"} <= set(ops)
+
+
 def rquery_envelope(node, text, hop, site=None, sig=None):
     req_id = pysecrets.token_hex(8)
     site = site or node.site
@@ -590,6 +618,32 @@ def test_a_malformed_peer_envelope_is_one_unreachable_warning(make_vo, mangle):
     result, warnings = vo.client("CAM").query("select images where true")
     assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
     assert len(warnings) == 1 and warnings[0].startswith("UDI unreachable: RQUERY to ")
+
+
+def test_a_peer_reply_nested_too_deep_is_one_unreachable_warning(make_vo, monkeypatch):
+    vo = make_vo()
+    for site in vo.nodes:
+        vo.client(site).add_bytes(make_image_bytes())
+    server = vo.nodes["UDI"]._server
+    serve, frame = server.handler, wire._frame
+    too_deep = {}  # stands for the reply; framed as 100k nested arrays
+
+    def answer(envelope, binary):
+        response, data = serve(envelope, binary)
+        return (too_deep if envelope.get("op") == "RQUERY" else response), data
+
+    def framed(envelope, binary):
+        if envelope is too_deep:
+            payload = b"[" * 100_000
+            return struct.pack(">I", len(payload)) + payload, len(payload)
+        return frame(envelope, binary)
+
+    server.handler = answer
+    monkeypatch.setattr(wire, "_frame", framed)
+    result, warnings = vo.client("CAM").query("select images where true")
+    assert [r.id.split(":")[0] for r in result.rows] == ["CAM"]
+    assert len(warnings) == 1 and warnings[0].startswith("UDI unreachable: RQUERY to ")
+    assert "bad envelope" in warnings[0]
 
 
 def test_a_peer_error_is_worded_with_its_code(make_vo):

@@ -145,6 +145,12 @@ def test_escape_makes_the_replacements_of_saxutils(text):
     assert saxutils.unescape(resultset._escape(text, resultset._QUOT), {"&quot;": '"'}) == text
 
 
+@given(entity_texts)
+def test_the_oracles_escape_is_saxutils_escape(text):
+    for entities in (None, {'"': "&quot;"}, {'"': "&quot;", "&amp;": "&"}):
+        assert oracles.escape(text, entities) == saxutils.escape(text, entities or {})
+
+
 # --- characters that XML cannot carry -----------------------------------------------
 
 # characters of any plane bar those XML rejects; ones that need escaping or

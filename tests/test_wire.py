@@ -1,4 +1,5 @@
 import gc
+import json
 import socket
 import struct
 import sys
@@ -59,6 +60,76 @@ def test_envelope_bytes_are_canonical():
     assert one == two == b'{"a":2,"b":1}'
 
 
+def reference_bytes(envelope) -> bytes:
+    """The envelope bytes as the standard library writes them."""
+    return json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+# text of any plane, surrogates included, with what JSON escapes made common
+json_texts = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\x80\u2028\ud800\udfff'),
+                               st.characters(exclude_categories=())), max_size=8)
+plain_texts = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                    exclude_characters='"\\'), max_size=8)
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), json_texts)
+json_keys = st.one_of(json_texts, st.integers(), st.booleans(), st.none(), st.floats())
+json_values = st.recursive(
+    st.one_of(json_scalars,
+              st.lists(plain_texts, min_size=2, max_size=6),  # a column to join
+              st.lists(st.one_of(plain_texts, json_texts, st.none()), min_size=2, max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(json_texts, inner, max_size=4),
+                            st.dictionaries(json_keys, inner, max_size=3)),
+    max_leaves=24)
+
+
+@given(st.dictionaries(json_texts, json_values, max_size=5))
+@settings(max_examples=400)
+def test_envelope_bytes_are_those_of_json_dumps(envelope):
+    try:
+        expected = reference_bytes(envelope)
+    except TypeError:  # keys of types that do not sort together
+        with pytest.raises(TypeError):
+            encode_envelope(envelope)
+        return
+    assert encode_envelope(envelope) == expected
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """The values handed to the module's JSON encoder, in order."""
+    seen = []
+
+    class Spy(json.JSONEncoder):
+        def encode(self, o):
+            seen.append(o)
+            return super().encode(o)
+
+    monkeypatch.setattr(wire, "_ENCODER", Spy(sort_keys=True, separators=(",", ":")))
+    return seen
+
+
+def answer_of(column):
+    return ok_response("ab", {"query": "select images where true", "origin": ["CAM"],
+                              "ids": column, "fields": {}})
+
+
+def test_a_plain_column_is_joined_not_encoded(encoded):
+    column = [f"CAM:image:{n:032x}" for n in range(3000)]
+    envelope = answer_of(column)
+    assert encode_envelope(envelope) == reference_bytes(envelope)
+    assert encoded and not any(value is column for value in encoded)
+
+
+@pytest.mark.parametrize("cell", [None, 'say "hi"', "back\\slash", "tab\t", "del\x7f",
+                                  "caf\u00e9", "\ud800"])
+def test_a_column_with_a_null_or_a_text_to_escape_is_encoded(encoded, cell):
+    column = [f"CAM:image:{n:032x}" for n in range(3000)]
+    column[1234] = cell
+    envelope = answer_of(column)
+    assert encode_envelope(envelope) == reference_bytes(envelope)
+    assert any(value is column for value in encoded)
+
+
 def test_clean_eof_returns_none():
     a, b = socket.socketpair()
     a.close()
@@ -98,6 +169,7 @@ def test_eof_mid_binary_is_an_error():
     b'{"binary_len":"big"}',
     b'{"binary_len":' + str(64 * 1024 * 1024 + 1).encode() + b"}",
     b"\xff\xfe{}",
+    pytest.param(b"[" * 100_000, id="nested-deeper-than-the-decoder-goes"),
 ])
 def test_bad_envelopes_rejected(payload):
     a, b = socket.socketpair()
@@ -108,6 +180,30 @@ def test_bad_envelopes_rejected(payload):
     finally:
         a.close()
         b.close()
+
+
+def test_a_request_nested_too_deep_closes_only_its_connection(monkeypatch):
+    def echo(envelope, binary):
+        return ok_response(envelope["id"], {"n": 1}), b""
+
+    died = []
+    monkeypatch.setattr(threading, "excepthook", died.append)
+    server = FramedServer("127.0.0.1", 0, echo)
+    server.start()
+    try:
+        payload = b"[" * 100_000
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(struct.pack(">I", len(payload)) + payload)
+            assert sock.recv(1) == b""  # closed, with no answer
+        deadline = time.monotonic() + 5
+        while (any(t.name == f"conn-{server.address[1]}" for t in threading.enumerate())
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert died == []  # its thread ended without a traceback
+        assert call(server.address, "PING", {}, unreachable=PeerUnreachable,
+                    timeout=5)[0] == {"n": 1}
+    finally:
+        server.stop()
 
 
 def test_oversized_length_header_rejected_before_read():
