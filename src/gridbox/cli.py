@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from gridbox.client import NodeClient
-from gridbox.cohort import manifest_for, spec_for_site, upload_site
+from gridbox.cohort import manifest_for, manifest_text, spec_for_site, upload_site
 from gridbox.config import SiteKey
 from gridbox.errors import (
     AlgorithmSyntaxError,
@@ -73,7 +73,7 @@ def exit_code_for(error: Exception) -> int:
     return EXIT_ERROR
 
 
-def _client(args: argparse.Namespace, need_token: bool = True) -> NodeClient:
+def _client(args: argparse.Namespace) -> NodeClient:
     node = args.node or os.environ.get("GRIDBOX_NODE")
     if not node:
         raise AuthFailed("no node address: pass --node or set GRIDBOX_NODE")
@@ -82,13 +82,18 @@ def _client(args: argparse.Namespace, need_token: bool = True) -> NodeClient:
         "GRIDBOX_SECRET_FILE")
     if key_path:
         site_key = SiteKey.from_file(key_path)
-    client = NodeClient(node, site_key=site_key)
-    token = getattr(args, "token", None) or os.environ.get("GRIDBOX_TOKEN")
+    return _session(NodeClient(node, site_key=site_key), args)
+
+
+def _session(client: NodeClient, args: argparse.Namespace) -> NodeClient:
+    """``client`` with a session: the token of ``--token`` or GRIDBOX_TOKEN,
+    else the one AUTH with ``--user`` and ``--credential`` returns."""
+    token = args.token or os.environ.get("GRIDBOX_TOKEN")
     if token:
         client.token = token
     elif args.user and args.credential is not None:
         client.auth(args.user, args.credential)
-    elif need_token:
+    else:
         raise AuthFailed("no session: pass --token/--user+--credential "
                          "or set GRIDBOX_TOKEN")
     return client
@@ -192,18 +197,11 @@ def cmd_gen_cohort(args) -> int:
              for site in sorted(addresses)}
     manifest = manifest_for(specs, {s: keys[s].secret for s in specs})
     for site in sorted(addresses):
-        client = NodeClient(addresses[site], site_key=keys[site])
-        token = args.token or os.environ.get("GRIDBOX_TOKEN")
-        if token:
-            client.token = token
-        elif args.user and args.credential is not None:
-            client.auth(args.user, args.credential)
-        else:
-            raise AuthFailed("gen-cohort needs --token or --user/--credential")
+        client = _session(NodeClient(addresses[site], site_key=keys[site]), args)
         report = upload_site(client, specs[site])
         print(f"{site}: uploaded {report['uploaded']} files "
               f"({report['new_images']} new images)", file=sys.stderr)
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    text = manifest_text(manifest)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

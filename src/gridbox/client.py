@@ -32,22 +32,23 @@ from gridbox.query import parse_query, print_query
 from gridbox.resultset import ResultSet, checked_part
 from gridbox.wire import call
 
+CALL_TIMEOUT_S = 30.0  # wait for a node's answer
+RETRIEVE_TIMEOUT_S = 90.0  # wait for RETRIEVE, which a node may relay from a peer
+
 
 class NodeClient:
     _last_answer: tuple = (None, None)  # query_xml's last (bytes, ResultSet)
 
     def __init__(self, address: str | tuple[str, int], token: str = "",
-                 site_key: SiteKey | None = None, timeout: float = 30.0):
+                 site_key: SiteKey | None = None):
         self.address = parse_address(address) if isinstance(address, str) else address
         self.token = token
         self.site_key = site_key
-        self.timeout = timeout
 
     def _call(self, op: str, params: dict, binary: bytes = b"",
-              timeout: float | None = None) -> tuple[dict, list, bytes]:
+              timeout: float = CALL_TIMEOUT_S) -> tuple[dict, list, bytes]:
         return call(self.address, op, params, unreachable=PeerUnreachable,
-                    token=self.token, binary=binary,
-                    timeout=self.timeout if timeout is None else timeout)
+                    token=self.token, binary=binary, timeout=timeout)
 
     # --- services ---------------------------------------------------------------
 
@@ -66,9 +67,9 @@ class NodeClient:
     def add_file(self, path: str | Path) -> dict:
         return self.add_bytes(Path(path).read_bytes())
 
-    def retrieve(self, ident: str, timeout: float | None = None) -> bytes:
+    def retrieve(self, ident: str) -> bytes:
         result, _, data = self._call("RETRIEVE", {"id": ident},
-                                     timeout=90.0 if timeout is None else timeout)
+                                     timeout=RETRIEVE_TIMEOUT_S)
         if sha256(data).hexdigest() != result["sha256"]:
             raise CorruptBlob("retrieved bytes do not match the reported digest")
         return data

@@ -22,6 +22,7 @@ secrets because anonymized ids are keyed hashes of the original ids.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -261,6 +262,11 @@ def manifest_for(specs: dict[str, CohortSpec],
         banded))
     return {"seed": min(s.seed for s in specs.values()),
             "sites": sites_info, "queries": queries}
+
+
+def manifest_text(manifest: dict) -> str:
+    """The manifest as `gen-cohort` and the scenario runner write it."""
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def upload_site(client, spec: CohortSpec) -> dict:

@@ -1,9 +1,12 @@
 """Configuration files.
 
 Node and registry processes read line-oriented ``key = value`` files (blank
-lines and ``#`` comments allowed).  Any key can be overridden by an
-environment variable named ``GRIDBOX_<KEY>`` in upper case, e.g.
-``GRIDBOX_DATA_DIR`` overrides ``data_dir``.
+lines and ``#`` comments allowed).  The file is the only way to set a node or
+a registry: a key is one of the fields of `NodeConfig` or `RegistryConfig`,
+and a key that the class does not declare is refused, so a misspelled key
+fails at start instead of leaving a default in place.  Values that no
+deployment changes are constants of the module that uses them, such as
+``node.TOKEN_TTL_S`` and ``node.QUERY_TIMEOUT_S``.
 
 The same format serves as the *site key file* a workstation uses for
 client-side anonymization; it needs only ``site`` and ``secret``.
@@ -11,8 +14,7 @@ client-side anonymization; it needs only ``site`` and ``secret``.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from gridbox.errors import MalformedFile
@@ -33,15 +35,11 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
     return out
 
 
-def _with_env(values: dict[str, str], keys: tuple[str, ...],
-              env: dict | None) -> dict[str, str]:
-    env = os.environ if env is None else env
-    merged = dict(values)
-    for key in keys:
-        override = env.get(f"GRIDBOX_{key.upper()}")
-        if override is not None:
-            merged[key] = override
-    return merged
+def _refuse_unknown(cls, values: dict[str, str], what: str) -> None:
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise MalformedFile(f"{what} config has unknown key "
+                            + ", ".join(map(repr, unknown)))
 
 
 def parse_address(text: str) -> tuple[str, int]:
@@ -61,13 +59,7 @@ class NodeConfig:
     registry: tuple[str, int]
     data_dir: Path
     secret: bytes
-    token_ttl_s: int = 3600
-    query_timeout_s: float = 10.0
-    relay_timeout_s: float = 60.0
     refresh_interval_s: float = 5.0
-
-    KEYS = ("site", "listen", "registry", "data_dir", "secret", "token_ttl_s",
-            "query_timeout_s", "relay_timeout_s", "refresh_interval_s")
 
     def __post_init__(self):
         if not valid_site_code(self.site):
@@ -78,6 +70,7 @@ class NodeConfig:
 
     @classmethod
     def from_mapping(cls, values: dict[str, str]) -> "NodeConfig":
+        _refuse_unknown(cls, values, "node")
         try:
             return cls(
                 site=values["site"],
@@ -85,9 +78,6 @@ class NodeConfig:
                 registry=parse_address(values["registry"]),
                 data_dir=Path(values["data_dir"]),
                 secret=bytes.fromhex(values["secret"]),
-                token_ttl_s=int(values.get("token_ttl_s", "3600")),
-                query_timeout_s=float(values.get("query_timeout_s", "10")),
-                relay_timeout_s=float(values.get("relay_timeout_s", "60")),
                 refresh_interval_s=float(values.get("refresh_interval_s", "5")),
             )
         except KeyError as e:
@@ -96,8 +86,8 @@ class NodeConfig:
             raise MalformedFile(f"bad node config value: {e}") from e
 
     @classmethod
-    def from_file(cls, path: str | Path, env: dict | None = None) -> "NodeConfig":
-        return cls.from_mapping(_with_env(parse_kv_file(path), cls.KEYS, env))
+    def from_file(cls, path: str | Path) -> "NodeConfig":
+        return cls.from_mapping(parse_kv_file(path))
 
 
 @dataclass
@@ -105,13 +95,12 @@ class RegistryConfig:
     listen: tuple[str, int]
     data_dir: Path
 
-    KEYS = ("listen", "data_dir")
-
     def __post_init__(self):
         self.data_dir = Path(self.data_dir)
 
     @classmethod
     def from_mapping(cls, values: dict[str, str]) -> "RegistryConfig":
+        _refuse_unknown(cls, values, "registry")
         try:
             return cls(listen=parse_address(values["listen"]),
                        data_dir=Path(values["data_dir"]))
@@ -119,8 +108,8 @@ class RegistryConfig:
             raise MalformedFile(f"registry config is missing {e.args[0]!r}") from e
 
     @classmethod
-    def from_file(cls, path: str | Path, env: dict | None = None) -> "RegistryConfig":
-        return cls.from_mapping(_with_env(parse_kv_file(path), cls.KEYS, env))
+    def from_file(cls, path: str | Path) -> "RegistryConfig":
+        return cls.from_mapping(parse_kv_file(path))
 
 
 @dataclass

@@ -38,6 +38,7 @@ import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
 from hashlib import sha256
 
 from gridbox import algorithms as alg
@@ -83,6 +84,10 @@ from gridbox.wire import FramedServer, answer, call, same_secret, text_param
 _SHA_HEX = frozenset("0123456789abcdef")
 
 FAN_OUT_WORKERS = 32  # threads of a node's fan-out pool; see GridNode._fan_out
+TOKEN_TTL_S = 3600  # lifetime of the session tokens AUTH mints
+QUERY_TIMEOUT_S = 10.0  # wait for a peer's RQUERY, EXEC_ALG or ADD_ALG answer
+RELAY_TIMEOUT_S = 60.0  # wait for a peer's PEER_FETCH answer, which carries a file
+REGISTER_ATTEMPTS = 50  # registrations `start` tries, 0.1 s apart
 
 
 # --- tokens and peer signatures ----------------------------------------------------
@@ -191,14 +196,14 @@ class GridNode:
                 source=program.source_text, origin_site=self.site)
             self.catalog.upsert(rec)
 
-    def start(self, register_attempts: int = 50) -> None:
+    def start(self) -> None:
         host, port = self.config.listen
         self._server = FramedServer(host, port, self._handle)
         self._server.start()
         advertise_host = "127.0.0.1" if host in ("", "0.0.0.0") else host
         self.advertised = f"{advertise_host}:{self._server.address[1]}"
         last: Exception | None = None
-        for _ in range(register_attempts):
+        for _ in range(REGISTER_ATTEMPTS):
             try:
                 members, vo_key = self.registry.register_node(
                     self.site, self.advertised, self._identity)
@@ -305,7 +310,7 @@ class GridNode:
         return peer(params, binary)
 
     def _peer_request(self, site: str, op: str, extra: dict,
-                      timeout: float) -> tuple[dict, bytes]:
+                      timeout: float = QUERY_TIMEOUT_S) -> tuple[dict, bytes]:
         req_id = secrets.token_hex(8)
         params = dict(extra, peer_site=self.site,
                       peer_sig=peer_signature(self.vo_key, self.site, op, req_id))
@@ -361,9 +366,8 @@ class GridNode:
             raise AuthFailed("unsuccessful user authentication")
         if not self.registry.verify_user(user, credential):
             raise AuthFailed("unsuccessful user authentication")
-        ttl = self.config.token_ttl_s
-        tok = mint_token(self.vo_key, user, ttl)
-        return {"token": tok, "user": user, "ttl": ttl}, [], b""
+        tok = mint_token(self.vo_key, user, TOKEN_TTL_S)
+        return {"token": tok, "user": user, "ttl": TOKEN_TTL_S}, [], b""
 
     # --- ADD -------------------------------------------------------------------------
 
@@ -464,8 +468,7 @@ class GridNode:
                 data = self.blobs.get(self._resolve_local_sha(ident))
             else:
                 result, data = self._peer_request(
-                    gid.site, "PEER_FETCH", {"id": ident},
-                    timeout=self.config.relay_timeout_s)
+                    gid.site, "PEER_FETCH", {"id": ident}, RELAY_TIMEOUT_S)
                 if not data:
                     raise NotFound(f"{gid.site} returned no bytes for {ident}")
         elif len(ident) == 64 and set(ident) <= _SHA_HEX:
@@ -482,7 +485,7 @@ class GridNode:
                 continue
             try:
                 _, data = self._peer_request(site, "PEER_FETCH", {"id": sha},
-                                             timeout=self.config.relay_timeout_s)
+                                             RELAY_TIMEOUT_S)
                 if data:
                     return data
             except NotFound:
@@ -506,23 +509,29 @@ class GridNode:
         this method's name."""
         return self.catalog.select(q)
 
+    def _scatter(self, q: FormalQuery, local, remote, *args) -> tuple[dict, list[str]]:
+        """The scatter-gather of QUERY and EXEC_ALG: ``local(q)`` here, then
+        ``remote(site, *args)`` on the fan-out pool for each remote site that
+        `decompose` picks from the membership.  Returns the answers by site,
+        this one's included, and the fan-out's warnings."""
+        remotes = decompose(q, sorted(self.membership()), self.site)
+        answers = {self.site: local(q)}
+        remote_answers, warnings = self._fan_out(remotes, remote, *args)
+        answers.update(remote_answers)
+        return answers, warnings
+
     def run_query(self, query_text: str) -> tuple[ResultSet, list[str]]:
         """The federated pipeline; returns (merged result, warnings)."""
         q = parse_query(query_text)
         canonical = print_query(q)
-        remotes = decompose(q, sorted(self.membership()), self.site)
-        parts = {self.site: self._local_resultset(q)}
-        answers, warnings = self._fan_out(remotes, self._remote_query, q, canonical,
-                                          self.config.query_timeout_s)
-        parts.update(answers)
+        parts, warnings = self._scatter(q, self._local_resultset, self._remote_query,
+                                        q, canonical)
         return merge(canonical, parts), warnings
 
-    def _remote_query(self, site: str, q: FormalQuery, canonical: str,
-                      timeout: float) -> Part:
+    def _remote_query(self, site: str, q: FormalQuery, canonical: str) -> Part:
         """One peer's part, checked as a whole by `checked_part`; the fan-out
         drops a part that fails a check."""
-        result, _ = self._peer_request(site, "RQUERY",
-                                       {"text": canonical, "hop": 1}, timeout)
+        result, _ = self._peer_request(site, "RQUERY", {"text": canonical, "hop": 1})
         return checked_part(result, q, canonical, site)
 
     def _op_query(self, params, binary):
@@ -591,8 +600,7 @@ class GridNode:
         return warnings
 
     def _send_algorithm(self, site: str, record: AlgorithmRecord) -> None:
-        self._peer_request(site, "ADD_ALG", {"algorithm": record.to_json()},
-                           timeout=self.config.query_timeout_s)
+        self._peer_request(site, "ADD_ALG", {"algorithm": record.to_json()})
 
     def _retry_gossip(self) -> None:
         with self._gossip_lock:  # a copy, so that no send holds the lock
@@ -649,11 +657,8 @@ class GridNode:
             raise UnknownAlgorithm(f"no algorithm {name!r}"
                                    + (f" v{version}" if version is not None else ""))
         q = self._selector_query(selector)
-        remotes = decompose(q, sorted(self.membership()), self.site)
-        per_site = {self.site: self._execute_local(record, q)}
-        answers, warnings = self._fan_out(remotes, self._remote_exec, record,
-                                          print_query(q), self.config.query_timeout_s)
-        per_site.update(answers)
+        per_site, warnings = self._scatter(q, partial(self._execute_local, record),
+                                           self._remote_exec, record, print_query(q))
         return {"written": sum(per_site.values()),
                 "per_site": per_site}, warnings, b""
 
@@ -665,11 +670,10 @@ class GridNode:
         q = self._selector_query(text_param(params, "selector"))
         return {"written": self._execute_local(local_record, q)}, [], b""
 
-    def _remote_exec(self, site: str, record: AlgorithmRecord, selector: str,
-                     timeout: float) -> int:
+    def _remote_exec(self, site: str, record: AlgorithmRecord, selector: str) -> int:
         result, _ = self._peer_request(site, "EXEC_ALG", {
             "algorithm": record.to_json(), "selector": selector, "hop": 1,
-        }, timeout)
+        })
         written = result.get("written") if isinstance(result, dict) else None
         if type(written) is not int:
             raise SchemaViolation(f"{site} answered EXEC_ALG without an integer "

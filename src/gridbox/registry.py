@@ -38,6 +38,8 @@ from gridbox.errors import (
 from gridbox.ids import valid_site_code
 from gridbox.wire import FramedServer, answer, call, same_secret, text_param
 
+CALL_TIMEOUT_S = 5.0  # wait for the registry's answer
+
 _USER_RE = re.compile(r"[a-z0-9][a-z0-9_.\-]*")
 
 
@@ -211,13 +213,12 @@ class RegistryClient:
     """Thin wire client for registry ops; all failures to reach the registry
     surface as RegistryUnreachable."""
 
-    def __init__(self, address: tuple[str, int], timeout: float = 5.0):
+    def __init__(self, address: tuple[str, int]):
         self.address = address
-        self.timeout = timeout
 
     def _call(self, op: str, params: dict) -> dict:
         result, _, _ = call(self.address, op, params,
-                            unreachable=RegistryUnreachable, timeout=self.timeout)
+                            unreachable=RegistryUnreachable, timeout=CALL_TIMEOUT_S)
         return result
 
     def register_node(self, site: str, address: str,

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import signal
-import threading
 
 from gridbox.config import NodeConfig
 from gridbox.node import GridNode
-from gridbox.run_registry import announce
+from gridbox.run_registry import serve
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -17,21 +15,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--announce", default=None,
                         help="write 'SITE host:port' to this file once registered")
     args = parser.parse_args(argv)
-
     node = GridNode(NodeConfig.from_file(args.config))
-    node.start()
-    host, port = node.address
-    announce(args.announce, f"{node.site} {host}:{port}")
-    print(f"node {node.site} listening on {host}:{port}", flush=True)
-
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    try:
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
-    node.stop()
-    return 0
+    return serve(node, f"node {node.site}", args.announce, f"{node.site} ")
 
 
 if __name__ == "__main__":

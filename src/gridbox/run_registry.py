@@ -21,18 +21,14 @@ def announce(path: str | None, text: str) -> None:
     tmp.replace(target)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="gridbox VO registry")
-    parser.add_argument("config", help="registry config file (key = value lines)")
-    parser.add_argument("--announce", default=None,
-                        help="write host:port to this file once serving")
-    args = parser.parse_args(argv)
-
-    registry = VoRegistry(RegistryConfig.from_file(args.config))
-    registry.start()
-    host, port = registry.address
-    announce(args.announce, f"{host}:{port}")
-    print(f"registry listening on {host}:{port}", flush=True)
+def serve(server, name: str, announce_path: str | None, prefix: str = "") -> int:
+    """Start ``server`` (a node or the registry), announce ``prefix`` plus its
+    ``host:port``, print that ``name`` listens there, and stop it on SIGTERM
+    or Ctrl-C."""
+    server.start()
+    host, port = server.address
+    announce(announce_path, f"{prefix}{host}:{port}")
+    print(f"{name} listening on {host}:{port}", flush=True)
 
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
@@ -40,8 +36,18 @@ def main(argv: list[str] | None = None) -> int:
         stop.wait()
     except KeyboardInterrupt:
         pass
-    registry.stop()
+    server.stop()
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="gridbox VO registry")
+    parser.add_argument("config", help="registry config file (key = value lines)")
+    parser.add_argument("--announce", default=None,
+                        help="write host:port to this file once serving")
+    args = parser.parse_args(argv)
+    return serve(VoRegistry(RegistryConfig.from_file(args.config)), "registry",
+                 args.announce)
 
 
 if __name__ == "__main__":

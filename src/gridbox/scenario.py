@@ -28,7 +28,6 @@ of failed steps.
 
 from __future__ import annotations
 
-import json
 import os
 import secrets
 import shutil
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from gridbox.client import NodeClient
-from gridbox.cohort import manifest_for, spec_for_site, upload_site
+from gridbox.cohort import manifest_for, manifest_text, spec_for_site, upload_site
 from gridbox.config import SiteKey, parse_address
 from gridbox.errors import GridError
 from gridbox.query import parse_query, print_query
@@ -268,7 +267,7 @@ class ScenarioRunner:
         for site in sorted(specs):
             upload_site(self._client(site), specs[site])
         (self.workdir / "manifest.json").write_text(
-            _dump_manifest(self.manifest), encoding="utf-8")
+            manifest_text(self.manifest), encoding="utf-8")
 
     def _resolve_query(self, text: str) -> str:
         if text.startswith("@"):
@@ -386,10 +385,6 @@ class ScenarioRunner:
                 if moved:
                     raise ScenarioError(
                         f"{site} moved {moved} binary bytes over {op}")
-
-
-def _dump_manifest(manifest: dict) -> str:
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def run_scenario(script_path: str | Path, out=sys.stdout) -> int:

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from gridbox.config import (
@@ -17,7 +20,7 @@ listen = 0.0.0.0:7001
 registry = registry.example:7000
 data_dir = /var/lib/gridbox
 secret = 40404040404040404040404040404040
-token_ttl_s = 60
+refresh_interval_s = 60
 """
 
 
@@ -52,22 +55,14 @@ def test_parse_address_rejects(text):
 def test_node_config_from_file(tmp_path):
     path = tmp_path / "node.conf"
     path.write_text(NODE_FILE)
-    cfg = NodeConfig.from_file(path, env={})
+    cfg = NodeConfig.from_file(path)
     assert cfg.site == "CAM"
     assert cfg.listen == ("0.0.0.0", 7001)
     assert cfg.registry == ("registry.example", 7000)
     assert cfg.secret == b"\x40" * 16
-    assert cfg.token_ttl_s == 60
-    assert cfg.query_timeout_s == 10.0  # default
-
-
-def test_env_overrides_win(tmp_path):
-    path = tmp_path / "node.conf"
-    path.write_text(NODE_FILE)
-    cfg = NodeConfig.from_file(path, env={"GRIDBOX_SITE": "UDI",
-                                          "GRIDBOX_LISTEN": ":9009"})
-    assert cfg.site == "UDI"
-    assert cfg.listen == ("127.0.0.1", 9009)
+    assert cfg.refresh_interval_s == 60.0
+    path.write_text(NODE_FILE.replace("refresh_interval_s = 60\n", ""))
+    assert NodeConfig.from_file(path).refresh_interval_s == 5.0  # default
 
 
 @pytest.mark.parametrize("mangle", [
@@ -76,24 +71,64 @@ def test_env_overrides_win(tmp_path):
     lambda t: t.replace("CAM", "TOOLONGCODE"),
     lambda t: t.replace("40" * 16, "zz"),
     lambda t: t.replace("40" * 16, ""),
-    lambda t: t.replace("60", "sixty"),
+    lambda t: t.replace("60", "sixty"),  # refresh_interval_s = sixty
     lambda t: t.replace("0.0.0.0:7001", "7001"),
 ])
 def test_bad_node_configs(tmp_path, mangle):
     path = tmp_path / "node.conf"
     path.write_text(mangle(NODE_FILE))
-    with pytest.raises(MalformedFile):
-        NodeConfig.from_file(path, env={})
+    with pytest.raises(MalformedFile) as raised:
+        NodeConfig.from_file(path)
+    assert "unknown key" not in raised.value.message  # a declared key is wrong
 
 
 def test_registry_config(tmp_path):
     path = tmp_path / "registry.conf"
     path.write_text("listen = :7000\ndata_dir = reg\n")
-    cfg = RegistryConfig.from_file(path, env={})
+    cfg = RegistryConfig.from_file(path)
     assert cfg.listen == ("127.0.0.1", 7000)
     assert str(cfg.data_dir) == "reg"
     with pytest.raises(MalformedFile):
         RegistryConfig.from_mapping({"listen": ":7000"})
+
+
+NODE_MAPPING = {"site": "CAM", "listen": ":7001", "registry": ":7000",
+                "data_dir": "cam", "secret": "40" * 16}
+REGISTRY_MAPPING = {"listen": ":7000", "data_dir": "reg"}
+
+
+@pytest.mark.parametrize("cls,values,typo", [
+    (NodeConfig, NODE_MAPPING, "refresh_intervall_s"),
+    (NodeConfig, NODE_MAPPING, "query_timeout_s"),  # a removed setting
+    (NodeConfig, NODE_MAPPING, "token_ttl_s"),
+    (RegistryConfig, REGISTRY_MAPPING, "lissen"),
+])
+def test_unknown_keys_are_refused(tmp_path, cls, values, typo):
+    with pytest.raises(MalformedFile, match=typo):
+        cls.from_mapping(dict(values, **{typo: "0.5"}))
+    path = tmp_path / "typo.conf"
+    text = "".join(f"{k} = {v}\n" for k, v in values.items())
+    path.write_text(text + f"{typo} = 0.5\n")
+    with pytest.raises(MalformedFile, match=typo):
+        cls.from_file(path)
+    path.write_text(text)
+    assert cls.from_file(path) == cls.from_mapping(values)
+
+
+def test_readme_config_files_parse(tmp_path):
+    """Every config file the README quick tour writes is one a node or the
+    registry accepts."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^cat > (\S+\.cfg) <<EOF\n(.*?)^EOF$", readme,
+                        re.MULTILINE | re.DOTALL)
+    assert [name for name, _ in blocks] == ["registry.cfg", "node-cam.cfg",
+                                            "node-udi.cfg"]
+    for name, body in blocks:
+        path = tmp_path / name
+        path.write_text(body.replace("$PWD", str(tmp_path)))
+        cls = RegistryConfig if name == "registry.cfg" else NodeConfig
+        cfg = cls.from_file(path)
+        assert cfg.data_dir.parent == tmp_path
 
 
 def test_site_key_file(tmp_path):

@@ -116,6 +116,13 @@ def test_ops_refuse_missing_or_garbage_tokens(session_vo):
         assert response["error_code"] == "AuthFailed"
 
 
+def test_auth_mints_an_hour_long_token(session_vo):
+    response, _ = request(session_vo.nodes["CAM"].address, "AUTH",
+                          {"user": USER, "credential": CREDENTIAL})
+    assert response["result"]["ttl"] == node_module.TOKEN_TTL_S == 3600
+    assert response["result"]["token"].split(":")[2] == "3600"
+
+
 def test_a_token_signature_that_is_not_ascii_is_auth_failed(session_vo):
     """Before, `hmac.compare_digest` raised TypeError on it: Internal."""
     response, _ = request(session_vo.nodes["CAM"].address, "QUERY",
@@ -339,6 +346,37 @@ def test_retrieve_unknown_ids(session_vo):
         client.retrieve("f" * 64)
     with pytest.raises(NotFound):
         client.retrieve("not-an-identifier")
+
+
+def test_each_call_waits_its_constant(make_vo, monkeypatch):
+    """Peer RQUERY, EXEC_ALG and ADD_ALG wait QUERY_TIMEOUT_S, PEER_FETCH
+    RELAY_TIMEOUT_S, the client 30 s but 90 s for RETRIEVE, the registry
+    client 5 s."""
+    from gridbox import client as client_module
+    from gridbox import registry as registry_module
+
+    vo = make_vo()
+    gid = vo.client("UDI").add_bytes(make_image_bytes())["image"]
+    waits: dict[str, set] = {}
+
+    def spy(real):
+        def call(address, op, params, **kw):
+            waits.setdefault(op, set()).add(kw["timeout"])
+            return real(address, op, params, **kw)
+        return call
+
+    for module in (node_module, client_module, registry_module):
+        monkeypatch.setattr(module, "call", spy(module.call))
+    cam = vo.client("CAM")
+    cam.query("select images where true")
+    cam.add_algorithm("typed", "mean emit typed")
+    cam.exec_algorithm("typed", "select images where true")
+    cam.retrieve(gid)
+    RegistryClient(vo.registry.address).list_nodes()
+    assert waits.pop("NODE_LIST") == {5.0}
+    assert waits == {"QUERY": {30.0}, "RQUERY": {10.0}, "ADD_ALG": {30.0, 10.0},
+                     "EXEC_ALG": {30.0, 10.0}, "RETRIEVE": {90.0},
+                     "PEER_FETCH": {60.0}}
 
 
 def test_peer_fetch_requires_peer_signature(session_vo):

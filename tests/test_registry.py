@@ -178,7 +178,7 @@ def test_unreachable_registry(tmp_path):
     reg.start()
     address = reg.address
     reg.stop()
-    client = RegistryClient(address, timeout=0.5)
+    client = RegistryClient(address)
     with pytest.raises(RegistryUnreachable):
         client.list_nodes()
 
