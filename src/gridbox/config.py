@@ -14,6 +14,7 @@ client-side anonymization; it needs only ``site`` and ``secret``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -52,6 +53,10 @@ def parse_address(text: str) -> tuple[str, int]:
         raise MalformedFile(f"bad port in {text!r}") from e
 
 
+# the shortest wait between two membership refreshes a node accepts
+MIN_REFRESH_INTERVAL_S = 0.5
+
+
 @dataclass
 class NodeConfig:
     site: str
@@ -67,6 +72,9 @@ class NodeConfig:
         self.data_dir = Path(self.data_dir)
         if not self.secret:
             raise MalformedFile("site secret must be non-empty")
+        if not MIN_REFRESH_INTERVAL_S <= self.refresh_interval_s < math.inf:
+            raise MalformedFile(f"refresh_interval_s must be a number of seconds from "
+                                f"{MIN_REFRESH_INTERVAL_S}, not {self.refresh_interval_s}")
 
     @classmethod
     def from_mapping(cls, values: dict[str, str]) -> "NodeConfig":

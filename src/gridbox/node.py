@@ -243,8 +243,7 @@ class GridNode:
         return self._server.accountant
 
     def _poll_loop(self) -> None:
-        interval = max(self.config.refresh_interval_s, 0.5)
-        while not self._stopping.wait(interval):
+        while not self._stopping.wait(self.config.refresh_interval_s):
             try:
                 self._refresh_membership()
                 self._retry_gossip()

@@ -20,14 +20,18 @@ answer to a query travels as a :class:`Part`: its row ids plus one column
 of texts per projected field.  The merged answer travels to the client the
 same way, with its origin sites, and the client renders the XML.
 :func:`checked_part` checks a peer's part at the origin and the merged
-answer at the client, both as a whole.  :func:`merge` joins the parts column by
+answer at the client, both as a whole: it joins the ids once and each
+column once, and the join that the character test needs is also the check
+that every item is a string.  :func:`merge` joins the parts column by
 column with one sort of the ids, deduplicated on global id; the same id
 carrying different fields is a federation bug and raises
 ``SchemaViolation`` rather than silently preferring one site's copy.  A
 :class:`ResultSet` holds the merged part.  ``to_xml`` escapes a column
-only when a substring test finds a character that needs it, and writes
-the rows as one interleaving of ids, columns and markup; ``ResultSet.rows``
-builds `Row` objects only when a caller asks.  Escaping is a
+only when a substring test finds a character that needs it, and writes the
+whole document, header and summary included, with one join; when no
+column holds a null, the markup is laid down once for all rows and the ids
+and each column fill their stride of it.  ``ResultSet.rows`` builds `Row`
+objects only when a caller asks.  Escaping is a
 ``str.replace`` chain that makes the replacements of ``xml.sax.saxutils``
 in the same order, without importing that module and the ``urllib`` and
 ``email`` packages it loads.  :func:`ResultSet.from_xml` reads any
@@ -40,8 +44,8 @@ import re
 import xml.etree.ElementTree as ET
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from operator import add, eq, ge, gt, itemgetter
+from itertools import chain, count, islice, repeat
+from operator import eq, ge, gt, itemgetter
 
 from gridbox.errors import MalformedXml, SchemaViolation
 from gridbox.ids import id_kind, valid_site_code
@@ -106,6 +110,23 @@ def _filled(fields: dict) -> dict:
 
 
 _QUOT = {'"': "&quot;"}
+_TEXT = frozenset({str})
+_TEXT_OR_NULL = frozenset({str, type(None)})  # the types a column may hold
+
+
+def _joined_texts(column, nulls: bool = True) -> str | None:
+    """The items of ``column`` joined when it is a list of strings, and of
+    Nones where ``nulls``, the Nones left out; None when it is anything else.
+    The join of the list itself is the type check, so only a list holding a
+    non-str is walked again, to tell a None from a wrong type."""
+    if not isinstance(column, list):
+        return None
+    try:
+        return "".join(column)
+    except TypeError:
+        if nulls and set(map(type, column)) <= _TEXT_OR_NULL:
+            return "".join(filter(None, column))
+        return None
 
 
 def _escape(value: str, entities: dict) -> str:
@@ -124,7 +145,7 @@ def _attr(value: str) -> str:
 def _escaped(values: list, entities: dict) -> list:
     """``values`` with ``&<>`` and ``entities`` escaped and None kept, from
     one substring test per character; the list itself when nothing needs it."""
-    if not any(map("".join(filter(None, values)).__contains__, chain("&<>", entities))):
+    if not any(map(_joined_texts(values).__contains__, chain("&<>", entities))):
         return values
     return [value and _escape(value, entities) for value in values]
 
@@ -134,17 +155,30 @@ def _escaped(values: list, entities: dict) -> list:
 _OPEN, _FIELD, _CLOSE = '  <row id="', '    <field name="', "  </row>"
 
 
-def _render_rows(ids: list, names: list, columns: list) -> str:
-    """The ``<row>`` elements of rows ``ids`` whose field ``names[j]`` holds
-    ``columns[j]``, all escaped, fields in ``names`` order: one interleaving
-    of the ids, the columns and the markup.  A None leaves out its field's
-    line, and a row with no field closes itself."""
+def _render_rows(head: str, ids: list, names: list, columns: list, tail: str) -> str:
+    """The document ``head``, then the ``<row>`` elements of rows ``ids``
+    whose field ``names[j]`` holds ``columns[j]``, all escaped, fields in
+    ``names`` order, then ``tail``, joined once.  A None leaves out its
+    field's line, and a row with no field closes itself.
+
+    With no None, every row is the same ``3 + 2k`` pieces for ``k`` fields:
+    its start, its id, the markup before and the text of each field, and its
+    end.  The markup is laid down once for all rows, and the ids and each
+    column fill their stride of slots by one slice assignment."""
     if not any(None in column for column in columns):
         ends = ['">\n', *repeat("</field>\n", len(names))]
-        heads = map(add, ends, (f'{_FIELD}{name}">' for name in names))
-        marks = map(repeat, [_OPEN, *heads, ends[-1] + _CLOSE + "\n" if names else '"/>\n'])
-        streams = [next(marks), *chain.from_iterable(zip([ids, *columns], marks))]
-        return "".join(chain.from_iterable(zip(*streams)))
+        row = [_OPEN, None]
+        for end, name in zip(ends, names):
+            row += (f'{end}{_FIELD}{name}">', None)
+        row.append(ends[-1] + _CLOSE + "\n" if names else '"/>\n')
+        out = row * len(ids)
+        out.insert(0, head)
+        out.append(tail)
+        w = len(row)
+        out[2:-1:w] = ids
+        for at, column in zip(count(4, 2), columns):
+            out[at:-1:w] = column
+        return "".join(out)
     nones = list(map(tuple.count, zip(*columns), repeat(None)))  # per row
     bare = {len(columns): ""}.get  # bare(n, text): "" for a row with no field, else text
     held = {None: ""}.get  # held(cell, text): "" for a None cell, else text
@@ -154,7 +188,7 @@ def _render_rows(ids: list, names: list, columns: list) -> str:
                     map(held, column, repeat("</field>\n")))
     closed = {len(columns): '"/>\n'}.get  # the end of a row with no field, else ""
     streams += (map(bare, nones, repeat(_CLOSE + "\n")), map(closed, nones, repeat("")))
-    return "".join(chain.from_iterable(zip(*streams)))
+    return "".join(chain((head,), chain.from_iterable(zip(*streams)), (tail,)))
 
 
 def _read_tree(data) -> tuple:
@@ -267,11 +301,12 @@ class ResultSet:
         names = sorted(fields)
         origin = ",".join(sorted(self.origin_sites))
         num_images, num_patients = self.summary
-        return (f'<resultset query="{_attr(self.query_text)}" origin="{_attr(origin)}">\n'
-                + _render_rows(_escaped(ids, _QUOT), [_attr(name) for name in names],
-                               [_escaped(fields[name], {}) for name in names])
-                + f'  <summary images="{num_images}" patients="{num_patients}"/>\n'
-                "</resultset>\n").encode("utf-8")
+        return _render_rows(
+            f'<resultset query="{_attr(self.query_text)}" origin="{_attr(origin)}">\n',
+            _escaped(ids, _QUOT), [_attr(name) for name in names],
+            [_escaped(fields[name], {}) for name in names],
+            f'  <summary images="{num_images}" patients="{num_patients}"/>\n'
+            "</resultset>\n").encode("utf-8")
 
     @classmethod
     def from_xml(cls, data: bytes) -> "ResultSet":
@@ -291,9 +326,6 @@ class ResultSet:
                 f"rows say images={summary[0]} patients={summary[1]}")
         return result
 
-
-_TEXT = frozenset({str})
-_TEXT_OR_NULL = frozenset({str, type(None)})  # the types a column may hold
 
 # The characters XML rejects or normalises in a text (\r, the other controls
 # but \t and \n, U+FFFE/U+FFFF and the surrogates a str may carry), and in an
@@ -333,7 +365,8 @@ def checked_part(answer, q: FormalQuery, canonical: str, site: str | None = None
     if not (isinstance(sites, list) and set(map(type, sites)) <= _TEXT
             and all(map(valid_site_code, sites))):
         raise SchemaViolation("the answer's origin is not a list of site codes")
-    if not (isinstance(ids, list) and set(map(type, ids)) <= _TEXT):
+    id_text = _joined_texts(ids, nulls=False)
+    if id_text is None:
         raise SchemaViolation("the answer's ids are not a list of strings")
     if any(map(ge, ids, islice(ids, 1, None))):
         row_id = next(b for a, b in zip(ids, ids[1:]) if a >= b)
@@ -352,14 +385,15 @@ def checked_part(answer, q: FormalQuery, canonical: str, site: str | None = None
                               "that returned rows, each once")
     if not (isinstance(fields, dict) and fields.keys() == set(projection(q))):
         raise SchemaViolation("the answer's columns are not the projection's")
+    # one test over the ids joined and one over each column's texts, a byte
+    # deletion when they are ASCII; an id is an attribute
+    texts = [(id_text, _UNFIT_ATTR)]
     for name, column in fields.items():
-        if not (isinstance(column, list) and len(column) == len(ids)
-                and set(map(type, column)) <= _TEXT_OR_NULL):
+        text = _joined_texts(column)
+        if text is None or len(column) != len(ids):
             raise SchemaViolation(f"column {name} is not {len(ids)} texts or nulls")
-    # one test over all ids joined and one over all texts, a byte deletion
-    # when they are ASCII; an id is an attribute
-    texts = "".join(filter(None, chain.from_iterable(fields.values())))
-    for joined, (unfit, fit) in (("".join(ids), _UNFIT_ATTR), (texts, _UNFIT_TEXT)):
+        texts.append((text, _UNFIT_TEXT))
+    for joined, (unfit, fit) in texts:
         if (joined.encode().translate(None, fit) if joined.isascii()
                 else unfit.search(joined)):
             raise SchemaViolation("an id or text of the answer holds a character "

@@ -42,6 +42,7 @@ import sys
 import threading
 import traceback
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from gridbox.errors import AnswerTooLarge, GridError, ProtocolError, error_from_code
 
@@ -106,6 +107,9 @@ class TrafficAccountant:
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# the JSON text of a str, an exact int, a bool and None, by exact type
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 # the ASCII bytes JSON writes as they are: printable, bar '"' and '\\'
 _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"").replace(b"\\", b"")
 
@@ -113,18 +117,27 @@ _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"").replace(b"\\", b"")
 def _write(value, out: list) -> None:
     """Append to ``out`` the pieces of ``value``'s canonical JSON text.
 
-    A dict with only str keys is written key by key in sorted order.  A
-    list of two or more strings is joined in one call when the joined text
-    holds nothing JSON escapes, which one byte-deletion test decides: once
-    the plain bytes are deleted, only the separators' quotes may remain.
-    Anything else (a scalar, a list holding a non-str or a text to escape,
-    a dict with a non-str key) is written by ``_ENCODER``."""
+    A str, an exact int, a bool, None and an empty list are written
+    directly.  A dict with only str keys is written key by key in sorted
+    order.  A list of two or more strings is joined in one call when the
+    joined text holds nothing JSON escapes, which one byte-deletion test
+    decides: once the plain bytes are deleted, only the separators' quotes
+    may remain.  Anything else (a float, a one-item list, a list holding a
+    non-str or a text to escape, a dict with a non-str key) is written by
+    ``_ENCODER``."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+        return
     if isinstance(value, dict) and all(isinstance(k, str) for k in value):
         out.append("{")
         for i, (key, item) in enumerate(sorted(value.items())):
-            out.append(("," if i else "") + _ENCODER.encode(key) + ":")
+            out.append(("," if i else "") + encode_basestring_ascii(key) + ":")
             _write(item, out)
         out.append("}")
+        return
+    if isinstance(value, list) and not value:
+        out.append("[]")
         return
     if isinstance(value, list) and len(value) > 1:
         try:

@@ -95,6 +95,25 @@ def test_registry_config(tmp_path):
 NODE_MAPPING = {"site": "CAM", "listen": ":7001", "registry": ":7000",
                 "data_dir": "cam", "secret": "40" * 16}
 REGISTRY_MAPPING = {"listen": ":7000", "data_dir": "reg"}
+NODE_CONFIG = {"site": "CAM", "listen": ("127.0.0.1", 7001), "registry": ("127.0.0.1", 7000),
+               "data_dir": Path("cam"), "secret": b"\x40" * 16}
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf", "-inf", "0.1", "0", "-1"])
+def test_a_refresh_interval_below_half_a_second_is_refused(interval):
+    """A NaN wait returns at once and the poller spins; an infinite one
+    raises in the poller thread and ends it; a short one floods the registry."""
+    with pytest.raises(MalformedFile, match="refresh_interval_s"):
+        NodeConfig.from_mapping(dict(NODE_MAPPING, refresh_interval_s=interval))
+    with pytest.raises(MalformedFile, match="refresh_interval_s"):
+        NodeConfig(**dict(NODE_CONFIG, refresh_interval_s=float(interval)))
+
+
+@pytest.mark.parametrize("interval", ["0.5", "5", "3600"])
+def test_a_refresh_interval_from_half_a_second_is_kept(interval):
+    cfg = NodeConfig.from_mapping(dict(NODE_MAPPING, refresh_interval_s=interval))
+    assert cfg.refresh_interval_s == float(interval)
+    assert NodeConfig(**dict(NODE_CONFIG, refresh_interval_s=float(interval))) == cfg
 
 
 @pytest.mark.parametrize("cls,values,typo", [

@@ -322,13 +322,15 @@ cells = st.none() | special
 
 
 @st.composite
-def columnar_answers(draw):
+def columnar_answers(draw, nulls=True):
     """Answers with null cells, all-null columns and rows with no fields,
-    and ``&<>"`` in ids, field names, values, origin and query text."""
+    and ``&<>"`` in ids, field names, values, origin and query text; with
+    ``nulls`` false, answers whose columns hold no null."""
     ids = sorted(draw(st.sets(st.sampled_from([IID, PID, f"UDI:image:{2:032x}"]) | special,
                               max_size=6)))
     names = draw(st.sets(st.sampled_from(["patient.id", "image.view"]) | special, max_size=3))
-    fields = {name: draw(st.lists(st.none() if draw(st.booleans()) else cells,
+    fields = {name: draw(st.lists(st.none() if nulls and draw(st.booleans()) else
+                                  cells if nulls else special,
                                   min_size=len(ids), max_size=len(ids)))
               for name in names}
     query = draw(st.sampled_from([Q, "select patients where true"]) | special)
@@ -342,6 +344,30 @@ def columnar_answers(draw):
 def test_to_xml_writes_the_reference_bytes(rs):
     assert rs.to_xml() == oracles.reference_xml(rs)
     assert ResultSet.from_xml(rs.to_xml()) == rs
+
+
+@settings(max_examples=300)
+@given(columnar_answers(nulls=False))
+def test_to_xml_writes_the_reference_bytes_of_null_free_columns(rs):
+    """Columns with no null, the rows all of one shape, as broad answers are."""
+    assert rs.to_xml() == oracles.reference_xml(rs)
+    assert ResultSet.from_xml(rs.to_xml()) == rs
+
+
+@pytest.mark.parametrize("ids,fields", [
+    ([], {}),
+    ([], {"patient.id": [], "image.view": []}),
+    ([IID, PID], {}),
+    ([IID, PID], {"image.view": [None, None]}),
+    ([IID, PID], {"image.view": [None, "CC"], "patient.id": [None, None]}),
+    ([IID, PID], {"image.view": ["", "CC"]}),
+], ids=["no-rows", "no-rows-with-columns", "no-fields", "null-column", "a-row-with-no-field",
+        "empty-text"])
+def test_to_xml_writes_the_reference_bytes_at_the_edges(ids, fields):
+    for query in (Q, "select patients where true"):
+        rs = ResultSet(query, {"CAM"}, Part(ids, fields))
+        assert rs.to_xml() == oracles.reference_xml(rs)
+        assert ResultSet.from_xml(rs.to_xml()) == rs
 
 
 edit_chars = (st.sampled_from('<>"&\n\t\r')
@@ -476,3 +502,32 @@ def test_a_peer_part_holds_only_its_own_rows():
 def test_a_bad_answer_is_a_schema_violation(bad):
     with pytest.raises(SchemaViolation):
         resultset.checked_part(bad, parse_query(Q), Q)
+
+
+THREE_ROWS = merge(Q, {"CAM": part_of([image_row(1, "CAM", **{"patient.sex": "F"}),
+                                       image_row(3, "CAM", **{"patient.sex": "M"})]),
+                       "UDI": part_of([image_row(2, "UDI", **{"patient.sex": "F"})])})
+NOT_TEXT = [0, False, [], {}, 1, True, 1.5, ["x"]]
+
+
+@pytest.mark.parametrize("cell", NOT_TEXT, ids=repr)
+@pytest.mark.parametrize("column", [["F", "X", "M"], ["F", "X", None], [None, "X", "M"],
+                                    ["X", None, "M"], ["F", "M", "X"]])
+def test_a_column_cell_that_is_not_a_text_or_null_is_refused(cell, column):
+    """Each column is checked by joining it; a falsy cell that a join of the
+    non-null cells would skip is refused too, with or without a null beside it."""
+    good = answer_of(THREE_ROWS)
+    assert resultset.checked_part(good, parse_query(Q), Q) == THREE_ROWS.part
+    bad = dict(good, fields=dict(good["fields"], **{
+        "patient.sex": [cell if text == "X" else text for text in column]}))
+    with pytest.raises(SchemaViolation, match="column patient.sex is not 3 texts or nulls"):
+        resultset.checked_part(bad, parse_query(Q), Q)
+
+
+@pytest.mark.parametrize("item", [*NOT_TEXT, None], ids=repr)
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_an_id_that_is_not_a_text_is_refused(item, at):
+    ids = list(THREE_ROWS.part.ids)
+    ids[at] = item
+    with pytest.raises(SchemaViolation, match="ids are not a list of strings"):
+        resultset.checked_part(dict(answer_of(THREE_ROWS), ids=ids), parse_query(Q), Q)

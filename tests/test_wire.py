@@ -1,3 +1,4 @@
+import enum
 import gc
 import json
 import socket
@@ -92,6 +93,20 @@ def test_envelope_bytes_are_those_of_json_dumps(envelope):
             encode_envelope(envelope)
         return
     assert encode_envelope(envelope) == expected
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+@pytest.mark.parametrize("value", [True, False, 1, 0, -0, 2**70, -7, None, [], {}, "",
+                                   [True, 1], [False, 0], [1, True], {"t": True, "o": 1},
+                                   Level.LOW, [Level.LOW, 1], 1.0, [[]], [{}], ["x"]])
+def test_a_bool_is_not_written_as_the_int_it_equals(value):
+    """True == 1 and False == 0, and an IntEnum is an int: each is written
+    as ``json.dumps`` writes it, alone, in a list and in a dict."""
+    for envelope in ({"v": value}, {"v": [value, value]}, {"v": {"w": value}}):
+        assert encode_envelope(envelope) == reference_bytes(envelope)
 
 
 @pytest.fixture
