@@ -5,11 +5,12 @@ the pseudonym table, and a framed-protocol server exposing the six services
 (authenticate, add, retrieve, query, add-algorithm, execute-algorithm) plus
 the peer-facing ops RQUERY and PEER_FETCH and a STATS introspection op.
 
-Federated queries and algorithm runs follow one scatter-gather pipeline:
-parse, pick the remote sites from the current VO membership, run the local
-part, fan out one hop to the remote sites in parallel, and merge.  A site
-that cannot be reached, or whose answer fails validation, costs a warning
-instead of failing the whole request.  A site's part of a query is a
+Federated queries and algorithm runs follow one scatter-gather pipeline,
+on the thread that serves the request: parse, pick the remote sites from
+the current VO membership, send each of them its one-hop request, run the
+local part while they work, read each answer as it arrives, and merge.  A
+site that cannot be reached, or whose answer fails validation, costs a
+warning instead of failing the whole request.  A site's part of a query is a
 `Part`, its row ids plus one column per projected field; a peer sends it
 as such in its RQUERY answer, the origin checks it as a whole, and the
 merge joins the parts column by column into the answer.  The QUERY answer
@@ -35,7 +36,6 @@ import hmac
 import secrets
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from functools import partial
@@ -79,13 +79,23 @@ from gridbox.records import (
 )
 from gridbox.registry import RegistryClient
 from gridbox.resultset import Part, ResultSet, checked_part, merge
-from gridbox.wire import FramedServer, answer, call, same_secret, text_param
+from gridbox.wire import (
+    Exchange,
+    FramedServer,
+    answer,
+    finish_call,
+    gather,
+    same_secret,
+    start_call,
+    text_param,
+)
 
 _SHA_HEX = frozenset("0123456789abcdef")
 
-FAN_OUT_WORKERS = 32  # threads of a node's fan-out pool; see GridNode._fan_out
 TOKEN_TTL_S = 3600  # lifetime of the session tokens AUTH mints
-QUERY_TIMEOUT_S = 10.0  # wait for a peer's RQUERY, EXEC_ALG or ADD_ALG answer
+# wait for a peer's ADD_ALG answer, and for all RQUERY or EXEC_ALG answers of
+# one scatter together (GridNode._scatter)
+QUERY_TIMEOUT_S = 10.0
 RELAY_TIMEOUT_S = 60.0  # wait for a peer's PEER_FETCH answer, which carries a file
 REGISTER_ATTEMPTS = 50  # registrations `start` tries, 0.1 s apart
 
@@ -127,6 +137,15 @@ def peer_signature(vo_key: bytes, peer_site: str, op: str, req_id: str) -> str:
     return hmac.digest(vo_key, msg, "sha256").hex()
 
 
+def _warning(site: str, error: GridError) -> str:
+    """The warning of a scatter for a site whose request raised ``error``."""
+    if isinstance(error, (PeerUnreachable, NodeStopped)):
+        return f"{site} unreachable: {error.message}"
+    if isinstance(error, AnswerTooLarge):
+        return f"{site} answer too large: {error.message}"
+    return f"{site} refused: {error.code}: {error.message}"
+
+
 def _check_hop(params: dict, what: str) -> None:
     """HopViolation unless ``hop`` is the JSON integer 1, not true or 1.0."""
     hop = params.get("hop")
@@ -158,10 +177,8 @@ class GridNode:
         self._pending_gossip: dict[str, dict[str, AlgorithmRecord]] = {}
         self._gossip_lock = threading.Lock()
         self._server: FramedServer | None = None
-        self._fan_out_pool = ThreadPoolExecutor(max_workers=FAN_OUT_WORKERS,
-                                                thread_name_prefix=f"fan-out-{self.site}")
         self._poller = None
-        self._stopping = None
+        self._stopping = threading.Event()  # set once, by `stop`
         self._identity = self._load_identity()
         self._register_builtin()
         self._ops = {  # op -> (user handler, peer handler); `_serve` picks one
@@ -218,17 +235,14 @@ class GridNode:
             self._server.stop()
             raise RegistryUnreachable(
                 f"could not register with {self.config.registry}: {last}")
-        self._stopping = threading.Event()
         self._poller = threading.Thread(target=self._poll_loop,
                                         name=f"poll-{self.site}", daemon=True)
         self._poller.start()
 
     def stop(self) -> None:
-        if self._stopping is not None:
-            self._stopping.set()
+        self._stopping.set()
         if self._server is not None:
             self._server.stop()
-        self._fan_out_pool.shutdown(wait=False, cancel_futures=True)
         if self._poller is not None:
             self._poller.join(timeout=5)
 
@@ -308,53 +322,26 @@ class GridNode:
         self._peer_address(site)  # UnknownPeer unless the site is a VO member
         return peer(params, binary)
 
-    def _peer_request(self, site: str, op: str, extra: dict,
-                      timeout: float = QUERY_TIMEOUT_S) -> tuple[dict, bytes]:
+    def _peer_send(self, site: str, op: str, extra: dict,
+                   timeout: float = QUERY_TIMEOUT_S) -> Exchange:
+        """Sign and write one peer request; `_peer_reply` reads its answer.
+        PeerUnreachable when it cannot be written."""
         req_id = secrets.token_hex(8)
         params = dict(extra, peer_site=self.site,
                       peer_sig=peer_signature(self.vo_key, self.site, op, req_id))
-        result, _, data = call(self._peer_address(site), op, params,
-                               unreachable=PeerUnreachable, req_id=req_id,
-                               timeout=timeout)
+        return start_call(self._peer_address(site), op, params,
+                          unreachable=PeerUnreachable, req_id=req_id, timeout=timeout)
+
+    @staticmethod
+    def _peer_reply(exchange: Exchange) -> tuple[dict, bytes]:
+        """The result and binary of a peer's answer; PeerUnreachable when it
+        cannot be read, and the peer's own error when it answered one."""
+        result, _, data = finish_call(exchange, PeerUnreachable)
         return result, data
 
-    def _fan_out(self, sites: list[str], fn, *args) -> tuple[dict, list[str]]:
-        """Run ``fn(site, *args)`` for every site in parallel, on the node's
-        fan-out pool, which lives as long as the node; each call's request
-        goes out on a pooled connection when one to that site is idle.
-
-        A call holds a pool thread until its site answers or times out, so a
-        hung peer ties up one thread per query that asked it.  The pool's
-        FAN_OUT_WORKERS (32) threads let that many peer calls wait at once
-        before a new fan-out queues, far above the handful of concurrent
-        queries a site serves.
-
-        Returns the answers by site, and a warning for each site whose call
-        raised a GridError: ``"<site> unreachable: …"`` when the site could
-        not be reached or was stopped, ``"<site> answer too large: …"`` when
-        its answer did not fit in a frame, and ``"<site> refused: <code>: …"``
-        for any other error, such as a part that failed the origin's checks
-        or an error the site answered.  Once `stop` has shut the pool down, a
-        fan-out raises NodeStopped.
-        """
-        answers, warnings = {}, []
-        try:
-            futures = {site: self._fan_out_pool.submit(fn, site, *args)
-                       for site in sites}
-        except RuntimeError:  # the pool is shut down
-            raise NodeStopped(f"node {self.site} is stopped") from None
-        for site, future in futures.items():
-            try:
-                answers[site] = future.result()
-            except (PeerUnreachable, NodeStopped) as e:
-                warnings.append(f"{site} unreachable: {e.message}")
-            except AnswerTooLarge as e:
-                warnings.append(f"{site} answer too large: {e.message}")
-            except GridError as e:
-                warnings.append(f"{site} refused: {e.code}: {e.message}")
-            except CancelledError:  # shut down before the call started
-                raise NodeStopped(f"node {self.site} is stopped") from None
-        return answers, sorted(warnings)
+    def _peer_request(self, site: str, op: str, extra: dict,
+                      timeout: float = QUERY_TIMEOUT_S) -> tuple[dict, bytes]:
+        return self._peer_reply(self._peer_send(site, op, extra, timeout))
 
     # --- AUTH ------------------------------------------------------------------------
 
@@ -508,29 +495,65 @@ class GridNode:
         this method's name."""
         return self.catalog.select(q)
 
-    def _scatter(self, q: FormalQuery, local, remote, *args) -> tuple[dict, list[str]]:
-        """The scatter-gather of QUERY and EXEC_ALG: ``local(q)`` here, then
-        ``remote(site, *args)`` on the fan-out pool for each remote site that
-        `decompose` picks from the membership.  Returns the answers by site,
-        this one's included, and the fan-out's warnings."""
+    def _scatter(self, q: FormalQuery, local, op: str, params: dict,
+                 remote, *args) -> tuple[dict, list[str]]:
+        """The scatter-gather of QUERY and EXEC_ALG, on the calling thread.
+
+        It writes ``op`` with ``params`` to each remote site that `decompose`
+        picks from the membership, runs ``local(q)`` while they work, then
+        runs ``remote(site, exchange, *args)``, which reads and checks a
+        site's answer, for each site as its answer becomes readable.  The
+        answers get QUERY_TIMEOUT_S in all, counted from the last send; a
+        site still silent then is unreachable, and an answer that has begun
+        to arrive gets QUERY_TIMEOUT_S for each read.  The sends go out one
+        after another, so a dial that hangs delays the sends after it.
+
+        Returns the answers by site, this one's included, and a warning for
+        each site whose send or answer raised a GridError: ``"<site>
+        unreachable: …"`` when the site could not be reached or was stopped,
+        ``"<site> answer too large: …"`` when its answer did not fit in a
+        frame, and ``"<site> refused: <code>: …"`` for any other error, such
+        as a part that failed the origin's checks or an error the site
+        answered.  Once `stop` has run, it raises NodeStopped and sends
+        nothing."""
+        if self._stopping.is_set():
+            raise NodeStopped(f"node {self.site} is stopped")
         remotes = decompose(q, sorted(self.membership()), self.site)
-        answers = {self.site: local(q)}
-        remote_answers, warnings = self._fan_out(remotes, remote, *args)
-        answers.update(remote_answers)
-        return answers, warnings
+        sent, warnings = {}, []
+        try:
+            for site in remotes:
+                try:
+                    sent[site] = self._peer_send(site, op, params, QUERY_TIMEOUT_S)
+                except GridError as e:
+                    warnings.append(_warning(site, e))
+            deadline = time.monotonic() + QUERY_TIMEOUT_S
+            answers = {self.site: local(q)}
+            for site, exchange in gather(sent, deadline):
+                del sent[site]
+                try:
+                    answers[site] = remote(site, exchange, *args)
+                except GridError as e:
+                    warnings.append(_warning(site, e))
+        finally:  # after a local part or a check that raised: drop the unread
+            for exchange in sent.values():
+                exchange.close()
+        return answers, sorted(warnings)
 
     def run_query(self, query_text: str) -> tuple[ResultSet, list[str]]:
         """The federated pipeline; returns (merged result, warnings)."""
         q = parse_query(query_text)
         canonical = print_query(q)
-        parts, warnings = self._scatter(q, self._local_resultset, self._remote_query,
-                                        q, canonical)
+        parts, warnings = self._scatter(q, self._local_resultset, "RQUERY",
+                                        {"text": canonical, "hop": 1},
+                                        self._remote_query, q, canonical)
         return merge(canonical, parts), warnings
 
-    def _remote_query(self, site: str, q: FormalQuery, canonical: str) -> Part:
-        """One peer's part, checked as a whole by `checked_part`; the fan-out
-        drops a part that fails a check."""
-        result, _ = self._peer_request(site, "RQUERY", {"text": canonical, "hop": 1})
+    def _remote_query(self, site: str, exchange: Exchange, q: FormalQuery,
+                      canonical: str) -> Part:
+        """One peer's part, read from its RQUERY ``exchange`` and checked as
+        a whole by `checked_part`; `_scatter` drops a part that fails a
+        check."""
+        result, _ = self._peer_reply(exchange)
         return checked_part(result, q, canonical, site)
 
     def _op_query(self, params, binary):
@@ -656,8 +679,10 @@ class GridNode:
             raise UnknownAlgorithm(f"no algorithm {name!r}"
                                    + (f" v{version}" if version is not None else ""))
         q = self._selector_query(selector)
-        per_site, warnings = self._scatter(q, partial(self._execute_local, record),
-                                           self._remote_exec, record, print_query(q))
+        per_site, warnings = self._scatter(
+            q, partial(self._execute_local, record), "EXEC_ALG",
+            {"algorithm": record.to_json(), "selector": print_query(q), "hop": 1},
+            self._remote_exec)
         return {"written": sum(per_site.values()),
                 "per_site": per_site}, warnings, b""
 
@@ -669,10 +694,10 @@ class GridNode:
         q = self._selector_query(text_param(params, "selector"))
         return {"written": self._execute_local(local_record, q)}, [], b""
 
-    def _remote_exec(self, site: str, record: AlgorithmRecord, selector: str) -> int:
-        result, _ = self._peer_request(site, "EXEC_ALG", {
-            "algorithm": record.to_json(), "selector": selector, "hop": 1,
-        })
+    def _remote_exec(self, site: str, exchange: Exchange) -> int:
+        """How many derived records a peer wrote, read from its EXEC_ALG
+        ``exchange``."""
+        result, _ = self._peer_reply(exchange)
         written = result.get("written") if isinstance(result, dict) else None
         if type(written) is not int:
             raise SchemaViolation(f"{site} answered EXEC_ALG without an integer "

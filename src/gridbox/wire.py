@@ -8,7 +8,7 @@ carry ``{id, op, token, params, binary_len}``; responses carry
 they are exactly ``json.dumps(envelope, sort_keys=True, separators=(",",
 ":"))``.  :func:`encode_envelope` writes a list of two or more strings that
 need no escaping (answer columns, mostly) with one ``str.join``, and hands
-everything else to the standard library's encoder.
+everything else to the standard library's C encoder, one call per value.
 
 The module also hosts two observation points used by the test harness and
 the ``stats`` service:
@@ -18,11 +18,17 @@ the ``stats`` service:
 * :class:`TrafficAccountant` — per-op frame/byte counters that servers feed
   from their receive/replay loop (the data-locality ledger).
 
-Connections are reused.  :func:`request` keeps each connection it finished
+A request is written by :func:`send` and its answer read by
+:func:`receive`; :func:`request` is the two in a row.  A caller with
+several requests out at once writes them all, then reads each answer as it
+arrives (:func:`gather`), on its own thread.
+
+Connections are reused.  :func:`receive` keeps each connection it finished
 a clean exchange on in a small process-wide pool, keyed by address, and
-takes it from there for the next request to that address; a server answers
-any number of frames on one connection and keeps no state between them, so
-clients, the registry client and peers can share pooled connections.
+:func:`send` takes it from there for the next request to that address; a
+server answers any number of frames on one connection and keeps no state
+between them, so clients, the registry client and peers can share pooled
+connections.
 :meth:`FramedServer.stop` shuts every connection it accepted, so a stopped
 server cannot answer over a pooled one.
 
@@ -34,15 +40,17 @@ from __future__ import annotations
 
 import hmac
 import json
+import math
 import secrets
 import select
 import socket
 import struct
 import sys
 import threading
+import time
 import traceback
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from gridbox.errors import AnswerTooLarge, GridError, ProtocolError, error_from_code
 
@@ -106,40 +114,50 @@ class TrafficAccountant:
             return self._per_op.get(op, {}).get("binary_bytes", 0)
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# the JSON text of a str, an exact int, a bool and None, by exact type
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
-            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+# The C encoder that ``json.dumps(value, sort_keys=True, separators=(",",
+# ":"))`` builds anew on each call, built once: ``_ENCODE(value, 0)`` returns
+# the pieces of ``value``'s text.  It skips the check for circular
+# references, whose table of the values being written would be shared by
+# every thread.
+_ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                         None, ":", ",", True, False, True)
 # the ASCII bytes JSON writes as they are: printable, bar '"' and '\\'
 _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"").replace(b"\\", b"")
+
+
+def _is_column(value) -> bool:
+    """Whether ``value`` is a list of two or more items whose first is a str."""
+    return type(value) is list and len(value) > 1 and type(value[0]) is str
+
+
+def _holds_column(value: dict) -> bool:
+    """Whether the dict ``value`` holds a column, directly or in a dict."""
+    for item in value.values():
+        if type(item) is dict:
+            if _holds_column(item):
+                return True
+        elif _is_column(item):
+            return True
+    return False
 
 
 def _write(value, out: list) -> None:
     """Append to ``out`` the pieces of ``value``'s canonical JSON text.
 
-    A str, an exact int, a bool, None and an empty list are written
-    directly.  A dict with only str keys is written key by key in sorted
-    order.  A list of two or more strings is joined in one call when the
-    joined text holds nothing JSON escapes, which one byte-deletion test
-    decides: once the plain bytes are deleted, only the separators' quotes
-    may remain.  Anything else (a float, a one-item list, a list holding a
-    non-str or a text to escape, a dict with a non-str key) is written by
-    ``_ENCODER``."""
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        out.append(scalar(value))
-        return
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+    A dict with only str keys that holds a list of two or more strings is
+    written key by key in sorted order.  Such a list is joined in one call
+    when the joined text holds nothing JSON escapes, which one
+    byte-deletion test decides: once the plain bytes are deleted, only the
+    separators' quotes may remain.  Everything else, a list with a non-str
+    or a text to escape included, is written by one ``_ENCODE`` call."""
+    if type(value) is dict and _holds_column(value) and all(type(k) is str for k in value):
         out.append("{")
         for i, (key, item) in enumerate(sorted(value.items())):
             out.append(("," if i else "") + encode_basestring_ascii(key) + ":")
             _write(item, out)
         out.append("}")
         return
-    if isinstance(value, list) and not value:
-        out.append("[]")
-        return
-    if isinstance(value, list) and len(value) > 1:
+    if _is_column(value):
         try:
             joined = '","'.join(value)
         except TypeError:  # an item that is not a str
@@ -149,7 +167,7 @@ def _write(value, out: list) -> None:
                     == 2 * (len(value) - 1)):
                 out += ('["', joined, '"]')
                 return
-    out.append(_ENCODER.encode(value))
+    out += _ENCODE(value, 0)
 
 
 def encode_envelope(envelope: dict) -> bytes:
@@ -286,21 +304,29 @@ def _check_response(response: dict) -> None:
         raise ProtocolError("error response carries no string code and message")
 
 
-def request(address: tuple[str, int], op: str, params: dict, *,
-            token: str = "", binary: bytes = b"", req_id: str = "",
-            timeout: float = 10.0) -> tuple[dict, bytes]:
-    """One request/response exchange, on a pooled connection to ``address``
-    when there is an idle one and on a new one otherwise, after dropping the
-    idle connections whose server has stopped (:func:`_sweep`).
+class Exchange:
+    """A request written to a connection, whose answer `receive` reads."""
 
-    Returns the raw response envelope and its binary section; error-status
-    envelopes are returned, not raised (:func:`call` raises them).  A caller
-    that signs the request id passes it as ``req_id``.  The connection goes
-    back to the pool only after an answer whose id, status and shape check
-    out (:func:`_check_response`); on any failure it is closed.  A request
-    is written once: a failure after it is sent raises, and is never retried
-    on another connection.
-    """
+    __slots__ = ("key", "op", "req_id", "sock", "expired")
+
+    def __init__(self, key: tuple[str, int], op: str, req_id: str, sock: socket.socket):
+        self.key, self.op, self.req_id, self.sock = key, op, req_id, sock
+        self.expired = False  # set by `gather` when its wait ran out first
+
+    def close(self) -> None:
+        """Drop the connection without reading the answer."""
+        self.sock.close()
+
+
+def send(address: tuple[str, int], op: str, params: dict, *,
+         token: str = "", binary: bytes = b"", req_id: str = "",
+         timeout: float = 10.0) -> Exchange:
+    """Write one request, on a pooled connection to ``address`` when there
+    is an idle one and on a new one otherwise, after dropping the idle
+    connections whose server has stopped (:func:`_sweep`).  A caller that
+    signs the request id passes it as ``req_id``.  ``timeout`` bounds the
+    dial, the write and each read of the answer.  On any failure the
+    connection is closed."""
     req_id = req_id or secrets.token_hex(8)
     envelope = {"id": req_id, "op": op, "token": token, "params": params}
     key = (address[0], address[1])
@@ -311,11 +337,30 @@ def request(address: tuple[str, int], op: str, params: dict, *,
     try:
         sock.settimeout(timeout)
         send_frame(sock, envelope, binary)
+    except BaseException:
+        sock.close()
+        raise
+    return Exchange(key, op, req_id, sock)
+
+
+def receive(exchange: Exchange) -> tuple[dict, bytes]:
+    """Read the answer to ``exchange``'s request: the raw response envelope
+    and its binary section.  Error-status envelopes are returned, not raised
+    (:func:`call` raises them).  The connection goes back to the pool only
+    after an answer whose id, status and shape check out
+    (:func:`_check_response`); on any failure, an expired exchange's
+    ``TimeoutError`` included, it is closed.  A request is written once: a
+    failure after it is sent raises, and is never retried on another
+    connection."""
+    sock = exchange.sock
+    try:
+        if exchange.expired:
+            raise TimeoutError("timed out")
         got = recv_frame(sock)
         if got is None:
             raise ProtocolError("peer closed the connection without answering")
         response, resp_binary, _ = got
-        if response.get("id") != req_id:
+        if response.get("id") != exchange.req_id:
             raise ProtocolError("response id does not match request id")
         if response.get("status") not in ("ok", "error"):
             raise ProtocolError(f"bad response status {response.get('status')!r}")
@@ -323,14 +368,62 @@ def request(address: tuple[str, int], op: str, params: dict, *,
     except BaseException:
         sock.close()
         raise
-    _checkin(key, sock)
+    _checkin(exchange.key, sock)
     return response, resp_binary
+
+
+def request(address: tuple[str, int], op: str, params: dict, *,
+            token: str = "", binary: bytes = b"", req_id: str = "",
+            timeout: float = 10.0) -> tuple[dict, bytes]:
+    """One request/response exchange: :func:`send`, then :func:`receive`."""
+    return receive(send(address, op, params, token=token, binary=binary,
+                        req_id=req_id, timeout=timeout))
+
+
+def gather(exchanges: dict, deadline: float):
+    """Yield ``(key, exchange)`` for each item of ``exchanges`` once its
+    connection has something to read, in the order they become readable,
+    until ``deadline`` (a `time.monotonic` value); then the others, marked
+    expired, so that `receive` closes each with a timeout.  Answers that are
+    readable when the deadline has already passed are still yielded as they
+    are.  One `select.poll` watches every connection, so no descriptor
+    number is too large to watch, and a silent connection never holds up
+    the reading of another."""
+    waiting = {exchange.sock.fileno(): (key, exchange)
+               for key, exchange in exchanges.items()}
+    poller = select.poll()
+    for fd in waiting:
+        poller.register(fd, select.POLLIN)
+    while waiting:
+        events = poller.poll(max(0, math.ceil((deadline - time.monotonic()) * 1000)))
+        if not events and time.monotonic() >= deadline:
+            break
+        for fd, _ in events:
+            poller.unregister(fd)
+            yield waiting.pop(fd)
+    for key, exchange in waiting.values():
+        exchange.expired = True
+        yield key, exchange
+
+
+def _unreachable(unreachable: type[GridError], key: tuple[str, int], op: str,
+                 error: Exception) -> GridError:
+    return unreachable(f"{op} to {key[0]}:{key[1]}: {error}")
+
+
+def _outcome(response: dict, resp_binary: bytes) -> tuple[dict, list, bytes]:
+    """``(result, warnings, binary)`` of an ok envelope; an error envelope
+    raises the error the far side reported, under its own code."""
+    if response["status"] == "error":
+        raise error_from_code(response["error_code"],
+                              response["result"].get("message", ""))
+    return response["result"], response.get("warnings", []), resp_binary
 
 
 def call(address: tuple[str, int], op: str, params: dict, *,
          unreachable: type[GridError], token: str = "", binary: bytes = b"",
          req_id: str = "", timeout: float = 10.0) -> tuple[dict, list, bytes]:
-    """The one request path of clients, the registry client and peers.
+    """The one request path of clients and the registry client.
 
     Returns ``(result, warnings, binary)``.  Failing to reach ``address`` or
     to get a well-formed answer raises ``unreachable``; an error envelope
@@ -341,11 +434,29 @@ def call(address: tuple[str, int], op: str, params: dict, *,
                                         binary=binary, req_id=req_id,
                                         timeout=timeout)
     except (OSError, ProtocolError) as e:
-        raise unreachable(f"{op} to {address[0]}:{address[1]}: {e}") from e
-    if response["status"] == "error":
-        raise error_from_code(response["error_code"],
-                              response["result"].get("message", ""))
-    return response["result"], response.get("warnings", []), resp_binary
+        raise _unreachable(unreachable, address, op, e) from e
+    return _outcome(response, resp_binary)
+
+
+def start_call(address: tuple[str, int], op: str, params: dict, *,
+               unreachable: type[GridError], req_id: str = "",
+               timeout: float = 10.0) -> Exchange:
+    """The first half of :func:`call`, for a request with no token or binary:
+    the request written, or ``unreachable``."""
+    try:
+        return send(address, op, params, req_id=req_id, timeout=timeout)
+    except (OSError, ProtocolError) as e:
+        raise _unreachable(unreachable, address, op, e) from e
+
+
+def finish_call(exchange: Exchange,
+                unreachable: type[GridError]) -> tuple[dict, list, bytes]:
+    """The second half of :func:`call`: the answer to a :func:`start_call`."""
+    try:
+        response, resp_binary = receive(exchange)
+    except (OSError, ProtocolError) as e:
+        raise _unreachable(unreachable, exchange.key, exchange.op, e) from e
+    return _outcome(response, resp_binary)
 
 
 def ok_response(req_id: str, result: dict, warnings: list | None = None) -> dict:

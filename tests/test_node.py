@@ -351,7 +351,8 @@ def test_retrieve_unknown_ids(session_vo):
 def test_each_call_waits_its_constant(make_vo, monkeypatch):
     """Peer RQUERY, EXEC_ALG and ADD_ALG wait QUERY_TIMEOUT_S, PEER_FETCH
     RELAY_TIMEOUT_S, the client 30 s but 90 s for RETRIEVE, the registry
-    client 5 s."""
+    client 5 s.  A node writes every peer request through `start_call`;
+    clients and the registry client go through `call`."""
     from gridbox import client as client_module
     from gridbox import registry as registry_module
 
@@ -365,7 +366,8 @@ def test_each_call_waits_its_constant(make_vo, monkeypatch):
             return real(address, op, params, **kw)
         return call
 
-    for module in (node_module, client_module, registry_module):
+    monkeypatch.setattr(node_module, "start_call", spy(node_module.start_call))
+    for module in (client_module, registry_module):
         monkeypatch.setattr(module, "call", spy(module.call))
     cam = vo.client("CAM")
     cam.query("select images where true")
@@ -956,18 +958,17 @@ def test_a_peer_answer_too_large_is_not_called_unreachable(make_vo, monkeypatch)
 
 def threads_of(vo):
     """A test for the threads of ``vo``: those of its servers and their
-    connections, its nodes' pollers and its nodes' fan-out pools.  Threads
-    of other VOs alive in the process, such as the session VO's, fail it."""
+    connections, and its nodes' pollers; a node has no others, since it
+    scatters on the thread that serves the request.  Threads of other VOs
+    alive in the process, such as the session VO's, fail it."""
     ports = [vo.registry.address[1], *(node.address[1] for node in vo.nodes.values())]
     names = {f"{role}-{port}" for port in ports for role in ("server", "conn")}
     pollers = {node._poller for node in vo.nodes.values()}
-    pools = [node._fan_out_pool._threads for node in vo.nodes.values()]
-    return lambda thread: (thread.name in names or thread in pollers
-                           or any(thread in pool for pool in pools))
+    return lambda thread: thread.name in names or thread in pollers
 
 
 def test_stopped_vos_leave_no_threads(tmp_path):
-    """Connection threads, pollers and each node's fan-out pool end with the VO."""
+    """Connection threads and pollers end with the VO."""
     owned = []
     for n in range(3):
         vo = build_vo(tmp_path / f"vo{n}")
@@ -988,17 +989,199 @@ def test_stopped_vos_leave_no_threads(tmp_path):
     assert left() == []
 
 
-def test_stopped_node_refuses_to_fan_out_with_a_typed_error(make_vo, capsys):
+def test_stopped_node_refuses_to_fan_out_with_a_typed_error(make_vo, monkeypatch, capsys):
+    """Once `stop` has run, a QUERY or EXEC_ALG at the node raises
+    NodeStopped before any peer request is written."""
     vo = make_vo()
     node, token = vo.nodes["CAM"], vo.client("CAM").token
+    sent = []
+    monkeypatch.setattr(GridNode, "_peer_send", lambda self, *args: sent.append(args))
     node.stop()
     with pytest.raises(NodeStopped):
         node.run_query("select images where true")
-    envelope = {"id": "q1", "op": "QUERY", "token": token,
-                "params": {"text": "select images where true"}}
-    response, _ = node._handle(envelope, b"")
-    assert response["error_code"] == "NodeStopped"
+    for op, params in (("QUERY", {"text": "select images where true"}),
+                       ("EXEC_ALG", {"name": "smf-density",
+                                     "selector": "select images where true"})):
+        envelope = {"id": "q1", "op": op, "token": token, "params": params}
+        response, _ = node._handle(envelope, b"")
+        assert response["error_code"] == "NodeStopped"
+    assert sent == []
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_scatter_starts_no_thread(make_vo, monkeypatch):
+    """The origin sends, runs its local part and reads the answers on the
+    thread that serves the request: no thread is started from there."""
+    vo = make_vo(sites=("CAM", "LEE", "UDI"))
+    for site in vo.nodes:
+        vo.client(site).add_bytes(make_image_bytes())
+    serving = f"conn-{vo.nodes['CAM'].address[1]}"
+    starters, start = [], threading.Thread.start
+
+    def recording_start(thread):
+        starters.append(threading.current_thread().name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    result, warnings = vo.client("CAM").query("select images where true")
+    got, exec_warnings = vo.client("CAM").exec_algorithm("smf-density",
+                                                         "select images where true")
+    assert len(result.rows) == 3 and warnings == []
+    assert got["per_site"] == {"CAM": 1, "LEE": 1, "UDI": 1} and exec_warnings == []
+    assert serving not in starters
+
+
+def spy_on_the_scatter(monkeypatch) -> list:
+    """Record, in order, each scatter request a node has written, as
+    ``("sent", node, op, site)``, and each start of a node's local part,
+    as ``("local", node)``."""
+    events = []
+    send, local_query, local_exec = (GridNode._peer_send, GridNode._local_resultset,
+                                     GridNode._execute_local)
+
+    def recording_send(self, site, op, extra, *args):
+        exchange = send(self, site, op, extra, *args)
+        if op in ("RQUERY", "EXEC_ALG"):
+            events.append(("sent", self.site, op, site))
+        return exchange
+
+    def recording_local_query(self, q):
+        events.append(("local", self.site))
+        return local_query(self, q)
+
+    def recording_local_exec(self, record, q):
+        events.append(("local", self.site))
+        return local_exec(self, record, q)
+
+    monkeypatch.setattr(GridNode, "_peer_send", recording_send)
+    monkeypatch.setattr(GridNode, "_local_resultset", recording_local_query)
+    monkeypatch.setattr(GridNode, "_execute_local", recording_local_exec)
+    return events
+
+
+@pytest.mark.parametrize("op", ["RQUERY", "EXEC_ALG"])
+def test_every_peer_request_is_written_before_the_local_part_starts(make_vo, monkeypatch,
+                                                                   op):
+    """Before, the origin ran its local part to the end and only then sent
+    the peers their requests, so its own work never overlapped theirs."""
+    vo = make_vo(sites=("CAM", "LEE", "UDI"))
+    for site in vo.nodes:
+        vo.client(site).add_bytes(make_image_bytes())
+    events = spy_on_the_scatter(monkeypatch)
+    client = vo.client("CAM")
+    if op == "RQUERY":
+        result, warnings = client.query("select images where true")
+        assert len(result.rows) == 3
+    else:
+        got, warnings = client.exec_algorithm("smf-density", "select images where true")
+        assert got["per_site"] == {"CAM": 1, "LEE": 1, "UDI": 1}
+    assert warnings == []
+    assert [event for event in events if event[1] == "CAM"] == [
+        ("sent", "CAM", op, "LEE"), ("sent", "CAM", op, "UDI"), ("local", "CAM")]
+
+
+def hang(node, op: str, release: threading.Event) -> None:
+    """Make ``node``'s peer handler for ``op`` wait for ``release``."""
+    user, peer = node._ops[op]
+
+    def hung(params, binary):
+        release.wait(30)
+        return peer(params, binary)
+
+    node._ops[op] = (user, hung)
+
+
+@pytest.fixture
+def release():
+    """An event the hung handlers wait for; set at teardown, so that their
+    threads end."""
+    event = threading.Event()
+    yield event
+    event.set()
+
+
+TIMEOUT_S = 1.0  # QUERY_TIMEOUT_S in the hung-peer tests
+LARGE_PART_ROWS = 40_000  # ~4 MB of RQUERY answer
+
+
+def answer_a_large_part(node) -> None:
+    """Make ``node`` answer RQUERY ``select images where true`` with a
+    well-formed part of LARGE_PART_ROWS rows."""
+    user, peer = node._ops["RQUERY"]
+    ids = [f"{node.site}:image:{n:032x}" for n in range(LARGE_PART_ROWS)]
+    patients = [f"{node.site}:patient:{n:032x}" for n in range(LARGE_PART_ROWS)]
+
+    def large(params, binary):
+        answer, warnings, data = peer(params, binary)
+        return dict(answer, ids=ids, fields={"patient.id": patients}), warnings, data
+
+    node._ops["RQUERY"] = (user, large)
+
+
+def test_a_hung_peer_costs_one_timeout_and_a_large_answer_still_arrives(
+        make_vo, monkeypatch, release):
+    """LEE's RQUERY handler hangs past QUERY_TIMEOUT_S while UDI answers a
+    large part: CAM reads UDI's part in full as soon as it arrives, not
+    after LEE's wait, and reports LEE unreachable, about one timeout after
+    it sent."""
+    monkeypatch.setattr(node_module, "QUERY_TIMEOUT_S", TIMEOUT_S)
+    vo = make_vo(sites=("CAM", "LEE", "UDI"))
+    vo.client("CAM").add_bytes(make_image_bytes())
+    hang(vo.nodes["LEE"], "RQUERY", release)
+    answer_a_large_part(vo.nodes["UDI"])
+    reads, read = [], GridNode._remote_query
+
+    def timed_read(node, site, *args):
+        try:
+            return read(node, site, *args)
+        finally:
+            reads.append((site, time.monotonic() - started))
+
+    monkeypatch.setattr(GridNode, "_remote_query", timed_read)
+    started = time.monotonic()
+    result, warnings = vo.client("CAM").query("select images where true")
+    elapsed = time.monotonic() - started
+    assert [site for site, _ in reads] == ["UDI", "LEE"]
+    assert reads[0][1] < 0.5 * TIMEOUT_S
+    assert len(result.rows) == 1 + LARGE_PART_ROWS
+    assert result.origin_sites == frozenset({"CAM", "UDI"})
+    assert len(warnings) == 1
+    assert warnings[0].startswith("LEE unreachable: RQUERY to ")
+    assert warnings[0].endswith(": timed out")
+    assert TIMEOUT_S <= elapsed < 1.8 * TIMEOUT_S
+
+
+def test_a_hung_peer_exec_costs_one_timeout(make_vo, monkeypatch, release):
+    monkeypatch.setattr(node_module, "QUERY_TIMEOUT_S", TIMEOUT_S)
+    vo = make_vo(sites=("CAM", "LEE", "UDI"))
+    for site in vo.nodes:
+        vo.client(site).add_bytes(make_image_bytes())
+    hang(vo.nodes["LEE"], "EXEC_ALG", release)
+    started = time.monotonic()
+    got, warnings = vo.client("CAM").exec_algorithm("smf-density",
+                                                    "select images where true")
+    elapsed = time.monotonic() - started
+    assert got["per_site"] == {"CAM": 1, "UDI": 1}
+    assert len(warnings) == 1
+    assert warnings[0].startswith("LEE unreachable: EXEC_ALG to ")
+    assert TIMEOUT_S <= elapsed < 1.8 * TIMEOUT_S
+
+
+def test_two_hung_peers_cost_one_timeout_together(make_vo, monkeypatch, release):
+    """QUERY_TIMEOUT_S is one wait for all the peers of a scatter, not one
+    wait per peer in turn."""
+    monkeypatch.setattr(node_module, "QUERY_TIMEOUT_S", TIMEOUT_S)
+    vo = make_vo(sites=("CAM", "LEE", "NOR", "UDI"))
+    vo.client("UDI").add_bytes(make_image_bytes())
+    for site in ("LEE", "NOR"):
+        hang(vo.nodes[site], "RQUERY", release)
+    started = time.monotonic()
+    result, warnings = vo.client("CAM").query("select images where true")
+    elapsed = time.monotonic() - started
+    assert [r.id.split(":")[0] for r in result.rows] == ["UDI"]
+    assert [w.split(" ", 2)[:2] for w in warnings] == [["LEE", "unreachable:"],
+                                                       ["NOR", "unreachable:"]]
+    assert TIMEOUT_S <= elapsed < 1.8 * TIMEOUT_S
 
 
 @pytest.mark.parametrize("op", [["QUERY"], {"op": "QUERY"}], ids=["list", "object"])

@@ -21,7 +21,9 @@ from gridbox.wire import (
     call,
     encode_envelope,
     error_response,
+    gather,
     ok_response,
+    receive,
     recv_frame,
     remove_capture_tap,
     request,
@@ -113,13 +115,13 @@ def test_a_bool_is_not_written_as_the_int_it_equals(value):
 def encoded(monkeypatch):
     """The values handed to the module's JSON encoder, in order."""
     seen = []
+    real = wire._ENCODE
 
-    class Spy(json.JSONEncoder):
-        def encode(self, o):
-            seen.append(o)
-            return super().encode(o)
+    def spy(o, level):
+        seen.append(o)
+        return real(o, level)
 
-    monkeypatch.setattr(wire, "_ENCODER", Spy(sort_keys=True, separators=(",", ":")))
+    monkeypatch.setattr(wire, "_ENCODE", spy)
     return seen
 
 
@@ -143,6 +145,22 @@ def test_a_column_with_a_null_or_a_text_to_escape_is_encoded(encoded, cell):
     envelope = answer_of(column)
     assert encode_envelope(envelope) == reference_bytes(envelope)
     assert any(value is column for value in encoded)
+
+
+@pytest.mark.parametrize("envelope", [
+    dict(ok_response("0123456789abcdef", {
+        "file": {"id": "CAM:file:" + "a" * 32, "sha256": "b" * 64, "size": 1234},
+        "image": "CAM:image:" + "c" * 32, "changed": True}), binary_len=0),
+    {"id": "0123456789abcdef", "op": "RQUERY", "token": "", "binary_len": 0,
+     "params": {"text": "select images where true", "hop": 1, "peer_site": "CAM",
+                "peer_sig": "d" * 64}},
+    answer_of(["CAM:image:" + "e" * 32]),
+], ids=["add-answer", "rquery-request", "one-row-answer"])
+def test_an_envelope_without_a_column_is_one_encoder_call(encoded, envelope):
+    """An envelope that holds no list of two or more strings is not walked
+    key by key: the encoder writes all of it at once."""
+    assert encode_envelope(envelope) == reference_bytes(envelope)
+    assert encoded == [envelope]
 
 
 def test_clean_eof_returns_none():
@@ -269,6 +287,60 @@ def test_accountant_counts_per_op():
 
 def echo_handler(envelope, binary):
     return ok_response(envelope["id"], {"echo": envelope["params"]}), binary
+
+
+def unanswered(req_id: str = "r1"):
+    """An exchange over a socket pair whose answer is still to come, and the
+    far end of the pair, which answers it."""
+    near, far = socket.socketpair()
+    return wire.Exchange(("local", 0), "RQUERY", req_id, near), far
+
+
+def test_gather_yields_each_exchange_as_its_answer_arrives():
+    (first, first_far), (second, second_far) = unanswered(), unanswered()
+    try:
+        waiting = gather({"first": first, "second": second}, time.monotonic() + 5)
+        send_frame(second_far, ok_response("r1", {}))
+        assert next(waiting) == ("second", second) and not second.expired
+        send_frame(first_far, ok_response("r1", {}))
+        assert next(waiting) == ("first", first) and not first.expired
+        assert next(waiting, None) is None
+    finally:
+        for sock in (first.sock, first_far, second.sock, second_far):
+            sock.close()
+
+
+def test_gather_marks_the_silent_exchanges_expired_at_the_deadline():
+    """The silent exchange comes last, expired, and `receive` closes its
+    connection with a timeout; an answer that is ready before that is not
+    held up by it."""
+    (silent, silent_far), (ready, ready_far) = unanswered(), unanswered()
+    send_frame(ready_far, ok_response("r1", {}))
+    started = time.monotonic()
+    try:
+        got = list(gather({"silent": silent, "ready": ready}, started + 0.2))
+        assert got == [("ready", ready), ("silent", silent)]
+        assert silent.expired and not ready.expired
+        assert 0.2 <= time.monotonic() - started < 2
+        with pytest.raises(TimeoutError):
+            receive(silent)
+        assert silent.sock.fileno() == -1
+    finally:
+        for sock in (silent.sock, silent_far, ready.sock, ready_far):
+            sock.close()
+
+
+def test_gather_yields_an_answer_that_is_ready_after_its_deadline():
+    """A deadline that passed while the caller was busy still lets the
+    answers that arrived meanwhile be read."""
+    exchange, far = unanswered()
+    send_frame(far, ok_response("r1", {}))
+    try:
+        assert list(gather({"x": exchange}, time.monotonic() - 1)) == [("x", exchange)]
+        assert not exchange.expired
+    finally:
+        exchange.sock.close()
+        far.close()
 
 
 def test_server_answers_requests():
