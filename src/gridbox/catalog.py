@@ -32,11 +32,13 @@ strings and texts for the pending rows only and merging them in by image id,
 and indexes the stale derived values again; its Python work grows with what
 was written since the last select, not with the site.  `select` evaluates
 the parsed query as boolean masks over the numpy columns, then gathers the
-ids and each projected field's texts of the matched rows from the lists:
-the numpy columns decide which rows match and never what a field says.  It
-returns them as a `Part`: the row ids plus one column per projected field.
-No `Row` is built here: `resultset.merge` joins the sites' parts column by
-column, and the answer stays in columns until its XML is written.
+ids and each projected field's texts of the matched rows from the lists,
+each with one call of an ``operator.itemgetter`` built once per select over
+the matched rows: the numpy columns decide which rows match and never what
+a field says.  It returns them as a `Part`: the row ids, strictly
+increasing, plus one column per projected field.  No `Row` is built here:
+`resultset.merge` joins the sites' parts column by column, and the answer
+stays in columns until its XML is written.
 """
 
 from __future__ import annotations
@@ -178,6 +180,16 @@ def _merge_ranks(rank_of: dict, ranks: np.ndarray, new_ids: list):
 def _permuted(old: list, new: list, order: list | None) -> list:
     """``old + new`` in ``order`` (None: as it stands), as a new list."""
     return old + new if order is None else list(map((old + new).__getitem__, order))
+
+
+def _gather(rows: list):
+    """A function from a list to the list of its items at ``rows``; for two
+    rows or more, one call of an ``operator.itemgetter`` built here."""
+    if len(rows) > 1:
+        take = operator.itemgetter(*rows)
+        return lambda column: list(take(column))
+    # an itemgetter of one index returns the item, and one of none is refused
+    return lambda column: [column[row] for row in rows]
 
 
 # the fields of an image table with no rows, which a first build extends
@@ -396,14 +408,17 @@ class _Columns:
         column of texts of each of ``attrs`` for those rows; a study or
         patient is represented by its first matching image in image-id order."""
         matched = np.flatnonzero(self.mask(expr))  # in image-id order
-        _, first = np.unique(self.group[kind][matched], return_index=True)
-        picked = matched[first].tolist()
+        if kind == "image":  # each row is its own group
+            picked = matched.tolist()
+        else:
+            _, first = np.unique(self.group[kind][matched], return_index=True)
+            picked = matched[first].tolist()
+        gather = _gather(picked)
         fields = {}
         for attr in attrs:
             column = self._text_column(attr)
-            fields[attr] = ([None] * len(picked) if column is None
-                            else list(map(column.__getitem__, picked)))
-        return Part(list(map(self.ids[kind].__getitem__, picked)), fields)
+            fields[attr] = [None] * len(picked) if column is None else gather(column)
+        return Part(gather(self.ids[kind]), fields)
 
 
 class SiteCatalog:

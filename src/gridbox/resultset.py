@@ -22,20 +22,30 @@ same way, with its origin sites, and the client renders the XML.
 :func:`checked_part` checks a peer's part at the origin and the merged
 answer at the client, both as a whole: it joins the ids once and each
 column once, and the join that the character test needs is also the check
-that every item is a string.  :func:`merge` joins the parts column by
-column with one sort of the ids, deduplicated on global id; the same id
-carrying different fields is a federation bug and raises
-``SchemaViolation`` rather than silently preferring one site's copy.  A
-:class:`ResultSet` holds the merged part.  ``to_xml`` escapes a column
-only when a substring test finds a character that needs it, and writes the
-whole document, header and summary included, with one join; when no
-column holds a null, the markup is laid down once for all rows and the ids
-and each column fill their stride of it.  ``ResultSet.rows`` builds `Row`
-objects only when a caller asks.  Escaping is a
-``str.replace`` chain that makes the replacements of ``xml.sax.saxutils``
-in the same order, without importing that module and the ``urllib`` and
-``email`` packages it loads.  :func:`ResultSet.from_xml` reads any
-well-formed document of the schema through ElementTree.
+that every item is a string.  The same joins tell which columns hold no
+character that XML escapes, and the part it returns records them.
+
+A part's ids are strictly increasing: `checked_part` refuses a part whose
+ids are not, and ``SiteCatalog.select`` makes the local part so.
+:func:`merge` relies on it and checks only where parts meet: it puts the
+parts in order of their first ids and, when each part's last id is below
+the next part's first, as the parts of sites that mint their own ids are,
+lays the ids and each column end to end with no pass over the rows.  Parts
+that overlap fall back to one sort of all the ids, deduplicated on global
+id; the same id carrying different fields is a federation bug and raises
+``SchemaViolation`` rather than silently preferring one site's copy.
+
+A :class:`ResultSet` holds the merged part.  ``to_xml`` escapes a column
+only when it needs it: a column the check recorded as plain is taken as it
+is, and any other column, of a merged or a parsed answer, is joined for a
+substring test.  It writes the whole document, header and summary
+included, with one join; when no column holds a null, the markup is laid
+down once for all rows and the ids and each column fill their stride of
+it.  ``ResultSet.rows`` builds `Row` objects only when a caller asks.
+Escaping is a ``str.replace`` chain that makes the replacements of
+``xml.sax.saxutils`` in the same order, without importing that module and
+the ``urllib`` and ``email`` packages it loads.  :func:`ResultSet.from_xml`
+reads any well-formed document of the schema through ElementTree.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, count, islice, repeat
 from operator import eq, ge, gt, itemgetter
 
@@ -71,10 +81,17 @@ class Part:
     """Rows by column: ``ids`` are the row ids in strictly increasing order,
     and ``fields`` maps each field name to a list as long as ``ids`` of that
     field's text per row, None where the row has no value.  ``len()`` is the
-    number of rows."""
+    number of rows.
+
+    ``plain`` records the columns known to hold no character that XML
+    escapes: names of ``fields``, and None for the ids (where ``"`` counts
+    too).  `checked_part` fills it from its own joins; any other part leaves
+    it empty, and `ResultSet.to_xml` tests its columns itself.  Equality
+    ignores it.  A part's owner does not change its lists afterwards."""
 
     ids: list
     fields: dict
+    plain: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -92,7 +109,7 @@ class Part:
 def _in_id_order(ids: list, fields: dict) -> tuple[list, dict, list]:
     """``ids`` and the columns of ``fields`` stably sorted by id, and the
     positions whose id repeats the one before.  Input already in order, as
-    the concatenated parts of disjoint sites are, is not sorted again."""
+    the rows of a canonical document are, is not sorted again."""
     if any(map(gt, ids, islice(ids, 1, None))):
         take = itemgetter(*sorted(range(len(ids)), key=ids.__getitem__))
         ids = list(take(ids))
@@ -138,14 +155,21 @@ def _escape(value: str, entities: dict) -> str:
     return value
 
 
+def _holds_markup(text: str, entities: dict) -> bool:
+    """Whether ``text`` holds ``&``, ``<``, ``>`` or a key of ``entities``,
+    from one substring test per character."""
+    return any(map(text.__contains__, chain("&<>", entities)))
+
+
 def _attr(value: str) -> str:
-    return _escape(value, _QUOT) if any(map(value.__contains__, '&<>"')) else value
+    return _escape(value, _QUOT) if _holds_markup(value, _QUOT) else value
 
 
-def _escaped(values: list, entities: dict) -> list:
-    """``values`` with ``&<>`` and ``entities`` escaped and None kept, from
-    one substring test per character; the list itself when nothing needs it."""
-    if not any(map(_joined_texts(values).__contains__, chain("&<>", entities))):
+def _escaped(values: list, entities: dict, plain: bool) -> list:
+    """``values`` with ``&<>`` and ``entities`` escaped and None kept; the
+    list itself when ``plain`` says that nothing needs it, or when the texts
+    joined hold nothing that does."""
+    if plain or not _holds_markup(_joined_texts(values), entities):
         return values
     return [value and _escape(value, entities) for value in values]
 
@@ -297,14 +321,14 @@ class ResultSet:
     # --- XML ------------------------------------------------------------------
 
     def to_xml(self) -> bytes:
-        ids, fields = self.part.ids, self.part.fields
+        ids, fields, plain = self.part.ids, self.part.fields, self.part.plain
         names = sorted(fields)
         origin = ",".join(sorted(self.origin_sites))
         num_images, num_patients = self.summary
         return _render_rows(
             f'<resultset query="{_attr(self.query_text)}" origin="{_attr(origin)}">\n',
-            _escaped(ids, _QUOT), [_attr(name) for name in names],
-            [_escaped(fields[name], {}) for name in names],
+            _escaped(ids, _QUOT, None in plain), [_attr(name) for name in names],
+            [_escaped(fields[name], {}, name in plain) for name in names],
             f'  <summary images="{num_images}" patients="{num_patients}"/>\n'
             "</resultset>\n").encode("utf-8")
 
@@ -354,7 +378,9 @@ def checked_part(answer, q: FormalQuery, canonical: str, site: str | None = None
       answer renders to a document that reads back as the same answer.
 
     Every check runs over whole lists, so a large answer costs no
-    per-row Python code."""
+    per-row Python code.  The part records in ``plain`` the ids and columns
+    whose joins hold nothing to escape, so that rendering it joins none of
+    them again."""
     try:
         text, ids, fields = answer["query"], answer["ids"], answer["fields"]
         sites = [site] if site is not None else answer["origin"]
@@ -386,44 +412,54 @@ def checked_part(answer, q: FormalQuery, canonical: str, site: str | None = None
     if not (isinstance(fields, dict) and fields.keys() == set(projection(q))):
         raise SchemaViolation("the answer's columns are not the projection's")
     # one test over the ids joined and one over each column's texts, a byte
-    # deletion when they are ASCII; an id is an attribute
-    texts = [(id_text, _UNFIT_ATTR)]
+    # deletion when they are ASCII; an id is an attribute, which escapes '"'
+    texts = [(None, id_text, _UNFIT_ATTR, _QUOT)]
     for name, column in fields.items():
         text = _joined_texts(column)
         if text is None or len(column) != len(ids):
             raise SchemaViolation(f"column {name} is not {len(ids)} texts or nulls")
-        texts.append((text, _UNFIT_TEXT))
-    for joined, (unfit, fit) in texts:
+        texts.append((name, text, _UNFIT_TEXT, {}))
+    plain = set()
+    for name, joined, (unfit, fit), entities in texts:
         if (joined.encode().translate(None, fit) if joined.isascii()
                 else unfit.search(joined)):
             raise SchemaViolation("an id or text of the answer holds a character "
                                   "that XML cannot carry")
-    return Part(ids, fields)
+        if not _holds_markup(joined, entities):
+            plain.add(name)
+    return Part(ids, fields, frozenset(plain))
 
 
 def merge(query_text: str, parts: dict[str, Part]) -> ResultSet:
     """The answer to ``query_text`` from ``parts``, site → its `Part`, joined
     column by column.  The origin is the sites with rows, whichever node
-    merges; rows may come in any order, identical rows collapse, and the
-    ids are sorted once, which takes one pass over parts that are each in
-    order and hold other sites' rows.  The answer has a column for every
-    name of any part, also a part with no rows, so an empty answer keeps
-    the projection's columns."""
+    merges.  Each part's ids are strictly increasing, as `checked_part`
+    checks for a peer's part and `SiteCatalog.select` makes the local one.
+    The parts are put in order of their first ids; when each part's last id
+    is below the next part's first, as the parts of sites that mint their
+    own ids are, the answer is the parts' ids and columns laid end to end,
+    with no pass over the rows.  Parts that overlap fall back to one stable
+    sort of all the ids: identical rows collapse, and the same id carrying
+    different fields is a federation bug that raises ``SchemaViolation``
+    rather than silently preferring one site's copy.  The answer has a
+    column for every name of any part, also a part with no rows, so an
+    empty answer keeps the projection's columns."""
     filled = sorted((part for part in parts.values() if part), key=lambda p: p.ids[0])
     names = dict.fromkeys(name for part in parts.values() for name in part.fields)
-    ids, fields, repeats = _in_id_order(
-        list(chain.from_iterable(part.ids for part in filled)),
-        {name: list(chain.from_iterable(
-            part.fields[name] if name in part.fields else repeat(None, len(part))
-            for part in filled)) for name in names})
-    if repeats:
-        columns = list(fields.values())
-        for k in repeats:
-            if any(column[k] != column[k - 1] for column in columns):
-                raise SchemaViolation(f"row {ids[k]} differs between sites")
-        drop = set(repeats)
-        keep = [k for k in range(len(ids)) if k not in drop]
-        ids = [ids[k] for k in keep]
-        fields = {name: [column[k] for k in keep] for name, column in fields.items()}
+    ids = list(chain.from_iterable(part.ids for part in filled))
+    fields = {name: list(chain.from_iterable(
+        part.fields[name] if name in part.fields else repeat(None, len(part))
+        for part in filled)) for name in names}
+    if any(map(ge, [part.ids[-1] for part in filled], [part.ids[0] for part in filled[1:]])):
+        ids, fields, repeats = _in_id_order(ids, fields)
+        if repeats:
+            columns = list(fields.values())
+            for k in repeats:
+                if any(column[k] != column[k - 1] for column in columns):
+                    raise SchemaViolation(f"row {ids[k]} differs between sites")
+            drop = set(repeats)
+            keep = [k for k in range(len(ids)) if k not in drop]
+            ids = [ids[k] for k in keep]
+            fields = {name: [column[k] for k in keep] for name, column in fields.items()}
     origin_sites = frozenset(site for site, part in parts.items() if part)
     return ResultSet(query_text, origin_sites, Part(ids, fields))

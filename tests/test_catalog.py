@@ -533,13 +533,21 @@ QUERY_POOL = [
 ]
 
 
+def checked_select(cat, q):
+    """``cat.select(q)``, its rows checked against the oracle and its ids
+    checked to be strictly increasing, as resultset.merge relies on."""
+    part = cat.select(q)
+    assert all(a < b for a, b in zip(part.ids, part.ids[1:])), q.source_text
+    assert part.rows() == oracles.expected_rows(q, [cat]), q.source_text
+    return part
+
+
 @settings(max_examples=100)
 @given(catalogs(), st.sampled_from(QUERY_POOL))
 def test_select_matches_bruteforce_oracle(cat, text):
     q = parse_query(text)
-    part = cat.select(q)
+    part = checked_select(cat, q)
     assert list(part.fields) == list(projection(q))
-    assert part.rows() == oracles.expected_rows(q, [cat])
 
 
 @settings(max_examples=30)
@@ -552,7 +560,7 @@ def test_select_stays_exact_across_the_query_pool_and_writes(cat, data):
 
     def check():
         for q in queries:
-            assert cat.select(q).rows() == oracles.expected_rows(q, [cat]), q.source_text
+            checked_select(cat, q)
 
     check()
     table = cat._columns
@@ -577,8 +585,7 @@ def test_select_stays_exact_across_writes_and_reopen(tmp_path):
 
     def check(catalog):
         for q in queries:
-            assert catalog.select(q).rows() == oracles.expected_rows(q, [catalog]), \
-                q.source_text
+            checked_select(catalog, q)
 
     check(cat)
     build_tree(cat, 3, study_date=date(1999, 2, 3), dose=0.5)
@@ -601,7 +608,22 @@ def test_select_stays_exact_across_writes_and_reopen(tmp_path):
 
     reopened = SiteCatalog("CAM", tmp_path)
     for q in queries:
-        assert reopened.select(q) == cat.select(q), q.source_text
+        assert checked_select(reopened, q) == cat.select(q), q.source_text
+
+
+@settings(max_examples=30)
+@given(catalogs(), st.sampled_from(["images", "studies", "patients"]))
+def test_select_gathers_no_row_one_row_and_every_row(cat, target):
+    """The gather of the matched rows, which takes one item, or none, by
+    other means than it takes several; every field is projected."""
+    every = len(oracles.expected_ids(parse_query(f"select {target} where true"), [cat]))
+    image = cat.images()[0]
+    for where, rows in (("false", 0), (f"image.id = {image.id}", 1), ("true", every)):
+        q = parse_query(f"select {target} where {where} or patient.sex = F and false"
+                        " or image.view = CC and false or derived.density > 2")
+        part = checked_select(cat, q)
+        assert len(part) == rows
+        assert [len(column) for column in part.fields.values()] == [rows] * len(part.fields)
 
 
 # --- text columns: built on first use, extended by later builds ------------------

@@ -226,6 +226,7 @@ def test_a_checked_answer_reads_back_from_its_xml(answer):
         return
     assert carried
     rs = ResultSet(Q, answer["origin"], part)
+    assert rs.to_xml() == oracles.reference_xml(rs)
     assert ResultSet.from_xml(rs.to_xml()) == rs
 
 
@@ -423,19 +424,84 @@ def test_merge_conflicting_fields_is_an_error():
 
 
 @given(st.lists(st.lists(row_strategy, max_size=10, unique_by=lambda r: r.id),
-                min_size=1, max_size=3),
-       st.randoms(use_true_random=False))
-def test_merge_is_independent_of_part_order(lists, random):
-    # identical ids appearing in several parts carry identical fields here,
-    # so every order of the parts must give the same answer
+                min_size=1, max_size=3))
+def test_merge_is_independent_of_part_order(lists):
+    """Parts in every order give the answer that holds each row once.  Each
+    part's ids are strictly increasing, as checked_part and select make
+    them; the parts may share rows or interleave their ids."""
+    # identical ids appearing in several parts carry identical fields here
     pool = {r.id: r for rows in lists for r in rows}
-    parts = {site: [pool[r.id] for r in rows]
+    parts = {site: part_of(sorted((pool[r.id] for r in rows), key=lambda r: r.id))
              for site, rows in zip(("CAM", "UDI", "LEE"), lists)}
-    expected = merge(Q, {site: part_of(rows) for site, rows in parts.items()}).to_xml()
+    expected = answer(Q, {site for site, part in parts.items() if part}, pool.values())
     for order in itertools.permutations(parts):
-        shuffled = {site: part_of(random.sample(parts[site], len(parts[site])))
-                    for site in order}
-        assert merge(Q, shuffled).to_xml() == expected
+        merged = merge(Q, {site: parts[site] for site in order})
+        assert merged == expected
+        assert merged.to_xml() == expected.to_xml()
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """The calls merge makes of the sort it falls back to."""
+    calls = []
+
+    def spy(ids, fields):
+        calls.append(list(ids))
+        return in_id_order(ids, fields)
+
+    in_id_order = resultset._in_id_order
+    monkeypatch.setattr(resultset, "_in_id_order", spy)
+    return calls
+
+
+def rows_numbered(numbers, site="CAM", **fields):
+    return part_of([image_row(n, site, **fields) for n in numbers])
+
+
+def test_parts_that_do_not_overlap_are_laid_end_to_end(sorts):
+    """With each part's last id below the next part's first, whichever
+    order the parts come in, merge sorts nothing."""
+    parts = {"CAM": rows_numbered([5, 6, 9], **{"image.view": "CC"}),
+             "UDI": rows_numbered([1, 2, 4], "UDI", **{"image.view": "MLO"}),
+             "LEE": rows_numbered([10, 12])}  # CAM's rows, without image.view
+    in_order = [parts[site] for site in ("CAM", "LEE", "UDI")]
+    for order in itertools.permutations(parts):
+        merged = merge(Q, {site: parts[site] for site in order})
+        assert merged.part.ids == [i for part in in_order for i in part.ids]
+        assert merged.part.fields == {
+            "image.view": ["CC"] * 3 + [None] * 2 + ["MLO"] * 3,
+            "patient.id": [p for part in in_order for p in part.fields["patient.id"]]}
+    assert sorts == []
+
+
+def test_interleaved_parts_merge_in_id_order(sorts):
+    merged = merge(Q, {"CAM": rows_numbered([1, 3, 5], **{"image.view": "CC"}),
+                       "UDI": rows_numbered([2, 4], **{"image.view": "MLO"})})
+    assert merged.part.ids == [image_row(n).id for n in range(1, 6)]
+    assert merged.part.fields["image.view"] == ["CC", "MLO", "CC", "MLO", "CC"]
+    assert len(sorts) == 1
+
+
+def test_overlapping_parts_collapse_their_identical_rows(sorts):
+    merged = merge(Q, {"CAM": rows_numbered([1, 2, 3], **{"image.view": "CC"}),
+                       "UDI": rows_numbered([2, 3, 4], **{"image.view": "CC"})})
+    assert merged.part.ids == [image_row(n).id for n in range(1, 5)]
+    assert merged.part.fields["image.view"] == ["CC"] * 4
+    assert merged.origin_sites == {"CAM", "UDI"}
+    assert len(sorts) == 1
+    # a part that only touches the next one at a shared id overlaps it too
+    assert merge(Q, {"CAM": rows_numbered([1, 2]), "UDI": rows_numbered([2, 3])}) == \
+        answer(Q, {"CAM", "UDI"}, [image_row(n) for n in (1, 2, 3)])
+    assert len(sorts) == 2
+
+
+def test_overlapping_parts_with_differing_rows_are_an_error(sorts):
+    cam = rows_numbered([1, 2, 3], **{"image.view": "CC"})
+    udi = rows_numbered([2, 4], **{"image.view": "CC"})
+    udi.fields["image.view"][0] = "MLO"
+    with pytest.raises(SchemaViolation, match=f"row {image_row(2).id} differs between sites"):
+        merge(Q, {"CAM": cam, "UDI": udi})
+    assert len(sorts) == 1
 
 
 @given(st.data())
@@ -531,3 +597,50 @@ def test_an_id_that_is_not_a_text_is_refused(item, at):
     ids[at] = item
     with pytest.raises(SchemaViolation, match="ids are not a list of strings"):
         resultset.checked_part(dict(answer_of(THREE_ROWS), ids=ids), parse_query(Q), Q)
+
+
+# --- the escape record of a checked part -------------------------------------------
+
+@pytest.mark.parametrize("char", '&<>"')
+@pytest.mark.parametrize("where", ["id", "text"])
+def test_each_escaped_character_renders_the_reference_bytes(char, where):
+    """An id or a text holding ``char`` renders the reference bytes, whether
+    the part came through checked_part, which records the columns that need
+    no escape, or through merge or from_xml, which record none."""
+    ids = [IID, f"CAM:image:{2:032x}" + (char if where == "id" else "")]
+    fields = {"patient.id": [PID, PID],
+              "patient.sex": ["F", "M" + (char if where == "text" else "")]}
+    part = checked_part({"query": Q, "origin": ["CAM"], "ids": ids, "fields": fields},
+                        parse_query(Q), Q)
+    # the ids are an attribute, which escapes '"'; a text keeps it as it is
+    escaped = {"id": {None}, "text": set() if char == '"' else {"patient.sex"}}[where]
+    assert part.plain == {None, "patient.id", "patient.sex"} - escaped
+    checked = ResultSet(Q, ["CAM"], part)
+    merged = merge(Q, {"CAM": Part(list(ids), {k: list(v) for k, v in fields.items()})})
+    parsed = ResultSet.from_xml(checked.to_xml())
+    for rs in (checked, merged, parsed):
+        assert rs.to_xml() == oracles.reference_xml(rs)
+    assert merged.part.plain == parsed.part.plain == frozenset()
+    assert checked == merged == parsed
+
+
+def test_the_escape_record_is_not_part_of_equality():
+    part = checked_part(answer_of(THREE_ROWS), parse_query(Q), Q)
+    assert part.plain == {None, "patient.id", "patient.sex"}
+    bare = Part(part.ids, part.fields)
+    assert part == bare
+    assert ResultSet(Q, ["CAM", "UDI"], part) == ResultSet(Q, ["CAM", "UDI"], bare)
+    assert ResultSet(Q, ["CAM", "UDI"], part).to_xml() == THREE_ROWS.to_xml()
+
+
+def test_rendering_a_checked_part_joins_no_column_again(monkeypatch):
+    part = checked_part(answer_of(THREE_ROWS), parse_query(Q), Q)
+    expected = THREE_ROWS.to_xml()
+    joins = []
+    joined_texts = resultset._joined_texts
+    monkeypatch.setattr(resultset, "_joined_texts",
+                        lambda column, *a: joins.append(column) or joined_texts(column, *a))
+    assert ResultSet(Q, ["CAM", "UDI"], part).to_xml() == expected
+    assert joins == []
+    THREE_ROWS.to_xml()  # a merged answer tests each of its columns itself
+    assert len(joins) == 3
