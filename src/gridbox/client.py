@@ -7,10 +7,16 @@ they leave the workstation, so identifying fields never cross the wire even
 inside ADD requests; nodes re-run the transform as a guard, which is a
 no-op on anonymized input.
 
-A node answers QUERY with the merged answer by column, as a peer answers
-RQUERY: ``{"query", "origin", "ids", "fields"}``.  ``query_xml`` checks
-that answer as a whole (`resultset.checked_part`) and renders the canonical
-XML from it here, so the XML is never escaped into the JSON envelope.
+A node answers QUERY with its own part by column, as a peer answers
+RQUERY, plus its site and the list of the peers whose RQUERY answers it
+relays: ``{"query", "site", "ids", "fields", "relay"}``.  Those answers
+follow on the wire as the peers sent them, undecoded by the node.
+``query_xml`` decodes and checks each of them and the node's own part, as
+a whole (`wire.read_relayed`, `resultset.checked_part`), words a peer's
+failure as the node words the failures it meets (`errors.site_warning`),
+merges the parts and renders the canonical XML here (`assemble`), so each
+cell is decoded and checked once, and the XML is never escaped into a JSON
+envelope.
 ``query`` returns the `ResultSet` that ``query_xml`` rendered, without
 parsing the bytes back, when ``query_xml`` returned those very bytes.  The
 CLI and the scenario runner call ``query`` and render the `ResultSet` it
@@ -25,15 +31,59 @@ from pathlib import Path
 
 from gridbox.anonymize import anonymize_for_site
 from gridbox.config import SiteKey, parse_address
-from gridbox.errors import CorruptBlob, PeerUnreachable
-from gridbox.ids import IdMinter
+from gridbox.errors import CorruptBlob, GridError, PeerUnreachable, SchemaViolation, site_warning
+from gridbox.ids import IdMinter, valid_site_code
 from gridbox.mgi import parse_mgi, write_mgi
 from gridbox.query import parse_query, print_query
-from gridbox.resultset import ResultSet, checked_part
-from gridbox.wire import call
+from gridbox.resultset import ResultSet, checked_part, merge
+from gridbox.wire import call, read_relayed
 
 CALL_TIMEOUT_S = 30.0  # wait for a node's answer
 RETRIEVE_TIMEOUT_S = 90.0  # wait for RETRIEVE, which a node may relay from a peer
+
+
+def _relay_entry(entry) -> bool:
+    """Whether ``entry`` is a ``[site, address, request id]`` of a relay list."""
+    return (type(entry) is list and len(entry) == 3 and set(map(type, entry)) == {str}
+            and valid_site_code(entry[0]))
+
+
+def assemble(text: str, result: dict, warnings: list,
+             frames: list) -> tuple[ResultSet, list[str]]:
+    """The answer to ``text`` and its warnings, from a node's QUERY answer
+    ``result``, the node's ``warnings`` and the peers' RQUERY answer
+    ``frames`` that it relayed (`GridNode.run_query`).
+
+    The origin's own part is checked by `checked_part` for its ``site``,
+    and ``relay`` must be a list of ``[site, address, request id]``; either
+    failing is a SchemaViolation.  The k-th site of ``relay`` answered in
+    the k-th frame, which is checked as `wire.receive` checks an answer
+    (`wire.read_relayed`), then by `checked_part` for that site.  A site
+    whose frame fails a check, is missing, or that ``relay`` names a second
+    time (the origin's own site included), costs the warning the origin
+    gives a peer that fails (`errors.site_warning`); frames past the
+    relay's end are dropped.  The checked parts are merged."""
+    q = parse_query(text)
+    canonical = print_query(q)
+    try:
+        origin, relay = result["site"], result["relay"]
+    except KeyError as e:
+        raise SchemaViolation(f"the answer carries no part: {e!r}") from None
+    parts = {origin: checked_part(result, q, canonical, origin)}
+    if not (type(relay) is list and all(map(_relay_entry, relay))):
+        raise SchemaViolation("the answer's relay is not a list of [site, address, id]")
+    warnings, named = list(warnings), {origin}
+    for k, (site, address, req_id) in enumerate(relay):
+        try:
+            if site in named:
+                raise SchemaViolation(f"the answer names {site} twice")
+            named.add(site)
+            answer, _, _ = read_relayed(frames[k] if k < len(frames) else None, "RQUERY",
+                                        address, req_id, PeerUnreachable)
+            parts[site] = checked_part(answer, q, canonical, site)
+        except GridError as e:
+            warnings.append(site_warning(site, e))
+    return merge(canonical, parts), sorted(warnings)
 
 
 class NodeClient:
@@ -46,9 +96,10 @@ class NodeClient:
         self.site_key = site_key
 
     def _call(self, op: str, params: dict, binary: bytes = b"",
-              timeout: float = CALL_TIMEOUT_S) -> tuple[dict, list, bytes]:
+              timeout: float = CALL_TIMEOUT_S,
+              relayed: list | None = None) -> tuple[dict, list, bytes]:
         return call(self.address, op, params, unreachable=PeerUnreachable,
-                    token=self.token, binary=binary, timeout=timeout)
+                    token=self.token, binary=binary, timeout=timeout, relayed=relayed)
 
     # --- services ---------------------------------------------------------------
 
@@ -76,15 +127,15 @@ class NodeClient:
 
     def query_xml(self, text: str) -> tuple[bytes, list]:
         """The answer to ``text`` as canonical XML, rendered here from the
-        columns the node sends, and the node's warnings.  SchemaViolation
-        when the answer fails `checked_part`, such as one to another query
-        or one holding a text that XML cannot carry.
+        parts the node sends and relays (`assemble`), and the warnings.
+        SchemaViolation when the node's own part or its relay list fails a
+        check, such as an answer to another query or a text that XML cannot
+        carry; a relayed part that fails costs a warning instead.
         The bytes and the `ResultSet` they render are kept until the next
         query, so that `query` can return it without a parse."""
-        result, warnings, _ = self._call("QUERY", {"text": text})
-        q = parse_query(text)
-        canonical = print_query(q)
-        rs = ResultSet(canonical, result["origin"], checked_part(result, q, canonical))
+        frames: list = []
+        result, warnings, _ = self._call("QUERY", {"text": text}, relayed=frames)
+        rs, warnings = assemble(text, result, warnings, frames)
         xml = rs.to_xml()
         self._last_answer = (xml, rs)
         return xml, warnings

@@ -185,3 +185,17 @@ def error_from_code(code: str, message: str) -> GridError:
     err = _BY_CODE.get(code, GridError)(message)
     err.code = code
     return err
+
+
+def site_warning(site: str, error: GridError) -> str:
+    """The warning for a site whose part of a scatter raised ``error``, the
+    same whether the origin or, for a relayed QUERY answer, the client met
+    it: ``"<site> unreachable: …"`` when the site could not be reached or
+    was stopped, ``"<site> answer too large: …"`` when its answer did not
+    fit in a frame, and ``"<site> refused: <code>: …"`` for any other
+    error."""
+    if isinstance(error, (PeerUnreachable, NodeStopped)):
+        return f"{site} unreachable: {error.message}"
+    if isinstance(error, AnswerTooLarge):
+        return f"{site} answer too large: {error.message}"
+    return f"{site} refused: {error.code}: {error.message}"

@@ -8,14 +8,16 @@ the peer-facing ops RQUERY and PEER_FETCH and a STATS introspection op.
 Federated queries and algorithm runs follow one scatter-gather pipeline,
 on the thread that serves the request: parse, pick the remote sites from
 the current VO membership, send each of them its one-hop request, run the
-local part while they work, read each answer as it arrives, and merge.  A
-site that cannot be reached, or whose answer fails validation, costs a
-warning instead of failing the whole request.  A site's part of a query is a
-`Part`, its row ids plus one column per projected field; a peer sends it
-as such in its RQUERY answer, the origin checks it as a whole, and the
-merge joins the parts column by column into the answer.  The QUERY answer
-is the merged part in the same form plus its origin sites; the client
-checks it and renders the XML.  Each site writes the derived
+local part while they work, and read each answer as it arrives.  A site
+that cannot be reached, or whose answer fails validation, costs a warning
+instead of failing the whole request.  A site's part of a query is a
+`Part`, its row ids plus one column per projected field; a peer sends it as
+such in its RQUERY answer.  The origin does not decode those answers: its
+QUERY answer holds its own part in the same form and names the peers it
+relays, and their RQUERY answer frames follow it on the wire exactly as
+they arrived.  The client checks each part as a whole, merges the parts
+column by column and renders the XML (`client.assemble`).  An EXEC_ALG
+answer is read and summed at the origin.  Each site writes the derived
 records of its part of an algorithm run in one catalog write at the end of
 that part, so a concurrent query sees none of them or all of them.  A peer
 ADD_ALG or EXEC_ALG carries the algorithm as one ``algorithm`` value, the
@@ -48,7 +50,6 @@ from gridbox.catalog import SiteCatalog
 from gridbox.config import NodeConfig, parse_address
 from gridbox.errors import (
     AlgorithmConflict,
-    AnswerTooLarge,
     AuthFailed,
     ForeignSite,
     GridError,
@@ -64,6 +65,7 @@ from gridbox.errors import (
     SchemaViolation,
     UnknownAlgorithm,
     UnknownPeer,
+    site_warning,
 )
 from gridbox.ids import GlobalId, IdMinter, looks_like_global_id, valid_site_code
 from gridbox.mgi import MgiFile, parse_mgi, write_mgi
@@ -78,13 +80,15 @@ from gridbox.records import (
     StudyRecord,
 )
 from gridbox.registry import RegistryClient
-from gridbox.resultset import Part, ResultSet, checked_part, merge
+from gridbox.resultset import Part
 from gridbox.wire import (
     Exchange,
     FramedServer,
     answer,
     finish_call,
+    finish_relay,
     gather,
+    host_port,
     same_secret,
     start_call,
     text_param,
@@ -135,15 +139,6 @@ def verify_token(vo_key: bytes, token: str, now: float | None = None) -> str:
 def peer_signature(vo_key: bytes, peer_site: str, op: str, req_id: str) -> str:
     msg = f"peer:{peer_site}:{op}:{req_id}".encode("utf-8")
     return hmac.digest(vo_key, msg, "sha256").hex()
-
-
-def _warning(site: str, error: GridError) -> str:
-    """The warning of a scatter for a site whose request raised ``error``."""
-    if isinstance(error, (PeerUnreachable, NodeStopped)):
-        return f"{site} unreachable: {error.message}"
-    if isinstance(error, AnswerTooLarge):
-        return f"{site} answer too large: {error.message}"
-    return f"{site} refused: {error.code}: {error.message}"
 
 
 def _check_hop(params: dict, what: str) -> None:
@@ -496,26 +491,25 @@ class GridNode:
         return self.catalog.select(q)
 
     def _scatter(self, q: FormalQuery, local, op: str, params: dict,
-                 remote, *args) -> tuple[dict, list[str]]:
+                 remote) -> tuple[dict, list[str]]:
         """The scatter-gather of QUERY and EXEC_ALG, on the calling thread.
 
         It writes ``op`` with ``params`` to each remote site that `decompose`
         picks from the membership, runs ``local(q)`` while they work, then
-        runs ``remote(site, exchange, *args)``, which reads and checks a
-        site's answer, for each site as its answer becomes readable.  The
+        runs ``remote(site, exchange)``, which reads a site's answer, for
+        each site as its answer becomes readable.  The
         answers get QUERY_TIMEOUT_S in all, counted from the last send; a
         site still silent then is unreachable, and an answer that has begun
         to arrive gets QUERY_TIMEOUT_S for each read.  The sends go out one
         after another, so a dial that hangs delays the sends after it.
 
-        Returns the answers by site, this one's included, and a warning for
-        each site whose send or answer raised a GridError: ``"<site>
-        unreachable: …"`` when the site could not be reached or was stopped,
-        ``"<site> answer too large: …"`` when its answer did not fit in a
-        frame, and ``"<site> refused: <code>: …"`` for any other error, such
-        as a part that failed the origin's checks or an error the site
-        answered.  Once `stop` has run, it raises NodeStopped and sends
-        nothing."""
+        Returns the answers by site, this one's first and the others in the
+        order they were read, and a warning for each site whose send or
+        answer raised a GridError, worded by `errors.site_warning`: such as
+        a site that could not be reached or timed out, or an EXEC_ALG answer
+        that is an error or fails the origin's check.  A relayed RQUERY
+        answer is only read here, so its errors are worded at the client.
+        Once `stop` has run, it raises NodeStopped and sends nothing."""
         if self._stopping.is_set():
             raise NodeStopped(f"node {self.site} is stopped")
         remotes = decompose(q, sorted(self.membership()), self.site)
@@ -525,41 +519,48 @@ class GridNode:
                 try:
                     sent[site] = self._peer_send(site, op, params, QUERY_TIMEOUT_S)
                 except GridError as e:
-                    warnings.append(_warning(site, e))
+                    warnings.append(site_warning(site, e))
             deadline = time.monotonic() + QUERY_TIMEOUT_S
             answers = {self.site: local(q)}
             for site, exchange in gather(sent, deadline):
                 del sent[site]
                 try:
-                    answers[site] = remote(site, exchange, *args)
+                    answers[site] = remote(site, exchange)
                 except GridError as e:
-                    warnings.append(_warning(site, e))
+                    warnings.append(site_warning(site, e))
         finally:  # after a local part or a check that raised: drop the unread
             for exchange in sent.values():
                 exchange.close()
         return answers, sorted(warnings)
 
-    def run_query(self, query_text: str) -> tuple[ResultSet, list[str]]:
-        """The federated pipeline; returns (merged result, warnings)."""
+    def run_query(self, query_text: str) -> tuple[dict, list[str], list[bytes]]:
+        """The federated pipeline at the origin: the QUERY answer, its
+        warnings, and the peers' RQUERY answer frames it relays, as they
+        arrived.  The answer holds this site's part by column, as a peer's
+        RQUERY answer does, and ``site``, this site's code; ``relay`` names,
+        as ``[site, "host:port", request id]``, each peer whose frame follows,
+        in the order the frames come.  No peer's answer is decoded or
+        checked here: the client does both (`client.assemble`)."""
         q = parse_query(query_text)
         canonical = print_query(q)
-        parts, warnings = self._scatter(q, self._local_resultset, "RQUERY",
-                                        {"text": canonical, "hop": 1},
-                                        self._remote_query, q, canonical)
-        return merge(canonical, parts), warnings
+        answers, warnings = self._scatter(q, self._local_resultset, "RQUERY",
+                                          {"text": canonical, "hop": 1}, self._remote_query)
+        part = answers.pop(self.site)
+        relay = [[site, address, req_id] for site, (address, req_id, _) in answers.items()]
+        return ({"query": canonical, "site": self.site, "ids": part.ids,
+                 "fields": part.fields, "relay": relay},
+                warnings, [frame for _, _, frame in answers.values()])
 
-    def _remote_query(self, site: str, exchange: Exchange, q: FormalQuery,
-                      canonical: str) -> Part:
-        """One peer's part, read from its RQUERY ``exchange`` and checked as
-        a whole by `checked_part`; `_scatter` drops a part that fails a
-        check."""
-        result, _ = self._peer_reply(exchange)
-        return checked_part(result, q, canonical, site)
+    def _remote_query(self, site: str, exchange: Exchange) -> tuple[str, str, bytes]:
+        """One peer's RQUERY answer as the origin relays it: the peer's
+        address, the request's id, and the answer's frame read by its length
+        and never decoded (`wire.finish_relay`).  The benchmark's tracer
+        times this read under this method's name."""
+        return (host_port(exchange.key), exchange.req_id,
+                finish_relay(exchange, PeerUnreachable))
 
     def _op_query(self, params, binary):
-        result, warnings = self.run_query(text_param(params, "text"))
-        return {"query": result.query_text, "origin": sorted(result.origin_sites),
-                "ids": result.part.ids, "fields": result.part.fields}, warnings, b""
+        return self.run_query(text_param(params, "text"))
 
     def _peer_rquery(self, params, binary):
         _check_hop(params, "RQUERY")

@@ -17,13 +17,15 @@ byte-for-byte.
 
 An answer stays in columns from the merge to its bytes and back.  A site's
 answer to a query travels as a :class:`Part`: its row ids plus one column
-of texts per projected field.  The merged answer travels to the client the
-same way, with its origin sites, and the client renders the XML.
-:func:`checked_part` checks a peer's part at the origin and the merged
-answer at the client, both as a whole: it joins the ids once and each
-column once, and the join that the character test needs is also the check
-that every item is a string.  The same joins tell which columns hold no
-character that XML escapes, and the part it returns records them.
+of texts per projected field.  Every site's part travels to the client
+that way, the origin's own in its QUERY answer and each peer's in the
+RQUERY answer the origin relays, and the client checks and merges them
+and renders the XML.  :func:`checked_part` checks one site's part as a
+whole: it joins the ids once and each column once, and the join that the
+character test needs is also the check that every item is a string.  The
+same joins tell which columns hold no character that XML escapes, and the
+part it returns records them; the merge keeps that record for the columns
+that every part with rows holds plain.
 
 A part's ids are strictly increasing: `checked_part` refuses a part whose
 ids are not, and ``SiteCatalog.select`` makes the local part so.
@@ -36,9 +38,9 @@ id; the same id carrying different fields is a federation bug and raises
 ``SchemaViolation`` rather than silently preferring one site's copy.
 
 A :class:`ResultSet` holds the merged part.  ``to_xml`` escapes a column
-only when it needs it: a column the check recorded as plain is taken as it
-is, and any other column, of a merged or a parsed answer, is joined for a
-substring test.  It writes the whole document, header and summary
+only when it needs it: a column the check or the merge recorded as plain
+is taken as it is, and any other column, such as one of a parsed answer,
+is joined for a substring test.  It writes the whole document, header and summary
 included, with one join; when no column holds a null, the markup is laid
 down once for all rows and the ids and each column fill their stride of
 it.  ``ResultSet.rows`` builds `Row` objects only when a caller asks.
@@ -85,8 +87,9 @@ class Part:
 
     ``plain`` records the columns known to hold no character that XML
     escapes: names of ``fields``, and None for the ids (where ``"`` counts
-    too).  `checked_part` fills it from its own joins; any other part leaves
-    it empty, and `ResultSet.to_xml` tests its columns itself.  Equality
+    too).  `checked_part` fills it from its own joins, and `merge` keeps
+    what every part with rows records; any other part leaves it empty, and
+    `ResultSet.to_xml` tests its columns itself.  Equality
     ignores it.  A part's owner does not change its lists afterwards."""
 
     ids: list
@@ -363,10 +366,11 @@ def checked_part(answer, q: FormalQuery, canonical: str, site: str | None = None
     """The `Part` in ``answer``, a decoded JSON value that answers ``q``,
     whose canonical text is ``canonical``, checked as a whole.
 
-    With ``site``, ``answer`` is that peer's RQUERY part,
-    ``{"query", "ids", "fields"}``.  Without, it is an origin's QUERY answer,
-    which also carries ``"origin"``, the list of the site codes that returned
-    rows.  Any failed check raises SchemaViolation:
+    With ``site``, ``answer`` is that site's part, ``{"query", "ids",
+    "fields"}``: a peer's RQUERY answer, or the origin's own part in its
+    QUERY answer.  Without, it is a merged answer, which also carries
+    ``"origin"``, the list of the site codes that returned rows; no node
+    sends that form.  Any failed check raises SchemaViolation:
 
     - it carries those keys and answers ``canonical``;
     - the ids are strings in strictly increasing order, each minted for the
@@ -443,7 +447,10 @@ def merge(query_text: str, parts: dict[str, Part]) -> ResultSet:
     different fields is a federation bug that raises ``SchemaViolation``
     rather than silently preferring one site's copy.  The answer has a
     column for every name of any part, also a part with no rows, so an
-    empty answer keeps the projection's columns."""
+    empty answer keeps the projection's columns.  Its part records as plain
+    the ids and the columns that every part with rows records so
+    (`Part.plain`), so rendering a merge of checked parts joins none of
+    them again."""
     filled = sorted((part for part in parts.values() if part), key=lambda p: p.ids[0])
     names = dict.fromkeys(name for part in parts.values() for name in part.fields)
     ids = list(chain.from_iterable(part.ids for part in filled))
@@ -462,4 +469,5 @@ def merge(query_text: str, parts: dict[str, Part]) -> ResultSet:
             ids = [ids[k] for k in keep]
             fields = {name: [column[k] for k in keep] for name, column in fields.items()}
     origin_sites = frozenset(site for site, part in parts.items() if part)
-    return ResultSet(query_text, origin_sites, Part(ids, fields))
+    plain = frozenset.intersection(*(part.plain for part in filled)) if filled else frozenset()
+    return ResultSet(query_text, origin_sites, Part(ids, fields, plain))

@@ -23,6 +23,14 @@ A request is written by :func:`send` and its answer read by
 several requests out at once writes them all, then reads each answer as it
 arrives (:func:`gather`), on its own thread.
 
+An answer may relay other answers: a response carrying ``"relayed": n``
+is followed by ``n`` whole frames, written exactly as they arrived from
+elsewhere, each with no binary section.  A node's QUERY answer relays its
+peers' RQUERY answers so.  The node reads each of them by its length and
+never decodes it (:func:`finish_relay`); :func:`receive` reads the frames
+an answer announces, raw, before the connection goes back to the pool, and
+the caller checks each one as an answer it read (:func:`read_relayed`).
+
 Connections are reused.  :func:`receive` keeps each connection it finished
 a clean exchange on in a small process-wide pool, keyed by address, and
 :func:`send` takes it from there for the next request to that address; a
@@ -209,9 +217,9 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> tuple[dict, bytes, int] | None:
-    """Read one frame: its envelope, its binary section and the length of
-    the envelope as it came; None on clean EOF at a frame boundary."""
+def _read_length(sock: socket.socket) -> int | None:
+    """The envelope length in the next frame's 4-byte header; None on clean
+    EOF at a frame boundary."""
     header = b""
     while len(header) < 4:
         chunk = sock.recv(4 - len(header))
@@ -223,18 +231,50 @@ def recv_frame(sock: socket.socket) -> tuple[dict, bytes, int] | None:
     (length,) = struct.unpack(">I", header)
     if length > MAX_ENVELOPE:
         raise ProtocolError(f"envelope too large ({length} bytes)")
+    return length
+
+
+def _decode(payload: bytes) -> dict:
+    """The envelope whose JSON text is ``payload``; ProtocolError unless it
+    is an object."""
     try:
-        envelope = json.loads(_recv_exact(sock, length).decode("utf-8"))
+        envelope = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         # RecursionError: arrays or objects nested deeper than the decoder goes
         raise ProtocolError(f"bad envelope: {e}") from e
     if not isinstance(envelope, dict):
         raise ProtocolError("envelope is not an object")
+    return envelope
+
+
+def _binary_len(envelope: dict) -> int:
+    """``envelope``'s ``binary_len``, 0 when absent; ProtocolError unless it
+    is a JSON integer (not ``true``) from 0 to MAX_BINARY."""
     binary_len = envelope.get("binary_len", 0)
-    if not isinstance(binary_len, int) or binary_len < 0 or binary_len > MAX_BINARY:
+    if type(binary_len) is not int or not 0 <= binary_len <= MAX_BINARY:
         raise ProtocolError(f"bad binary_len {binary_len!r}")
+    return binary_len
+
+
+def recv_frame(sock: socket.socket) -> tuple[dict, bytes, int] | None:
+    """Read one frame: its envelope, its binary section and the length of
+    the envelope as it came; None on clean EOF at a frame boundary."""
+    length = _read_length(sock)
+    if length is None:
+        return None
+    envelope = _decode(_recv_exact(sock, length))
+    binary_len = _binary_len(envelope)
     binary = _recv_exact(sock, binary_len) if binary_len else b""
     return envelope, binary, length
+
+
+def _recv_raw(sock: socket.socket) -> bytes:
+    """The next frame exactly as it arrives, header included, read by its
+    length and never decoded: a frame with no binary section."""
+    length = _read_length(sock)
+    if length is None:
+        raise ProtocolError("peer closed the connection without answering")
+    return struct.pack(">I", length) + _recv_exact(sock, length)
 
 
 # --- request/response helpers ---------------------------------------------------
@@ -288,11 +328,16 @@ def _checkin(key: tuple[str, int], sock: socket.socket) -> None:
         evicted.close()
 
 
-def _check_response(response: dict) -> None:
-    """ProtocolError unless ``response``, of a known status, has the shape
-    `call` reads: ``result`` an object, ``warnings`` absent or a list of
-    strings, and on an error envelope a string ``error_code`` and a string
-    ``message`` in ``result`` when it has one."""
+def _check_answer(response: dict, req_id: str) -> None:
+    """ProtocolError unless ``response`` answers request ``req_id`` with a
+    known status and has the shape `call` reads: ``result`` an object,
+    ``warnings`` absent or a list of strings, and on an error envelope a
+    string ``error_code`` and a string ``message`` in ``result`` when it has
+    one."""
+    if response.get("id") != req_id:
+        raise ProtocolError("response id does not match request id")
+    if response.get("status") not in ("ok", "error"):
+        raise ProtocolError(f"bad response status {response.get('status')!r}")
     result, warnings = response.get("result"), response.get("warnings", [])
     if not isinstance(result, dict):
         raise ProtocolError(f"response result is a {type(result).__name__}, not an object")
@@ -305,7 +350,8 @@ def _check_response(response: dict) -> None:
 
 
 class Exchange:
-    """A request written to a connection, whose answer `receive` reads."""
+    """A request written to a connection, whose answer `receive` reads, or
+    `finish_relay` for an answer relayed unread."""
 
     __slots__ = ("key", "op", "req_id", "sock", "expired")
 
@@ -343,15 +389,21 @@ def send(address: tuple[str, int], op: str, params: dict, *,
     return Exchange(key, op, req_id, sock)
 
 
-def receive(exchange: Exchange) -> tuple[dict, bytes]:
+def receive(exchange: Exchange, relayed: list | None = None) -> tuple[dict, bytes]:
     """Read the answer to ``exchange``'s request: the raw response envelope
     and its binary section.  Error-status envelopes are returned, not raised
-    (:func:`call` raises them).  The connection goes back to the pool only
-    after an answer whose id, status and shape check out
-    (:func:`_check_response`); on any failure, an expired exchange's
-    ``TimeoutError`` included, it is closed.  A request is written once: a
-    failure after it is sent raises, and is never retried on another
-    connection."""
+    (:func:`call` raises them).  An answer that announces relayed frames
+    (``"relayed": n``, as a QUERY answer does) is followed by ``n`` frames,
+    each read by its length and never decoded; they are appended to
+    ``relayed`` when it is given, and dropped otherwise.
+
+    The connection goes back to the pool only after an answer whose id,
+    status and shape check out (:func:`_check_answer`) and whose announced
+    frames were all read whole.  On any failure, an expired exchange's
+    ``TimeoutError`` included, it is closed; a failure while reading the
+    announced frames raises nothing, and ``relayed`` gets the frames read
+    whole before it.  A request is written once: a failure after it is
+    sent raises, and is never retried on another connection."""
     sock = exchange.sock
     try:
         if exchange.expired:
@@ -360,24 +412,32 @@ def receive(exchange: Exchange) -> tuple[dict, bytes]:
         if got is None:
             raise ProtocolError("peer closed the connection without answering")
         response, resp_binary, _ = got
-        if response.get("id") != exchange.req_id:
-            raise ProtocolError("response id does not match request id")
-        if response.get("status") not in ("ok", "error"):
-            raise ProtocolError(f"bad response status {response.get('status')!r}")
-        _check_response(response)
+        _check_answer(response, exchange.req_id)
+        count = response.get("relayed", 0)
+        if type(count) is not int or count < 0:
+            raise ProtocolError(f"bad relayed count {count!r}")
     except BaseException:
         sock.close()
         raise
-    _checkin(exchange.key, sock)
+    frames = [] if relayed is None else relayed
+    try:
+        for _ in range(count):
+            frames.append(_recv_raw(sock))
+    except BaseException as e:
+        sock.close()
+        if not isinstance(e, (OSError, ProtocolError)):
+            raise  # an OSError or ProtocolError leaves the frames read whole
+    else:
+        _checkin(exchange.key, sock)
     return response, resp_binary
 
 
 def request(address: tuple[str, int], op: str, params: dict, *,
             token: str = "", binary: bytes = b"", req_id: str = "",
-            timeout: float = 10.0) -> tuple[dict, bytes]:
+            timeout: float = 10.0, relayed: list | None = None) -> tuple[dict, bytes]:
     """One request/response exchange: :func:`send`, then :func:`receive`."""
     return receive(send(address, op, params, token=token, binary=binary,
-                        req_id=req_id, timeout=timeout))
+                        req_id=req_id, timeout=timeout), relayed)
 
 
 def gather(exchanges: dict, deadline: float):
@@ -406,9 +466,14 @@ def gather(exchanges: dict, deadline: float):
         yield key, exchange
 
 
-def _unreachable(unreachable: type[GridError], key: tuple[str, int], op: str,
+def _unreachable(unreachable: type[GridError], address: str, op: str,
                  error: Exception) -> GridError:
-    return unreachable(f"{op} to {key[0]}:{key[1]}: {error}")
+    return unreachable(f"{op} to {address}: {error}")
+
+
+def host_port(key: tuple[str, int]) -> str:
+    """``key`` as the ``host:port`` text that warnings and relay lists name."""
+    return f"{key[0]}:{key[1]}"
 
 
 def _outcome(response: dict, resp_binary: bytes) -> tuple[dict, list, bytes]:
@@ -422,19 +487,22 @@ def _outcome(response: dict, resp_binary: bytes) -> tuple[dict, list, bytes]:
 
 def call(address: tuple[str, int], op: str, params: dict, *,
          unreachable: type[GridError], token: str = "", binary: bytes = b"",
-         req_id: str = "", timeout: float = 10.0) -> tuple[dict, list, bytes]:
+         req_id: str = "", timeout: float = 10.0,
+         relayed: list | None = None) -> tuple[dict, list, bytes]:
     """The one request path of clients and the registry client.
 
-    Returns ``(result, warnings, binary)``.  Failing to reach ``address`` or
-    to get a well-formed answer raises ``unreachable``; an error envelope
-    raises the error the far side reported, under its own code.
+    Returns ``(result, warnings, binary)``; the frames the answer relays
+    are appended to ``relayed`` when it is given (:func:`receive`).
+    Failing to reach ``address`` or to get a well-formed answer raises
+    ``unreachable``; an error envelope raises the error the far side
+    reported, under its own code.
     """
     try:
         response, resp_binary = request(address, op, params, token=token,
                                         binary=binary, req_id=req_id,
-                                        timeout=timeout)
+                                        timeout=timeout, relayed=relayed)
     except (OSError, ProtocolError) as e:
-        raise _unreachable(unreachable, address, op, e) from e
+        raise _unreachable(unreachable, host_port(address), op, e) from e
     return _outcome(response, resp_binary)
 
 
@@ -446,7 +514,7 @@ def start_call(address: tuple[str, int], op: str, params: dict, *,
     try:
         return send(address, op, params, req_id=req_id, timeout=timeout)
     except (OSError, ProtocolError) as e:
-        raise _unreachable(unreachable, address, op, e) from e
+        raise _unreachable(unreachable, host_port(address), op, e) from e
 
 
 def finish_call(exchange: Exchange,
@@ -455,8 +523,51 @@ def finish_call(exchange: Exchange,
     try:
         response, resp_binary = receive(exchange)
     except (OSError, ProtocolError) as e:
-        raise _unreachable(unreachable, exchange.key, exchange.op, e) from e
+        raise _unreachable(unreachable, host_port(exchange.key), exchange.op, e) from e
     return _outcome(response, resp_binary)
+
+
+def finish_relay(exchange: Exchange, unreachable: type[GridError]) -> bytes:
+    """The other second half of :func:`start_call`, for an answer that is
+    relayed unread: its frame exactly as it arrived, read by its length and
+    never decoded, so neither its id nor its status is checked here
+    (:func:`read_relayed` does so where it is read).  The answer must have
+    no binary section.  The connection goes back to the pool once the frame
+    is read whole; failing to read it raises ``unreachable``."""
+    sock = exchange.sock
+    try:
+        if exchange.expired:
+            raise TimeoutError("timed out")
+        frame = _recv_raw(sock)
+    except BaseException as e:
+        sock.close()
+        if isinstance(e, (OSError, ProtocolError)):
+            raise _unreachable(unreachable, host_port(exchange.key), exchange.op, e) from e
+        raise
+    _checkin(exchange.key, sock)
+    return frame
+
+
+def read_relayed(frame: bytes | None, op: str, address: str, req_id: str,
+                 unreachable: type[GridError]) -> tuple[dict, list, bytes]:
+    """``(result, warnings, binary)`` of ``frame``, the answer to an ``op``
+    request ``req_id`` that a node sent to ``address`` and relayed unread
+    (:func:`finish_relay`), checked as :func:`receive` and :func:`call`
+    check an answer they read: it decodes, its id, status and shape check
+    out, and its ``binary_len`` is the integer 0, since a relayed frame
+    carries no binary section.  A ``frame`` of None is one that was not
+    relayed.  A failed check raises ``unreachable``, worded as :func:`call`
+    words it; an error envelope raises the error the far side reported."""
+    try:
+        if frame is None:
+            raise ProtocolError("the origin relayed no answer")
+        response = _decode(frame[4:])
+        if _binary_len(response) != 0:
+            raise ProtocolError(f"a relayed answer has binary_len {response['binary_len']}, not 0")
+        _check_answer(response, req_id)
+    except ProtocolError as e:
+        raise _unreachable(unreachable, address, op, e) from e
+    return _outcome(response, b"")
 
 
 def ok_response(req_id: str, result: dict, warnings: list | None = None) -> dict:
@@ -472,7 +583,9 @@ def error_response(req_id: str, code: str, message: str) -> dict:
 def answer(envelope: dict, binary: bytes, serve) -> tuple[dict, bytes]:
     """The response to one request, the one answer path of every server
     handler.  ``serve(req_id, op, token, params, binary)`` returns
-    ``(result, warnings, binary)``.  A ``params`` that is not a JSON object
+    ``(result, warnings, binary)``, or in place of the binary section the
+    list of whole frames to relay after the answer (see `FramedServer`),
+    which the response carries under ``relayed``.  A ``params`` that is not a JSON object
     is a ProtocolError before ``serve`` runs; a GridError answers under its
     own code, and any other exception is ``Internal``, with its traceback on
     stderr, since a handler must answer, not raise."""
@@ -481,10 +594,12 @@ def answer(envelope: dict, binary: bytes, serve) -> tuple[dict, bytes]:
     try:
         if not isinstance(params, dict):
             raise ProtocolError("params must be an object")
-        result, warnings, resp_binary = serve(req_id, envelope.get("op"),
-                                              str(envelope.get("token") or ""),
-                                              params, binary)
-        return ok_response(req_id, result, warnings), resp_binary
+        result, warnings, body = serve(req_id, envelope.get("op"),
+                                       str(envelope.get("token") or ""), params, binary)
+        if type(body) is list:  # the frames a QUERY answer relays
+            response = ok_response(req_id, result, warnings)
+            return (dict(response, relayed=body) if body else response), b""
+        return ok_response(req_id, result, warnings), body
     except GridError as e:
         return error_response(req_id, e.code, e.message), b""
     except Exception as e:
@@ -530,6 +645,10 @@ class FramedServer:
     directions.  The json bytes are those of the envelope on the wire, its
     ``binary_len`` key included, and a response is counted before it is
     sent, so a client that reads the counters after its answer sees it.
+    A response envelope may hold ``relayed``, a list of whole frames; the
+    server writes the envelope with their count in its place, then the
+    frames as they are, and books and offers to the capture taps each of
+    them as a frame of the response's op, with no binary section.
     An answer too large for a frame is replaced by an ``AnswerTooLarge``
     error envelope that names the op and the size, and the connection
     stays open for the next request.
@@ -615,18 +734,24 @@ class FramedServer:
         op = str(envelope.get("op", "?"))
         self.accountant.record(op, json_bytes, len(binary))
         response, resp_binary = self.handler(envelope, binary)
+        relayed = response.get("relayed") or []
+        if relayed:
+            response = dict(response, relayed=len(relayed))
         try:
             try:
                 frame, json_bytes = _frame(response, resp_binary)
             except ProtocolError as e:  # the answer does not fit in a frame
                 response = error_response(response.get("id", ""), AnswerTooLarge.code,
                                           f"{op} answer: {e.message}")
-                resp_binary = b""
+                resp_binary, relayed = b"", []
                 # still too large only when the request's own id or op nearly was
                 frame, json_bytes = _frame(response, resp_binary)
             self.accountant.record(op, json_bytes, len(resp_binary))
             _offer_to_taps(frame)
-            conn.sendall(frame)
+            for raw in relayed:
+                self.accountant.record(op, len(raw) - 4, 0)
+                _offer_to_taps(raw)
+            conn.sendall(b"".join((frame, *relayed)))
         except (ProtocolError, OSError):
             return False
         return True

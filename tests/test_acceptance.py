@@ -23,6 +23,7 @@ import oracles
 from conftest import build_vo, make_image, make_image_bytes
 from gridbox import algorithms as alg
 from gridbox.anonymize import anonymize_for_site
+from gridbox.client import assemble
 from gridbox.cohort import (
     CohortSpec,
     canary_strings,
@@ -169,7 +170,7 @@ def _run_trial(index, root):
             text = _random_query(rnd, ids)
             want = oracles.expected_ids(parse_query(text), catalogs)
             for site in sites:
-                result, warnings = vo.nodes[site].run_query(text)
+                result, warnings = assemble(text, *vo.nodes[site].run_query(text))
                 assert warnings == [], (text, site, warnings)
                 got = {r.id for r in result.rows}
                 assert got == want, (index, site, text,
@@ -458,7 +459,7 @@ def test_criterion_9_partial_failure(tmp_path_factory):
                 outcome = {}
 
                 def ask():
-                    result, warnings = cam.run_query(text)
+                    result, warnings = assemble(text, *cam.run_query(text))
                     outcome["ids"] = {r.id for r in result.rows}
                     outcome["warnings"] = warnings
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import secrets as pysecrets
 import socket
 import struct
@@ -16,7 +17,9 @@ from conftest import (CREDENTIAL, USER, build_vo, make_image, make_image_bytes,
                       refuse_to_parse)
 from gridbox import algorithms as alg
 from gridbox import applog, blobstore, wire
+from gridbox import client as client_module
 from gridbox import node as node_module
+from gridbox import resultset as resultset_module
 from gridbox.anonymize import anonymize_for_site
 from gridbox.catalog import SiteCatalog
 from gridbox.cohort import spec_for_site, upload_site
@@ -32,7 +35,7 @@ from gridbox.errors import (
     SchemaViolation,
     UnknownAlgorithm,
 )
-from gridbox.client import NodeClient
+from gridbox.client import NodeClient, assemble
 from gridbox.mgi import parse_mgi, write_mgi
 from gridbox.query import parse_query
 from gridbox.records import AlgorithmRecord, DerivedRecord
@@ -141,8 +144,8 @@ CALLER_ROLES = {
     "ADD": ("AuthFailed", "changed,file,image", "AuthFailed", "changed,file,image",
             "changed,file,image"),
     "RETRIEVE": ("AuthFailed", "sha256,size", "AuthFailed", "sha256,size", "sha256,size"),
-    "QUERY": ("AuthFailed", "fields,ids,origin,query", "AuthFailed",
-              "fields,ids,origin,query", "fields,ids,origin,query"),
+    "QUERY": ("AuthFailed", "fields,ids,query,relay,site", "AuthFailed",
+              "fields,ids,query,relay,site", "fields,ids,query,relay,site"),
     "ADD_ALG": ("AuthFailed", "id,version", "registered", "registered", "AuthFailed"),
     "EXEC_ALG": ("AuthFailed", "per_site,written", "written", "written", "AuthFailed"),
     "RQUERY": ("AuthFailed", "AuthFailed", "fields,ids,query", "fields,ids,query",
@@ -558,12 +561,12 @@ def send_fields_as_pairs(answer):
     return dict(answer, fields=list(answer["fields"].items()))
 
 
-def name_an_origin_with_no_rows(answer):
-    return dict(answer, origin=sorted(answer["origin"] + ["CAM"]))
+def relay_a_site_that_is_not_a_site_code(answer):
+    return dict(answer, relay=[[site.lower(), *rest] for site, *rest in answer["relay"]])
 
 
-def name_an_origin_twice(answer):
-    return dict(answer, origin=answer["origin"] * 2)
+def send_the_relay_as_an_object(answer):
+    return dict(answer, relay={site: rest for site, *rest in answer["relay"]})
 
 
 # texts that XML rejects, or normalises where they stand
@@ -710,10 +713,10 @@ def assert_the_client_refuses(vo, capfd):
     assert "Traceback" not in capfd.readouterr().err
 
 
-def vo_with_two_udi_images(make_vo):
+def vo_with_two_cam_images(make_vo):
     vo = make_vo()
     for image_id in ("IMG1", "IMG2"):
-        vo.client("UDI").add_bytes(make_image_bytes(image_id=image_id))
+        vo.client("CAM").add_bytes(make_image_bytes(image_id=image_id))
     return vo
 
 
@@ -722,14 +725,14 @@ def vo_with_two_udi_images(make_vo):
                                     repeat_a_row, swap_the_rows, shorten_a_column,
                                     put_a_number_in_a_column, drop_the_projected_column,
                                     send_ids_as_an_object, send_fields_as_pairs,
-                                    name_an_origin_with_no_rows, name_an_origin_twice,
-                                    *UNCARRIED])
+                                    relay_a_site_that_is_not_a_site_code,
+                                    send_the_relay_as_an_object, *UNCARRIED])
 def test_the_client_refuses_a_tampered_query_answer(make_vo, capfd, tamper):
-    """The RQUERY tampers, applied to CAM's QUERY answer of UDI's two images,
-    and two to its origin list, which the client renders into the XML.  A
-    text that XML cannot carry is refused, so query_xml never renders bytes
-    that are not well-formed."""
-    vo = vo_with_two_udi_images(make_vo)
+    """The RQUERY tampers, applied to CAM's own part of two images in its
+    QUERY answer, and two to the list of the sites whose answers it relays.
+    A text that XML cannot carry is refused, so query_xml never renders
+    bytes that are not well-formed."""
+    vo = vo_with_two_cam_images(make_vo)
     cam = vo.nodes["CAM"]
     honest, _ = cam._ops["QUERY"]
 
@@ -742,7 +745,7 @@ def test_the_client_refuses_a_tampered_query_answer(make_vo, capfd, tamper):
 
 
 def test_the_client_refuses_the_answer_to_another_query(make_vo, capfd):
-    vo = vo_with_two_udi_images(make_vo)
+    vo = vo_with_two_cam_images(make_vo)
     cam = vo.nodes["CAM"]
     honest, _ = cam._ops["QUERY"]
     cam._ops["QUERY"] = (lambda params, binary: honest(
@@ -756,7 +759,7 @@ def test_a_query_answer_renders_the_origins_bytes(session_vo):
     for site, node in session_vo.nodes.items():
         for entry in session_vo.manifest["queries"]:
             xml, _ = session_vo.client(site).query_xml(entry["text"])
-            assert xml == node.run_query(entry["text"])[0].to_xml()
+            assert xml == assemble(entry["text"], *node.run_query(entry["text"]))[0].to_xml()
 
 
 def recording_client(base: NodeClient):
@@ -954,6 +957,141 @@ def test_a_peer_answer_too_large_is_not_called_unreachable(make_vo, monkeypatch)
     result, warnings = udi.query(BROAD)
     assert len(result.rows) == 12 and warnings == []
     assert dials == []
+
+
+def test_each_part_needs_only_a_frame_of_its_own(make_vo, monkeypatch):
+    """CAM's and UDI's parts of 6 rows each fit in 1 kB, and the merged
+    answer of 12 rows would not: UDI relays CAM's part, and the client gets
+    every row with no warning."""
+    vo = make_vo()
+    for site in vo.nodes:
+        upload_images(vo.client(site), 6)
+    udi = vo.client("UDI")
+    whole, _ = udi.query(BROAD)
+    merged = {"query": BROAD, "ids": whole.part.ids, "fields": whole.part.fields}
+    monkeypatch.setattr(wire, "MAX_ENVELOPE", 1024)
+    assert len(wire.encode_envelope(merged)) > wire.MAX_ENVELOPE
+    result, warnings = udi.query(BROAD)
+    assert result == whole and len(result.rows) == 12
+    assert warnings == []
+
+
+def test_the_origin_decodes_checks_and_merges_no_peer_answer(make_vo, monkeypatch):
+    """During a QUERY at CAM, the thread that serves it decodes only the
+    request, and runs no checked_part or merge: the client decodes and
+    checks each of the three sites' parts, and merges them."""
+    vo = make_vo(sites=("CAM", "LEE", "UDI"))
+    for site in vo.nodes:
+        vo.client(site).add_bytes(make_image_bytes())
+    client = vo.client("CAM")
+    calls = []
+
+    def spy(name, fn):
+        def spying(*args, **kwargs):
+            calls.append((name, threading.current_thread().name, args[0]))
+            return fn(*args, **kwargs)
+        return spying
+
+    monkeypatch.setattr(json, "loads", spy("loads", json.loads))
+    for module in (resultset_module, client_module):
+        for name in ("checked_part", "merge"):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    result, warnings = client.query("select images where true")
+    assert len(result.rows) == 3 and warnings == []
+    origin = f"conn-{vo.nodes['CAM'].address[1]}"
+    at_origin = [(name, arg) for name, thread, arg in calls if thread == origin]
+    assert [name for name, _ in at_origin] == ["loads"]
+    assert '"op":"QUERY"' in at_origin[0][1]
+    here = threading.current_thread().name
+    assert sorted(name for name, thread, _ in calls if thread == here) == [
+        "checked_part"] * 3 + ["loads"] * 3 + ["merge"]
+
+
+def test_the_origin_relays_each_peer_answer_byte_for_byte(make_vo):
+    """Each RQUERY answer frame a peer sends, CAM sends again after its
+    QUERY answer, unchanged."""
+    vo = make_vo(sites=("CAM", "LEE", "UDI"))
+    for site in vo.nodes:
+        vo.client(site).add_bytes(make_image_bytes())
+    client = vo.client("CAM")
+    sent = []
+    wire.add_capture_tap(sent.append)
+    try:
+        client.query("select images where true")
+    finally:
+        wire.remove_capture_tap(sent.append)
+    parts = [frame for frame in sent if b'"ids":' in frame and b'"relay":' not in frame]
+    assert len(parts) == 4 and len(set(parts)) == 2
+    assert all(parts.count(frame) == 2 for frame in parts)
+
+
+# A relay tamper rewrites CAM's QUERY answer and the frames it relays, of
+# UDI's one image, and names the warning the client gives for UDI.
+
+def relay_undecodable_json(answer, frames):
+    return answer, [struct.pack(">I", 8) + b"not json"]
+
+
+def relay_nesting_too_deep(answer, frames):
+    return answer, [struct.pack(">I", 100_000) + b"[" * 100_000]
+
+
+def relay_another_request_id(answer, frames):
+    return dict(answer, relay=[[site, address, "0" * 16]
+                               for site, address, _ in answer["relay"]]), frames
+
+
+def relay_a_binary_len(answer, frames):
+    payload = wire.encode_envelope(dict(json.loads(frames[0][4:]), binary_len=5))
+    return answer, [struct.pack(">I", len(payload)) + payload]
+
+
+def relay_a_site_twice(answer, frames):
+    return dict(answer, relay=answer["relay"] * 2), frames * 2
+
+
+def relay_fewer_frames_than_listed(answer, frames):
+    return answer, frames[:-1]
+
+
+AT = r"RQUERY to [\d.]+:\d+: "  # the text that names where the origin sent RQUERY
+# each relay tamper -> the pattern of the one warning it costs
+RELAY_FAULTS = {
+    relay_undecodable_json: "UDI unreachable: " + AT + "bad envelope: ",
+    relay_nesting_too_deep: "UDI unreachable: " + AT + "bad envelope: ",
+    relay_another_request_id: "UDI unreachable: " + AT + "response id does not match request id$",
+    relay_a_binary_len: "UDI unreachable: " + AT + "a relayed answer has binary_len 5, not 0$",
+    relay_a_site_twice: "UDI refused: SchemaViolation: the answer names UDI twice$",
+    relay_fewer_frames_than_listed: "UDI unreachable: " + AT + "the origin relayed no answer$",
+}
+
+
+@pytest.mark.parametrize("tamper", list(RELAY_FAULTS))
+def test_a_bad_relayed_frame_is_one_warning(make_vo, monkeypatch, capfd, tamper):
+    """The client keeps CAM's own part and any part that checks out, words
+    the fault as the origin would, prints no traceback, and pools its
+    connection to CAM, since it read every frame CAM announced."""
+    vo = make_vo()
+    for site in vo.nodes:
+        vo.client(site).add_bytes(make_image_bytes())
+    cam = vo.nodes["CAM"]
+    honest, _ = cam._ops["QUERY"]
+
+    def tampered(params, binary):
+        answer, warnings, frames = honest(params, binary)
+        answer, frames = tamper(answer, frames)
+        return answer, warnings, frames
+
+    cam._ops["QUERY"] = (tampered, None)
+    client = vo.client("CAM")
+    dials = dials_to(monkeypatch, cam.address)
+    for _ in range(2):
+        result, warnings = client.query("select images where true")
+        expected_rows = ["CAM", "UDI"] if tamper is relay_a_site_twice else ["CAM"]
+        assert [r.id.split(":")[0] for r in result.rows] == expected_rows
+        assert len(warnings) == 1 and re.match(RELAY_FAULTS[tamper], warnings[0]), warnings
+    assert dials == []
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def threads_of(vo):
@@ -1602,7 +1740,8 @@ def test_stale_membership_survives_registry_outage(make_vo):
     time.sleep(0.1)
     assert node.membership() == {"CAM": node.advertised}
     # and queries still run against the cached membership
-    result, warnings = node.run_query("select images where true")
+    text = "select images where true"
+    result, warnings = assemble(text, *node.run_query(text))
     assert warnings == []
     assert result.rows == ()
 
@@ -1618,7 +1757,8 @@ def test_a_silent_registry_stays_off_the_query_path(make_vo):
         cam.registry = RegistryClient(silent.getsockname())
         cam._membership.fetched_at -= 60  # older than refresh_interval_s
         started = time.monotonic()
-        result, warnings = cam.run_query("select images where true")
+        text = "select images where true"
+        result, warnings = assemble(text, *cam.run_query(text))
         elapsed = time.monotonic() - started
     finally:
         silent.close()  # ends any registry call still waiting on it

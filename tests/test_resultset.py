@@ -644,3 +644,36 @@ def test_rendering_a_checked_part_joins_no_column_again(monkeypatch):
     assert joins == []
     THREE_ROWS.to_xml()  # a merged answer tests each of its columns itself
     assert len(joins) == 3
+
+
+def checked_site_part(rows, site):
+    part = part_of(rows)
+    return checked_part({"query": Q, "ids": part.ids, "fields": part.fields},
+                        parse_query(Q), Q, site)
+
+
+def test_rendering_a_merge_of_checked_parts_joins_no_column_again(monkeypatch):
+    """merge keeps the escape record: a column is plain in the merged part
+    when it is plain in every part with rows, so the client, which merges
+    the checked parts of the sites, renders without joining a column again."""
+    parts = {"CAM": checked_site_part([image_row(1, "CAM", **{"patient.sex": "F"}),
+                                       image_row(3, "CAM", **{"patient.sex": "M"})], "CAM"),
+             "UDI": checked_site_part([image_row(2, "UDI", **{"patient.sex": "F"})], "UDI"),
+             "LEE": checked_part({"query": Q, "ids": [], "fields": {
+                 "patient.id": [], "patient.sex": []}}, parse_query(Q), Q, "LEE")}
+    merged = merge(Q, parts)
+    assert merged == THREE_ROWS
+    assert merged.part.plain == {None, "patient.id", "patient.sex"}
+    # a column that one part must escape is escaped in the merge
+    escaping = merge(Q, dict(parts, UDI=checked_site_part(
+        [image_row(2, "UDI", **{"patient.sex": "F&M"})], "UDI")))
+    assert escaping.part.plain == {None, "patient.id"}
+    expected, reference = THREE_ROWS.to_xml(), oracles.reference_xml(escaping)
+    joins = []
+    joined_texts = resultset._joined_texts
+    monkeypatch.setattr(resultset, "_joined_texts",
+                        lambda column, *a: joins.append(column) or joined_texts(column, *a))
+    assert merged.to_xml() == expected
+    assert joins == []
+    assert escaping.to_xml() == reference
+    assert joins == [escaping.part.fields["patient.sex"]]

@@ -18,11 +18,13 @@ from gridbox.wire import (
     FramedServer,
     TrafficAccountant,
     add_capture_tap,
+    answer,
     call,
     encode_envelope,
     error_response,
     gather,
     ok_response,
+    read_relayed,
     receive,
     recv_frame,
     remove_capture_tap,
@@ -203,6 +205,7 @@ def test_eof_mid_binary_is_an_error():
     b'{"binary_len":' + str(64 * 1024 * 1024 + 1).encode() + b"}",
     b"\xff\xfe{}",
     pytest.param(b"[" * 100_000, id="nested-deeper-than-the-decoder-goes"),
+    pytest.param(b'{"binary_len":true}', id="binary-len-true"),
 ])
 def test_bad_envelopes_rejected(payload):
     a, b = socket.socketpair()
@@ -647,6 +650,123 @@ def test_a_silently_closed_exchange_is_not_pooled(dials):
         listener.close()
     assert got[0] == {"n": 2}
     assert dials == [address] * 2
+
+
+def whole_frame(envelope: dict) -> bytes:
+    return wire._frame(envelope, b"")[0]
+
+
+RELAYED = [whole_frame(ok_response("r1", {"n": 1})), whole_frame(ok_response("r2", {"n": 2}))]
+
+
+def test_relayed_frames_follow_the_answer_as_they_are(dials):
+    """A handler that relays frames has them written after its answer,
+    byte for byte, each booked and offered to the taps as a frame of its
+    own; the caller gets them raw and the connection is pooled."""
+    def relay(envelope, binary):
+        return answer(envelope, binary, lambda *args: ({"n": 0}, ["late"], list(RELAYED)))
+
+    tapped = []
+    server = FramedServer("127.0.0.1", 0, relay)
+    server.start()
+    add_capture_tap(tapped.append)
+    try:
+        frames = []
+        got = call(server.address, "QUERY", {}, unreachable=PeerUnreachable, timeout=5,
+                   relayed=frames)
+        assert idle_to(server.address) == 1
+        assert call(server.address, "QUERY", {}, unreachable=PeerUnreachable,
+                    timeout=5) == got  # frames dropped, connection still in step
+    finally:
+        remove_capture_tap(tapped.append)
+        server.stop()
+    assert got == ({"n": 0}, ["late"], b"") and frames == RELAYED
+    assert tapped[2:4] == RELAYED and tapped[6:8] == RELAYED
+    assert json.loads(tapped[1][4:])["relayed"] == 2
+    booked = server.accountant.snapshot()["QUERY"]
+    assert booked["frames"] == 2 * (2 + len(RELAYED)) and booked["binary_bytes"] == 0
+    assert dials == [server.address]
+
+
+def answer_once(then: bytes = b"", **announced):
+    """The address of a listener that answers one request with an ok
+    envelope carrying the keys ``announced``, then sends ``then`` and
+    closes, and the thread that does so."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                envelope, _, _ = recv_frame(conn)
+                send_frame(conn, dict(ok_response(envelope["id"], {"n": 0}), **announced))
+                conn.sendall(then)
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    return listener.getsockname(), t
+
+
+def test_an_answer_cut_short_in_its_relayed_frames_is_not_pooled(dials):
+    """An answer announces two frames and its connection closes halfway
+    through the second: the caller gets the answer and the first frame,
+    and the connection is closed, not pooled."""
+    address, t = answer_once(RELAYED[0] + RELAYED[1][:7], relayed=2)
+    frames = []
+    try:
+        got = call(address, "QUERY", {}, unreachable=PeerUnreachable, timeout=5,
+                   relayed=frames)
+        assert idle_to(address) == 0
+    finally:
+        t.join(timeout=5)
+    assert got == ({"n": 0}, [], b"") and frames == RELAYED[:1]
+
+
+@pytest.mark.parametrize("relayed", [-1, True, 1.0, "1"], ids=repr)
+def test_a_bad_relayed_count_is_a_malformed_answer(dials, relayed):
+    address, t = answer_once(relayed=relayed)
+    try:
+        with pytest.raises(PeerUnreachable, match="bad relayed count"):
+            call(address, "QUERY", {}, unreachable=PeerUnreachable, timeout=5)
+        assert idle_to(address) == 0
+    finally:
+        t.join(timeout=5)
+
+
+def framed_payload(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload
+
+
+@pytest.mark.parametrize("frame, message", [
+    (None, "the origin relayed no answer"),
+    (framed_payload(b"not json"), "bad envelope"),
+    (framed_payload(b"[" * 100_000), "bad envelope"),
+    (framed_payload(b"[1]"), "envelope is not an object"),
+    (whole_frame(ok_response("r2", {})), "response id does not match request id"),
+    (whole_frame(dict(ok_response("r1", {}), status="maybe")), "bad response status"),
+    (whole_frame(dict(ok_response("r1", {}), result=[])), "response result is a list"),
+    (framed_payload(encode_envelope(dict(ok_response("r1", {}), binary_len=5))),
+     "binary_len 5, not 0"),
+    (framed_payload(encode_envelope(dict(ok_response("r1", {}), binary_len=True))),
+     "bad binary_len True"),
+], ids=["missing", "not-json", "too-deep", "not-an-object", "wrong-id", "bad-status",
+        "result-a-list", "binary-len-5", "binary-len-true"])
+def test_a_relayed_frame_is_checked_as_an_answer_read(frame, message):
+    """A frame relayed unread gets, where it is read, the checks that
+    `receive` makes of an answer, and it may have no binary section."""
+    with pytest.raises(PeerUnreachable, match=f"^RQUERY to 10.0.0.1:7: .*{message}"):
+        read_relayed(frame, "RQUERY", "10.0.0.1:7", "r1", PeerUnreachable)
+
+
+def test_a_relayed_frame_reads_as_its_answer_or_its_error():
+    assert read_relayed(RELAYED[0], "RQUERY", "10.0.0.1:7", "r1", PeerUnreachable) == \
+        ({"n": 1}, [], b"")
+    refusal = whole_frame(error_response("r1", "AuthFailed", "bad peer signature"))
+    with pytest.raises(GridError, match="bad peer signature") as refused:
+        read_relayed(refusal, "RQUERY", "10.0.0.1:7", "r1", PeerUnreachable)
+    assert refused.value.code == "AuthFailed"
 
 
 def test_a_connection_to_a_stopped_server_is_discarded(dials):
